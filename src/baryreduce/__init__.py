@@ -16,6 +16,7 @@ from .transport import (
     TransportPlan,
     cost_matrix,
     solve_ot,
+    solve_ot_batch,
     solve_ot_oracle,
     wasserstein_p,
 )

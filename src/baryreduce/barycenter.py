@@ -18,13 +18,14 @@ from .core import (
     DiscreteDistribution,
     EmptyInput,
     InvalidSolution,
+    NumericalFailure,
     Solution,
     ZeroWeight,
     make_distribution,
     pooled_atoms,
     solution_violations,
 )
-from .transport import cost_matrix, solve_ot
+from .transport import cost_matrix, solve_ot_batch
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,12 @@ def reconstruct_barycenter(sol: Solution, mus, p: float,
 def solution_cost(sol: Solution, mus, p: float,
                   inner_tol: float = 1e-9) -> CostReport:
     """Objective value of a solution after rebuilding its barycenter."""
-    nu = reconstruct_barycenter(sol, mus, p, inner_tol)
+    return support_cost(sol, mus, reconstruct_barycenter(sol, mus, p, inner_tol), p)
+
+
+def support_cost(sol: Solution, mus, nu: DiscreteDistribution,
+                 p: float) -> CostReport:
+    """Objective value of a solution's plans priced against the atoms of ``nu``."""
     points, stacked = _column_points(sol, mus)
     k = len(mus)
     per_atom = np.zeros(sol.n_atoms)
@@ -203,9 +209,9 @@ def solve_barycenter(mus, opts: SolverOptions):
 
     Returns ``(nu, solution, report)`` where ``report.trace`` holds the
     objective after each transport step.  With the default fixed-uniform
-    barycenter weights the trace is non-increasing and this is asserted;
-    re-estimated weights change the feasible set between iterations, so no
-    monotonicity is claimed for that mode.
+    barycenter weights the trace is non-increasing, and a rise raises
+    :class:`NumericalFailure`; re-estimated weights change the feasible set
+    between iterations, so no monotonicity is claimed for that mode.
     """
     if not mus:
         raise EmptyInput("need at least one input distribution")
@@ -231,13 +237,14 @@ def solve_barycenter(mus, opts: SolverOptions):
     for it in range(opts.max_outer_iters):
         iters = it + 1
         nu = DiscreteDistribution(support.copy(), b.copy())
-        plans = [solve_ot(mu, nu, p) for mu in mus]
+        plans = solve_ot_batch(mus, nu, p)
         obj = sum(pl.cost for pl in plans) / k
         trace.append(obj)
-        if not opts.reestimate_weights:
-            assert obj <= prev_obj + 1e-9 * (1.0 + abs(prev_obj)), (
-                "alternation objective increased"
-            )
+        if (not opts.reestimate_weights
+                and obj > prev_obj + 1e-9 * (1.0 + abs(prev_obj))):
+            raise NumericalFailure(
+                f"alternation objective increased at outer iteration {iters}: "
+                f"{prev_obj!r} -> {obj!r}")
         if best is None or obj < best[0]:
             best = (obj, support.copy(), b.copy(), [pl.flow.copy() for pl in plans])
         if prev_obj - obj <= opts.rel_tol * (1.0 + abs(obj)):

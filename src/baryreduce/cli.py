@@ -14,9 +14,11 @@ import sys
 
 import numpy as np
 
-from .core import BaryError, NumericalFailure
+from .core import BaryError, NumericalFailure, make_distribution
 from .barycenter import SolverOptions, solve_barycenter
 from .coreset import (
+    SensitivityScores,
+    average_cost,
     build_coreset,
     evaluate_coreset,
     sensitivity_upper_bounds,
@@ -133,9 +135,9 @@ def cmd_coreset(args) -> int:
     queries = []
     d = mus[0].dim
     for x in args.queries or [0.0]:
-        from .core import make_distribution
         atom = np.full((1, d), float(x))
         queries.append(make_distribution(atom, np.array([1.0])))
+    full_costs = [average_cost(mus, nu, args.p) for nu in queries]
     scores = sensitivity_upper_bounds(mus, p=args.p, pilot=mus[0]
                                       if args.input is None else None)
     k = len(mus)
@@ -143,7 +145,6 @@ def cmd_coreset(args) -> int:
     for size in args.sizes:
         for method in ("uniform", "sensitivity"):
             if method == "uniform":
-                from .coreset import SensitivityScores
                 flat = np.full(k, 1.0 / k)
                 sc = SensitivityScores(flat, 1.0, flat, scores.pilot_cost,
                                        scores.degenerate)
@@ -151,7 +152,8 @@ def cmd_coreset(args) -> int:
                 sc = scores
             core = build_coreset(sc, size, seed=args.seed)
             for qi, nu in enumerate(queries):
-                ev = evaluate_coreset(core, mus, nu, args.p)
+                ev = evaluate_coreset(core, mus, nu, args.p,
+                                      full_cost=full_costs[qi])
                 rows.append({
                     "method": method, "size": int(size),
                     "query": float((args.queries or [0.0])[qi]),

@@ -136,6 +136,11 @@ def practical_size_bound(scores: SensitivityScores, pseudo_dim: int,
     return raw, max(1, math.ceil(raw))
 
 
+def average_cost(mus, nu: DiscreteDistribution, p: float = 2.0) -> float:
+    """The full objective: mean of W_p(mu_i, nu)**p over all inputs."""
+    return sum(wasserstein_p(mu, nu, p) ** p for mu in mus) / len(mus)
+
+
 def evaluate_coreset(coreset: WeightedCoreset, mus, nu: DiscreteDistribution,
                      p: float = 2.0, full_cost: float | None = None):
     """Relative error of the coreset estimate of the average objective.
@@ -146,11 +151,7 @@ def evaluate_coreset(coreset: WeightedCoreset, mus, nu: DiscreteDistribution,
     ``full_cost`` skips the full evaluation when the caller already has it
     (the exact term reappears across seeds and sample sizes).
     """
-    k = len(mus)
-    if full_cost is not None:
-        full = full_cost
-    else:
-        full = sum(wasserstein_p(mu, nu, p) ** p for mu in mus) / k
+    full = average_cost(mus, nu, p) if full_cost is None else full_cost
     est = coreset.evaluate(mus, nu, p)
     if full > 0:
         rel = abs(est - full) / full

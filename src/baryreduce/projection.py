@@ -19,8 +19,8 @@ from .core import BadParams, DiscreteDistribution, DimensionMismatch, make_distr
 from .barycenter import (
     SolverOptions,
     reconstruct_barycenter,
-    solution_cost,
     solve_barycenter,
+    support_cost,
 )
 
 #: multiplier applied to every dimension formula before rounding up
@@ -180,7 +180,7 @@ def reduce_solve_reconstruct(mus, pmap: ProjectionMap,
     nu_low, sol, rep = solve_barycenter(low, opts)
     t2 = time.perf_counter()
     nu_high = reconstruct_barycenter(sol, mus, opts.p)
-    cost_high = solution_cost(sol, mus, opts.p).total_cost
+    cost_high = support_cost(sol, mus, nu_high, opts.p).total_cost
     t3 = time.perf_counter()
     return ReductionResult(nu_low, nu_high, sol, rep.total_cost, cost_high,
                            pmap, t1 - t0, t2 - t1, t3 - t2)

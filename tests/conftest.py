@@ -1,7 +1,11 @@
+from itertools import count
+
 import numpy as np
 import pytest
 
+from baryreduce import barycenter
 from baryreduce.core import make_distribution
+from baryreduce.transport import TransportPlan
 
 
 @pytest.fixture
@@ -19,3 +23,17 @@ def random_distribution(rng, T, d, rational=False):
         w = rng.random(T)
         w = w / w.sum()
     return make_distribution(atoms, w)
+
+
+@pytest.fixture
+def rising_transport_costs(monkeypatch):
+    """Make the barycenter solver's transport step report costs 1, 2, 3, ...
+    on successive outer iterations, keeping the real plans."""
+    solve = barycenter.solve_ot_batch
+    calls = count(1)
+
+    def rising(mus, nu, p):
+        cost = float(next(calls))
+        return [TransportPlan(plan.flow, cost) for plan in solve(mus, nu, p)]
+
+    monkeypatch.setattr(barycenter, "solve_ot_batch", rising)

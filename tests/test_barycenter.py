@@ -4,6 +4,7 @@ import pytest
 from baryreduce.core import (
     EmptyInput,
     InvalidSolution,
+    NumericalFailure,
     Solution,
     ZeroWeight,
     make_distribution,
@@ -166,6 +167,12 @@ class TestSolveBarycenter:
         _, _, rep = solve_barycenter(mus, SolverOptions(support_size=3, p=2.0))
         for a, b in zip(rep.trace, rep.trace[1:]):
             assert b <= a + 1e-9 * (1 + abs(a))
+
+    @pytest.mark.usefixtures("rising_transport_costs")
+    def test_rising_objective_raises(self):
+        mus = [delta([0.0]), delta([2.0])]
+        with pytest.raises(NumericalFailure, match=r"iteration 2: 1\.0 -> 2\.0"):
+            solve_barycenter(mus, SolverOptions(support_size=1, p=2.0))
 
     def test_returns_valid_solution(self, rng):
         mus = random_family(rng)

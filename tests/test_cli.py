@@ -53,6 +53,15 @@ class TestBarycenterCmd:
         code = main(["barycenter", "--input", "/nonexistent.csv"])
         assert code == 2
 
+    @pytest.mark.usefixtures("rising_transport_costs")
+    def test_numerical_failure_exits_1(self, two_deltas, capsys):
+        code = main(["barycenter", "--input", two_deltas, "--support-size", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 
 class TestReduceCmd:
     def test_identity_dimension(self, two_deltas, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from baryreduce.core import BadParams, DimensionMismatch, make_distribution
-from baryreduce.barycenter import SolverOptions, solve_barycenter
+from baryreduce.barycenter import SolverOptions, solution_cost, solve_barycenter
 from baryreduce.projection import (
     _fwht,
     cost_ratio_sweep,
@@ -147,6 +147,7 @@ class TestPipeline:
         opts = SolverOptions(support_size=2, p=2.0, seed=4)
         res = reduce_solve_reconstruct(mus, make_gaussian_map(12, 6, 2), opts)
         assert validate_solution(res.solution, mus)
+        assert res.cost_high == solution_cost(res.solution, mus, opts.p).total_cost
 
     def test_n1_unique_solution_insensitive_to_map(self):
         mus = [make_distribution([[0.0]], [1.0]), make_distribution([[2.0]], [1.0])]
