@@ -14,6 +14,7 @@ from baryreduce import (
     evaluate_coreset,
     make_distribution,
     sensitivity_upper_bounds,
+    transport_costs,
 )
 from baryreduce.instances import gen_coreset_synthetic
 
@@ -28,24 +29,22 @@ print("sampling probability of a crowd member:", scores.probabilities[0])
 flat = np.full(k, 1.0 / k)
 uniform = SensitivityScores(flat, 1.0, flat, scores.pilot_cost, False, 1.0, 2.0)
 
+# every input's transport cost to each query, computed once per query
 queries = [0.0, 10.0, 100.0]
-full = {x: ((k - 1) * x**2 + (k - x) ** 2) / k for x in queries}
+costs = {x: transport_costs(mus, make_distribution([[x]], [1.0]), 2.0)
+         for x in queries}
 
 print("\nquery   uniform(1000 samples)   importance(10 samples)")
 for x in queries:
-    nu = make_distribution([[x]], [1.0])
-    u = evaluate_coreset(build_coreset(uniform, 1000, seed=50), mus, nu, 2.0,
-                         full_cost=full[x])
-    s = evaluate_coreset(build_coreset(scores, 10, seed=50), mus, nu, 2.0,
-                         full_cost=full[x])
+    u = evaluate_coreset(build_coreset(uniform, 1000, seed=50), costs[x])
+    s = evaluate_coreset(build_coreset(scores, 10, seed=50), costs[x])
     print(f"{x:>5}   {u['rel_error']:>18.4%}   {s['rel_error']:>20.4%}")
 
 # unbiasedness: averaged over many seeds the estimate converges to the truth
-nu = make_distribution([[10.0]], [1.0])
 estimates = []
 for seed in range(2000):
     core = build_coreset(scores, 10, seed=seed)
-    out = evaluate_coreset(core, mus, nu, 2.0, full_cost=full[10.0])
+    out = evaluate_coreset(core, costs[10.0])
     estimates.append(out["coreset_cost"])
-print("\ntrue objective at x=10:", full[10.0])
+print("\ntrue objective at x=10:", out["full_cost"])
 print("mean of 2000 estimates:", round(float(np.mean(estimates)), 2))

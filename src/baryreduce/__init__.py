@@ -18,6 +18,7 @@ from .transport import (
     solve_ot,
     solve_ot_batch,
     solve_ot_oracle,
+    transport_costs,
     wasserstein_p,
 )
 from .barycenter import (

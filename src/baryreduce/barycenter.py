@@ -37,7 +37,6 @@ class SolverOptions:
     seed: int = 0
     inner_max_iters: int = 500
     inner_tol: float = 1e-9
-    init: str = "sample"  # "sample" or "farthest"
     reestimate_weights: bool = False
 
     def __post_init__(self):
@@ -189,16 +188,8 @@ def _init_support(mus, opts: SolverOptions, rng) -> np.ndarray:
     points, weights, _ = pooled_atoms(mus)
     n = opts.support_size
     prob = weights / weights.sum()
-    if opts.init == "farthest":
-        idx = [int(rng.choice(len(points), p=prob))]
-        dist = np.linalg.norm(points - points[idx[0]], axis=1)
-        while len(idx) < min(n, len(points)):
-            far = int(np.argmax(dist))
-            idx.append(far)
-            dist = np.minimum(dist, np.linalg.norm(points - points[far], axis=1))
-    else:
-        take = min(n, len(points))
-        idx = list(rng.choice(len(points), size=take, replace=False, p=prob))
+    take = min(n, len(points))
+    idx = list(rng.choice(len(points), size=take, replace=False, p=prob))
     while len(idx) < n:  # more atoms requested than pooled points: duplicate
         idx.append(int(rng.choice(len(points), p=prob)))
     return points[idx].copy()
@@ -275,11 +266,6 @@ def solve_barycenter(mus, opts: SolverOptions):
     obj, support, b, flows = best
     nu = DiscreteDistribution(support, b)
     sol = Solution(tuple(flows), b)
-    dist_stack = np.concatenate(
-        [np.linalg.norm(mu.atoms[:, None, :] - support[None, :, :], axis=2)
-         for mu in mus]
-    )
-    stacked = np.concatenate(flows, axis=0)
-    per_atom = (stacked * dist_stack**p).sum(axis=0) / k
+    per_atom = support_cost(sol, mus, nu, p).per_atom_costs
     report = CostReport(float(obj), per_atom, iters, converged, trace)
     return nu, sol, report

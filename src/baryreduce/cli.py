@@ -14,11 +14,10 @@ import sys
 
 import numpy as np
 
-from .core import BaryError, NumericalFailure, make_distribution
+from .core import BaryError, EmptyInput, NumericalFailure, make_distribution
 from .barycenter import SolverOptions, solve_barycenter
 from .coreset import (
     SensitivityScores,
-    average_cost,
     build_coreset,
     evaluate_coreset,
     sensitivity_upper_bounds,
@@ -37,6 +36,7 @@ from .projection import (
     jl_dimension,
     reduce_solve_reconstruct,
 )
+from .transport import transport_costs
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -81,8 +81,15 @@ def _solver_options(args, support_size=None) -> SolverOptions:
     )
 
 
+def _load(path):
+    mus = load_csv_distributions(path)
+    if not mus:
+        raise EmptyInput(f"{path}: no distributions")
+    return mus
+
+
 def cmd_barycenter(args) -> int:
-    mus = load_csv_distributions(args.input)
+    mus = _load(args.input)
     nu, sol, report = solve_barycenter(mus, _solver_options(args))
     _emit({
         "cost": report.total_cost,
@@ -108,7 +115,7 @@ def _resolve_map(args, mus):
 
 
 def cmd_reduce(args) -> int:
-    mus = load_csv_distributions(args.input)
+    mus = _load(args.input)
     pmap, m = _resolve_map(args, mus)
     res = reduce_solve_reconstruct(mus, pmap, _solver_options(args))
     _emit({
@@ -127,17 +134,16 @@ def cmd_reduce(args) -> int:
 
 def cmd_coreset(args) -> int:
     if args.input is not None:
-        mus = load_csv_distributions(args.input)
+        mus = _load(args.input)
     else:
         mus = gen_coreset_synthetic(args.k)
     if args.sizes is None or min(args.sizes) < 1:
         raise BaryError("need positive --sizes")
-    queries = []
+    queries = args.queries or [0.0]
     d = mus[0].dim
-    for x in args.queries or [0.0]:
-        atom = np.full((1, d), float(x))
-        queries.append(make_distribution(atom, np.array([1.0])))
-    full_costs = [average_cost(mus, nu, args.p) for nu in queries]
+    costs = [transport_costs(mus, make_distribution(np.full((1, d), float(x)),
+                                                    np.array([1.0])), args.p)
+             for x in queries]
     scores = sensitivity_upper_bounds(mus, p=args.p, pilot=mus[0]
                                       if args.input is None else None)
     k = len(mus)
@@ -151,12 +157,11 @@ def cmd_coreset(args) -> int:
             else:
                 sc = scores
             core = build_coreset(sc, size, seed=args.seed)
-            for qi, nu in enumerate(queries):
-                ev = evaluate_coreset(core, mus, nu, args.p,
-                                      full_cost=full_costs[qi])
+            for x, query_costs in zip(queries, costs):
+                ev = evaluate_coreset(core, query_costs)
                 rows.append({
                     "method": method, "size": int(size),
-                    "query": float((args.queries or [0.0])[qi]),
+                    "query": float(x),
                     "rel_error": ev["rel_error"],
                     "zero_cost": ev["zero_cost"],
                 })
@@ -197,11 +202,10 @@ def cmd_gen(args) -> int:
 def cmd_sweep(args) -> int:
     if args.trials < 1:
         raise BaryError("need --trials >= 1")
-    mus = load_csv_distributions(args.input)
+    mus = _load(args.input)
     opts = _solver_options(args)
     result = cost_ratio_sweep(mus, args.m_values, opts, map_kind=args.map,
-                              trials=args.trials, master_seed=args.seed,
-                              jobs=args.jobs)
+                              trials=args.trials, master_seed=args.seed)
     rows = [{
         "m": row["m"],
         "mean_ratio": row["mean_ratio"],
@@ -269,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--support-size", type=int, default=4)
     s.add_argument("--m-values", type=int, nargs="+", required=True)
     s.add_argument("--trials", type=int, default=5)
-    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--map", choices=tuple(MAP_MAKERS), default="gaussian")
     common(s)
     s.set_defaults(func=cmd_sweep)

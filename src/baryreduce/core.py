@@ -40,10 +40,6 @@ class EmptyInput(BaryError):
     pass
 
 
-class ShapeMismatch(BaryError):
-    pass
-
-
 class BadExponent(BaryError):
     pass
 

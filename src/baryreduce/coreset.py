@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BadSize, DiscreteDistribution, EmptyInput, ZeroWeight
+from .core import BadSize, DiscreteDistribution, EmptyInput
 from .barycenter import SolverOptions, solve_barycenter
-from .transport import wasserstein_p
+from .transport import transport_costs
 
 
 @dataclass(frozen=True)
@@ -39,21 +39,9 @@ class WeightedCoreset:
     weights: np.ndarray         # scaling factor per *draw* (not per index)
     size: int
 
-    def evaluate(self, mus, nu: DiscreteDistribution, p: float) -> float:
-        """Weighted objective of the sampled family against ``nu``."""
-        cache = {}
-        total = 0.0
-        for idx, w in zip(self.indices, self.weights):
-            i = int(idx)
-            if i not in cache:
-                cache[i] = wasserstein_p(mus[i], nu, p) ** p
-            total += w * cache[i]
-        return total
-
 
 def sensitivity_upper_bounds(mus, p: float = 2.0, alpha: float = 2.0,
-                             pilot: DiscreteDistribution | None = None,
-                             pilot_opts: SolverOptions | None = None) -> SensitivityScores:
+                             pilot: DiscreteDistribution | None = None) -> SensitivityScores:
     """Per-distribution importance bounds from a pilot solution.
 
     With ``avg`` the mean p-th power transport cost to the pilot, the bound
@@ -68,18 +56,9 @@ def sensitivity_upper_bounds(mus, p: float = 2.0, alpha: float = 2.0,
         raise EmptyInput("need at least one distribution")
     k = len(mus)
     if pilot is None:
-        if pilot_opts is None:
-            pilot_opts = SolverOptions(support_size=min(4, mus[0].size), p=p,
-                                       max_outer_iters=30, seed=0)
-        pilot, _, _ = solve_barycenter(mus, pilot_opts)
-    cache: dict[int, float] = {}  # many instances repeat the same object
-    def _cost(mu):
-        key = id(mu)
-        if key not in cache:
-            cache[key] = wasserstein_p(mu, pilot, p) ** p
-        return cache[key]
-
-    costs = np.array([_cost(mu) for mu in mus])
+        pilot, _, _ = solve_barycenter(mus, SolverOptions(
+            support_size=min(4, mus[0].size), p=p, max_outer_iters=30, seed=0))
+    costs = transport_costs(mus, pilot, p)
     avg = costs.mean()
     additive = alpha * 4.0 ** (p - 1) + 4.0 ** (p - 1)
     if avg <= 0:
@@ -136,23 +115,17 @@ def practical_size_bound(scores: SensitivityScores, pseudo_dim: int,
     return raw, max(1, math.ceil(raw))
 
 
-def average_cost(mus, nu: DiscreteDistribution, p: float = 2.0) -> float:
-    """The full objective: mean of W_p(mu_i, nu)**p over all inputs."""
-    return sum(wasserstein_p(mu, nu, p) ** p for mu in mus) / len(mus)
-
-
-def evaluate_coreset(coreset: WeightedCoreset, mus, nu: DiscreteDistribution,
-                     p: float = 2.0, full_cost: float | None = None):
+def evaluate_coreset(coreset: WeightedCoreset, costs: np.ndarray):
     """Relative error of the coreset estimate of the average objective.
 
-    Returns a dict with the full objective, the coreset estimate, the
-    relative error (absolute difference when the full objective is zero,
-    flagged by ``zero_cost``), and the number of distinct inputs touched.
-    ``full_cost`` skips the full evaluation when the caller already has it
-    (the exact term reappears across seeds and sample sizes).
+    ``costs`` holds W_p(mu_i, nu)**p of every input against one query ``nu``
+    (see :func:`transport_costs`).  Returns a dict with the full objective,
+    the coreset estimate, the relative error (absolute difference when the
+    full objective is zero, flagged by ``zero_cost``), and the number of
+    distinct inputs touched.
     """
-    full = average_cost(mus, nu, p) if full_cost is None else full_cost
-    est = coreset.evaluate(mus, nu, p)
+    full = costs.mean()
+    est = coreset.weights @ costs[coreset.indices]
     if full > 0:
         rel = abs(est - full) / full
         zero = False

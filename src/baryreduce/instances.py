@@ -82,14 +82,12 @@ def lb_pairs(mus):
     return pairs
 
 
-def lb_merge_cost(mus, pair_index: int, p: float = 2.0,
-                  pmap=None) -> float:
+def lb_merge_cost(mus, pair_index: int, p: float = 2.0) -> float:
     """Cost of the solution that merges one point pair into a single atom.
 
     Every support point carries total mass 1 across the family, so merging
     pair j moves unit mass across the pair gap: cost = ||p_j - q_j||^p,
-    measured in the original space.  ``pmap`` only influences *which* pair
-    looks closest when callers combine this with :func:`lb_projected_merge`.
+    measured in the original space.
     """
     pairs = lb_pairs(mus)
     if not 0 <= pair_index < len(pairs):
@@ -312,6 +310,14 @@ def group_by_label(points, labels, subsample: int | None = None, seed: int = 0):
     return out
 
 
+def _text_lines(fh, path):
+    """The lines of a text file, with a decoding failure as a ``ParseError``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_csv_distributions(path):
     """Rows ``dist_id, weight, x_1, ..., x_d`` grouped into distributions.
 
@@ -322,7 +328,7 @@ def load_csv_distributions(path):
     order = []
     dim = None
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(_csv.reader(fh), start=1):
+        for lineno, row in enumerate(_csv.reader(_text_lines(fh, path)), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             try:

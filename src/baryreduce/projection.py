@@ -191,7 +191,7 @@ MAP_MAKERS = {"gaussian": make_gaussian_map, "srht": make_srht_map}
 
 def cost_ratio_sweep(mus, m_values, opts: SolverOptions, map_kind: str = "gaussian",
                      trials: int = 5, master_seed: int = 0,
-                     reference_cost: float | None = None, jobs: int = 1):
+                     reference_cost: float | None = None):
     """Quality/runtime profile of the reduction over target dimensions.
 
     For each ``m`` runs ``trials`` independent maps (seeds mixed from the
@@ -217,12 +217,7 @@ def cost_ratio_sweep(mus, m_values, opts: SolverOptions, map_kind: str = "gaussi
 
     rows = []
     for m in m_values:
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(lambda t: run_cell(m, t), range(trials)))
-        else:
-            results = [run_cell(m, t) for t in range(trials)]
+        results = [run_cell(m, t) for t in range(trials)]
         ratios = [r.cost_high / reference_cost for r in results]
         costs = [r.cost_high for r in results]
         times = [r.time_project + r.time_solve + r.time_reconstruct

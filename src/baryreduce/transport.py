@@ -6,7 +6,9 @@ that share a target, such as one outer iteration of the barycenter solver,
 are stacked into one block-diagonal LP and solved in a single call, since
 each call carries a fixed overhead of a few milliseconds.  Each block's
 costs are scaled to a maximum of 1 before the solve, because HiGHS
-tolerances are absolute; reported costs use the unscaled matrix.
+tolerances are absolute; reported costs use the unscaled matrix.  A pair
+with one atom of positive mass on either side has a single feasible plan,
+which is built directly.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .core import (
     DimensionMismatch,
     DiscreteDistribution,
     NumericalFailure,
-    ShapeMismatch,
     TooLarge,
     ZERO_MASS,
 )
@@ -89,38 +90,57 @@ def _solve_transport_lps(problems) -> list:
             for x, (_, _, C) in zip(np.split(res.x, ends[:-1]), problems)]
 
 
+def _mass(dist: DiscreteDistribution) -> np.ndarray:
+    """Weights with atoms lighter than ``ZERO_MASS`` zeroed, renormalized."""
+    w = np.where(dist.weights > ZERO_MASS, dist.weights, 0.0)
+    return w / w.sum()
+
+
 def solve_ot_batch(mus, nu: DiscreteDistribution, p: float) -> list:
     """Minimum-cost couplings of every distribution in ``mus`` with ``nu``.
 
     All couplings come from one LP solve.  Atoms lighter than ``ZERO_MASS``
     get no flow and the rest of each side is renormalized; each plan's cost
-    is W_p(mu, nu)**p, priced with the unscaled cost matrix.
+    is W_p(mu, nu)**p, priced with the unscaled cost matrix.  A pair with a
+    single mass-carrying atom on either side has exactly one feasible plan,
+    the product of the marginals, and skips the LP.
     """
-    cols = np.flatnonzero(nu.weights > ZERO_MASS)
-    b = nu.weights[cols] / nu.weights[cols].sum()
-    costs, kept, problems = [], [], []
+    b = _mass(nu)
+    cols = np.flatnonzero(b)
+    plans, lps = [], []
     for mu in mus:
         C = cost_matrix(mu, nu, p)
-        rows = np.flatnonzero(mu.weights > ZERO_MASS)
-        a = mu.weights[rows] / mu.weights[rows].sum()
-        costs.append(C)
-        kept.append(np.ix_(rows, cols))
-        problems.append((a, b, C[kept[-1]]))
-    plans = []
-    for C, cells, sub in zip(costs, kept, _solve_transport_lps(problems)):
-        flow = np.zeros_like(C)
-        flow[cells] = sub
-        plans.append(TransportPlan(flow, float((flow * C).sum())))
-    return plans
+        a = _mass(mu)
+        rows = np.flatnonzero(a)
+        if len(rows) == 1 or len(cols) == 1:
+            flow = np.outer(a, b)
+        else:
+            flow = np.zeros_like(C)
+            cells = np.ix_(rows, cols)
+            lps.append((flow, cells, (a[rows], b[cols], C[cells])))
+        plans.append((flow, C))
+    if lps:
+        subs = _solve_transport_lps([problem for _, _, problem in lps])
+        for (flow, cells, _), sub in zip(lps, subs):
+            flow[cells] = sub
+    return [TransportPlan(flow, float((flow * C).sum())) for flow, C in plans]
 
 
 def solve_ot(mu: DiscreteDistribution, nu: DiscreteDistribution, p: float) -> TransportPlan:
     """Minimum-cost coupling of mu and nu; cost is W_p(mu, nu)**p."""
-    _check_pair(mu, nu, p)
-    if mu.size == 1 and nu.size == 1:
-        d = float(np.linalg.norm(mu.atoms[0] - nu.atoms[0]))
-        return TransportPlan(np.array([[1.0]]), d**p)
     return solve_ot_batch([mu], nu, p)[0]
+
+
+def transport_costs(mus, nu: DiscreteDistribution, p: float) -> np.ndarray:
+    """W_p(mu_i, nu)**p for every distribution in ``mus``, from one LP solve.
+
+    Distributions are immutable, so an input that repeats as the same object
+    is solved once.
+    """
+    distinct = {}
+    slot = [distinct.setdefault(id(mu), (len(distinct), mu))[0] for mu in mus]
+    plans = solve_ot_batch([mu for _, mu in distinct.values()], nu, p)
+    return np.array([plan.cost for plan in plans])[slot]
 
 
 @lru_cache(maxsize=64)
@@ -178,14 +198,6 @@ def wasserstein_p(mu: DiscreteDistribution, nu: DiscreteDistribution, p: float) 
     return solve_ot(mu, nu, p).cost ** (1.0 / p)
 
 
-def cost_of_plan(flow: np.ndarray, C: np.ndarray) -> float:
-    flow = np.asarray(flow, dtype=np.float64)
-    C = np.asarray(C, dtype=np.float64)
-    if flow.shape != C.shape:
-        raise ShapeMismatch(f"flow {flow.shape} vs cost matrix {C.shape}")
-    return float((flow * C).sum())
-
-
 def barycenter_objective(nu: DiscreteDistribution, mus, p: float, lambdas=None) -> float:
     """The barycenter objective: weighted sum of W_p(mu_i, nu)**p."""
     k = len(mus)
@@ -195,4 +207,4 @@ def barycenter_objective(nu: DiscreteDistribution, mus, p: float, lambdas=None) 
         lam = np.asarray(lambdas, dtype=np.float64)
         if lam.shape != (k,) or np.any(lam < 0) or abs(lam.sum() - 1.0) > 1e-9:
             raise BadLambdas("lambdas must be nonnegative and sum to 1")
-    return float(sum(l * solve_ot(mu, nu, p).cost for l, mu in zip(lam, mus)))
+    return float(lam @ transport_costs(mus, nu, p))

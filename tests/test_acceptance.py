@@ -9,7 +9,7 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from baryreduce.core import Solution, make_distribution, validate_solution
-from baryreduce.transport import solve_ot, solve_ot_oracle
+from baryreduce.transport import solve_ot, solve_ot_oracle, transport_costs
 from baryreduce.barycenter import (
     SolverOptions,
     pairwise_cost_p2,
@@ -191,15 +191,16 @@ def test_08_importance_sampling_error_table():
     flat = np.full(k, 1.0 / k)
     uniform = SensitivityScores(flat, 1.0, flat, scores.pilot_cost, False,
                                 1.0, 2.0)
-    queries = {x: make_distribution([[float(x)]], [1.0]) for x in (0, 10, 100)}
-    # closed form of the average objective: ((k-1)x^2 + (k-x)^2) / k
-    full = {x: ((k - 1) * x**2 + (k - x) ** 2) / k for x in queries}
+    costs = {x: transport_costs(mus, make_distribution([[float(x)]], [1.0]), 2.0)
+             for x in (0, 10, 100)}
+    for x, c in costs.items():
+        # closed form of the average objective: ((k-1)x^2 + (k-x)^2) / k
+        assert c.mean() == pytest.approx(((k - 1) * x**2 + (k - x) ** 2) / k,
+                                         rel=1e-12, abs=0.0)
 
     def errors(sc, size, seed):
         core = build_coreset(sc, size, seed=seed)
-        return {x: evaluate_coreset(core, mus, q, 2.0,
-                                    full_cost=full[x])["rel_error"]
-                for x, q in queries.items()}
+        return {x: evaluate_coreset(core, c)["rel_error"] for x, c in costs.items()}
 
     seeds = range(50, 60)
     sens = [errors(scores, 10, s) for s in seeds]
@@ -213,7 +214,7 @@ def test_08_importance_sampling_error_table():
     assert unif[0][100] >= 0.005
     # (c) averaged over the 10 seeds, importance sampling wins by >= 10x
     # at every query
-    for x in queries:
+    for x in costs:
         mean_s = np.mean([e[x] for e in sens])
         mean_u = np.mean([e[x] for e in unif])
         assert mean_u >= 10 * mean_s, (x, mean_s, mean_u)

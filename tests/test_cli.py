@@ -133,3 +133,18 @@ class TestSweepCmd:
         assert main(args + ["--output", str(a)]) == 0
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("content", [b"", b"\xff\xfe"], ids=["empty", "not_utf8"])
+@pytest.mark.parametrize("command", [
+    ["barycenter"], ["reduce"], ["coreset"], ["sweep", "--m-values", "1"],
+], ids=["barycenter", "reduce", "coreset", "sweep"])
+def test_unusable_input_file_is_a_usage_error(tmp_path, capsys, command, content):
+    f = tmp_path / "in.csv"
+    f.write_bytes(content)
+    code = main([*command, "--input", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

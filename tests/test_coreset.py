@@ -10,7 +10,7 @@ from baryreduce.coreset import (
     practical_size_bound,
     sensitivity_upper_bounds,
 )
-from baryreduce.transport import wasserstein_p
+from baryreduce.transport import transport_costs, wasserstein_p
 from baryreduce.instances import gen_coreset_synthetic
 
 
@@ -126,7 +126,7 @@ class TestEvaluate:
             core = build_coreset(sc, 3, seed=seed)
             if sorted(core.indices) == [0, 1, 2]:
                 break
-        out = evaluate_coreset(core, mus, delta([5.0]), 2.0)
+        out = evaluate_coreset(core, transport_costs(mus, delta([5.0]), 2.0))
         assert out["rel_error"] == pytest.approx(0.0, abs=1e-12)
 
     def test_missed_outlier_is_total_error(self):
@@ -138,7 +138,7 @@ class TestEvaluate:
             core = build_coreset(sc, 20, seed=seed)
             if core.multiplicities[-1] == 0:
                 break
-        out = evaluate_coreset(core, mus, delta([0.0]), 2.0)
+        out = evaluate_coreset(core, transport_costs(mus, delta([0.0]), 2.0))
         assert out["full_cost"] == pytest.approx(k)
         assert out["coreset_cost"] == 0.0
         assert out["rel_error"] == pytest.approx(1.0)
@@ -148,7 +148,7 @@ class TestEvaluate:
         q = np.full(3, 1 / 3)
         sc = SensitivityScores(q, 1.0, q, 1.0, False)
         core = build_coreset(sc, 2, seed=0)
-        out = evaluate_coreset(core, mus, delta([0.0]), 2.0)
+        out = evaluate_coreset(core, transport_costs(mus, delta([0.0]), 2.0))
         assert out["zero_cost"] and out["rel_error"] == pytest.approx(0.0, abs=1e-12)
 
     def test_full_cost_parameter_consistent(self):
@@ -158,6 +158,5 @@ class TestEvaluate:
         core = build_coreset(sc, 4, seed=1)
         nu = delta([1.0])
         full = sum(wasserstein_p(m, nu, 2.0) ** 2 for m in mus) / 2
-        a = evaluate_coreset(core, mus, nu, 2.0)
-        b = evaluate_coreset(core, mus, nu, 2.0, full_cost=full)
-        assert a["rel_error"] == pytest.approx(b["rel_error"], abs=1e-12)
+        out = evaluate_coreset(core, transport_costs(mus, nu, 2.0))
+        assert out["full_cost"] == pytest.approx(full, rel=1e-12)

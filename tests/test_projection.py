@@ -168,10 +168,3 @@ class TestPipeline:
         b = cost_ratio_sweep(mus, [4, 8], opts, trials=2, master_seed=5)
         for ra, rb in zip(a["rows"], b["rows"]):
             assert ra["ratios"] == rb["ratios"]
-
-    def test_sweep_jobs_match_serial(self, rng):
-        mus = self._family(rng)
-        opts = SolverOptions(support_size=2, p=2.0, seed=4)
-        a = cost_ratio_sweep(mus, [6], opts, trials=3, master_seed=5)
-        b = cost_ratio_sweep(mus, [6], opts, trials=3, master_seed=5, jobs=3)
-        assert a["rows"][0]["ratios"] == b["rows"][0]["ratios"]

@@ -6,17 +6,17 @@ from scipy.optimize import linear_sum_assignment
 from baryreduce.core import (
     BadExponent,
     DimensionMismatch,
-    ShapeMismatch,
     TooLarge,
     make_distribution,
 )
+from baryreduce import transport
 from baryreduce.transport import (
     barycenter_objective,
     cost_matrix,
-    cost_of_plan,
     solve_ot,
     solve_ot_batch,
     solve_ot_oracle,
+    transport_costs,
     wasserstein_p,
 )
 from conftest import random_distribution
@@ -109,6 +109,32 @@ class TestSolveOt:
             np.testing.assert_allclose(plan.flow.sum(axis=1), mu.weights, atol=1e-9)
             np.testing.assert_allclose(plan.flow.sum(axis=0), nu.weights, atol=1e-9)
 
+    def test_one_massive_atom_skips_the_lp(self, rng, monkeypatch):
+        def no_lp(problems):
+            raise AssertionError("forced plan sent to the LP")
+
+        monkeypatch.setattr(transport, "_solve_transport_lps", no_lp)
+        mu = make_distribution(rng.normal(size=(3, 2)), [0.25, 0.5, 0.25])
+        pairs = [(mu, make_distribution(rng.normal(size=(2, 2)), [1.0, 0.0])),
+                 (delta([0.5, -1.0]), mu)]
+        for a, b in pairs:
+            plan = solve_ot(a, b, 2.0)
+            np.testing.assert_array_equal(plan.flow, np.outer(a.weights, b.weights))
+            assert plan.cost == pytest.approx(
+                a.weights @ cost_matrix(a, b, 2.0) @ b.weights, rel=1e-12, abs=0.0)
+
+
+class TestTransportCosts:
+    def test_matches_single_solves(self, rng):
+        nu = make_distribution(rng.normal(size=(4, 2)), [0.3, 0.0, 0.45, 0.25])
+        many = random_distribution(rng, 5, 2)
+        mus = [many, random_distribution(rng, 3, 2), delta([1.0, 2.0]), many,
+               delta([-0.5, 0.0]), many]
+        costs = transport_costs(mus, nu, 2.0)
+        assert costs.shape == (len(mus),)
+        for mu, cost in zip(mus, costs):
+            assert cost == pytest.approx(solve_ot(mu, nu, 2.0).cost, rel=1e-12, abs=0.0)
+
 
 class TestOracle:
     def test_too_large(self, rng):
@@ -174,14 +200,3 @@ class TestObjective:
         val = barycenter_objective(delta([0.0]), mus, 2.0, lambdas=[0.0, 1.0])
         assert val == pytest.approx(4.0)
 
-
-class TestCostOfPlan:
-    def test_identity(self):
-        assert cost_of_plan([[1.0]], [[7.0]]) == 7.0
-
-    def test_zero_flow(self):
-        assert cost_of_plan(np.zeros((2, 2)), np.ones((2, 2))) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            cost_of_plan(np.zeros((2, 2)), np.ones((2, 3)))
