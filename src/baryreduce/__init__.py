@@ -13,11 +13,11 @@ from .core import (
     validate_solution,
 )
 from .transport import (
+    TransportModel,
     TransportPlan,
     cost_matrix,
     solve_ot,
     solve_ot_batch,
-    solve_ot_oracle,
     transport_costs,
     wasserstein_p,
 )

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .core import (
     CostReport,
@@ -25,7 +26,7 @@ from .core import (
     pooled_atoms,
     solution_violations,
 )
-from .transport import cost_matrix, solve_ot_batch
+from .transport import TransportModel, cost_matrix, solve_ot_batch
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,7 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float,
 
     y = points.T @ weights / total  # weighted mean start
     if p == 1.0:
+        radius = float(np.linalg.norm(points - y, axis=1).max())
         for _ in range(max_iters):
             diff = points - y
             dist = np.linalg.norm(diff, axis=1)
@@ -80,7 +82,7 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float,
                 dist = np.maximum(dist, 1e-14)
             inv = weights / dist
             y_next = points.T @ inv / inv.sum()
-            if np.linalg.norm(y_next - y) <= tol * (1.0 + np.linalg.norm(y)):
+            if np.linalg.norm(y_next - y) <= tol * radius:
                 return y_next
             y = y_next
         return y
@@ -96,7 +98,7 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float,
         grad = (weights * p * dist ** (p - 2.0)) @ diff
         gnorm = np.linalg.norm(grad)
         scale = float(np.linalg.norm(points - y, axis=1).max()) + 1e-30
-        if gnorm * scale <= tol * (1.0 + f):
+        if gnorm * scale <= tol * f:
             break
         step = min(step * 2.0, 1.0 / (weights.sum() * p * max(p - 1.0, 1.0)
                                       * scale ** max(p - 2.0, 0.0) + 1e-30))
@@ -106,7 +108,7 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float,
             if f_try <= f - 0.25 * step * gnorm**2 or step < 1e-18:
                 break
             step *= 0.5
-        if f - f_try <= tol * (1.0 + f):
+        if f - f_try <= tol * f:
             y, f = y_try, f_try
             break
         y, f = y_try, f_try
@@ -173,14 +175,13 @@ def pairwise_cost_p2(sol: Solution, mus) -> float:
     if np.any(b <= 0):
         raise ZeroWeight("pairwise form requires every barycenter weight > 0")
     points, stacked = _column_points(sol, mus)
-    sq = np.sum(points**2, axis=1)
-    gram = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-    np.maximum(gram, 0.0, out=gram)
     k = len(mus)
     total = 0.0
     for j in range(sol.n_atoms):
-        w = stacked[:, j]
-        total += (w @ gram @ w) / (2.0 * k * b[j])
+        rows = np.flatnonzero(stacked[:, j])  # only rows with flow enter the sum
+        w = stacked[rows, j]
+        sub = points[rows]
+        total += (w @ cdist(sub, sub, "sqeuclidean") @ w) / (2.0 * k * b[j])
     return total / k
 
 
@@ -220,6 +221,7 @@ def solve_barycenter(mus, opts: SolverOptions):
             axis=1)
         b = np.bincount(nearest, weights=pooled_w, minlength=n) / k
 
+    model = TransportModel()  # successive iterations start from its last basis
     best = None
     trace = []
     prev_obj = np.inf
@@ -228,17 +230,17 @@ def solve_barycenter(mus, opts: SolverOptions):
     for it in range(opts.max_outer_iters):
         iters = it + 1
         nu = DiscreteDistribution(support.copy(), b.copy())
-        plans = solve_ot_batch(mus, nu, p)
+        plans = solve_ot_batch(mus, nu, p, model)
         obj = sum(pl.cost for pl in plans) / k
         trace.append(obj)
         if (not opts.reestimate_weights
-                and obj > prev_obj + 1e-9 * (1.0 + abs(prev_obj))):
+                and obj > prev_obj + 1e-9 * abs(prev_obj)):
             raise NumericalFailure(
                 f"alternation objective increased at outer iteration {iters}: "
                 f"{prev_obj!r} -> {obj!r}")
         if best is None or obj < best[0]:
             best = (obj, support.copy(), b.copy(), [pl.flow.copy() for pl in plans])
-        if prev_obj - obj <= opts.rel_tol * (1.0 + abs(obj)):
+        if prev_obj - obj <= opts.rel_tol * abs(obj):
             converged = True
             break
         prev_obj = obj

@@ -56,10 +56,6 @@ class NumericalFailure(RuntimeError):
     """Iteration guard tripped; indicates a solver bug, not bad input."""
 
 
-class TooLarge(BaryError):
-    pass
-
-
 class ZeroWeight(BaryError):
     pass
 

@@ -1,25 +1,30 @@
 """Exact discrete optimal transport under Euclidean costs raised to a power.
 
 Each coupling is the optimum of the transportation LP, solved by the HiGHS
-dual simplex in scipy (``linprog(method="highs-ds")``).  Several problems
-that share a target, such as one outer iteration of the barycenter solver,
-are stacked into one block-diagonal LP and solved in a single call, since
-each call carries a fixed overhead of a few milliseconds.  Each block's
-costs are scaled to a maximum of 1 before the solve, because HiGHS
-tolerances are absolute; reported costs use the unscaled matrix.  A pair
-with one atom of positive mass on either side has a single feasible plan,
-which is built directly.
+simplex through the binding that scipy ships.  Several problems that share a
+target, such as one outer iteration of the barycenter solver, are stacked
+into one block-diagonal LP and solved in a single call.  A
+:class:`TransportModel` keeps its HiGHS model between calls: when the next
+batch has the same block shapes and marginals, only the costs change, so
+the previous optimal basis stays primal-feasible and HiGHS starts from it.
+Each block's costs are scaled to a maximum of 1 before every solve, because
+HiGHS tolerances are absolute; reported costs use the unscaled matrix.  A
+pair with one atom of positive mass on either side has a single feasible
+plan, which is built directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_array
+from scipy.optimize._highspy._core import (
+    HighsLp,
+    HighsModelStatus,
+    HighsStatus,
+    MatrixFormat,
+    _Highs,
+)
 from scipy.spatial.distance import cdist
 
 from .core import (
@@ -28,9 +33,15 @@ from .core import (
     DimensionMismatch,
     DiscreteDistribution,
     NumericalFailure,
-    TooLarge,
     ZERO_MASS,
 )
+
+# Presolve about doubles the time of these LPs (measured, T=30-128).  The
+# dual simplex (strategy 1) solves cold LPs in about half the pivots of the
+# primal simplex (strategy 4); warm solves of barycenter iterations took
+# about as long with either.
+_HIGHS_OPTIONS = (("output_flag", False), ("presolve", "off"),
+                  ("simplex_strategy", 1))
 
 
 @dataclass(frozen=True)
@@ -57,37 +68,76 @@ def cost_matrix(mu: DiscreteDistribution, nu: DiscreteDistribution, p: float) ->
     return dist if p == 1.0 else dist**p
 
 
-def _solve_transport_lps(problems) -> list:
-    """Optimal flows of several transportation problems ``(a, b, C)``.
+class TransportModel:
+    """One HiGHS model for a batch of transportation problems, kept between solves.
 
-    The problems become one block-diagonal LP, solved by a single HiGHS dual
-    simplex call; its optimum is a vertex, so every block is a basic plan.
-    Variable (i, j) of an m x n block appears in its row-sum row i and its
-    column-sum row m + j, so each column of the constraint matrix holds
-    exactly two ones.  HiGHS tolerances are absolute, so each block's costs
-    are divided by their maximum first.
+    :meth:`solve` builds the model when the batch's structure (block shapes
+    and marginals) differs from the one it holds.  Otherwise it replaces
+    only the costs, and HiGHS starts from the previous optimal basis, which
+    is still primal-feasible.  ``pivots`` sums the simplex iterations of
+    every solve.  The HiGHS object is created on the first solve.
     """
-    costs, rows, rhs = [], [], []
-    offset = 0
-    for a, b, C in problems:
-        m, n = C.shape
-        top = C.max()
-        costs.append((C / top if top > 0 else C).ravel())
-        rows.append(np.stack([offset + np.repeat(np.arange(m), n),
-                              offset + m + np.tile(np.arange(n), m)], axis=1).ravel())
-        rhs += [a, b]
-        offset += m + n
-    c = np.concatenate(costs)
-    A = csc_array((np.ones(2 * c.size), np.concatenate(rows),
-                   np.arange(0, 2 * c.size + 1, 2)), shape=(offset, c.size))
-    # HiGHS presolve about doubles the time of these LPs (measured, T=30-128)
-    res = linprog(c, A_eq=A, b_eq=np.concatenate(rhs), bounds=(0, None),
-                  method="highs-ds", options={"presolve": False})
-    if res.status != 0:
-        raise NumericalFailure(f"transport LP not solved: {res.message}")
-    ends = np.cumsum([C.size for _, _, C in problems])
-    return [np.maximum(x, 0.0).reshape(C.shape)
-            for x, (_, _, C) in zip(np.split(res.x, ends[:-1]), problems)]
+
+    def __init__(self):
+        self._highs = None
+        self._shapes = None
+        self._rhs = None
+        self.pivots = 0
+
+    def _build(self, shapes, rhs, costs) -> None:
+        """Pass HiGHS the block-diagonal LP: variable (i, j) of an m x n
+        block appears in its row-sum row i and its column-sum row m + j, so
+        each column of the constraint matrix holds exactly two ones."""
+        if self._highs is None:
+            self._highs = _Highs()
+            for name, value in _HIGHS_OPTIONS:
+                self._highs.setOptionValue(name, value)
+        rows, offset = [], 0
+        for m, n in shapes:
+            rows.append(np.stack([offset + np.repeat(np.arange(m), n),
+                                  offset + m + np.tile(np.arange(n), m)], axis=1).ravel())
+            offset += m + n
+        lp = HighsLp()
+        lp.num_col_, lp.num_row_ = costs.size, offset
+        lp.col_cost_ = costs
+        lp.col_lower_ = np.zeros(costs.size)
+        lp.col_upper_ = np.full(costs.size, np.inf)
+        lp.row_lower_ = lp.row_upper_ = rhs
+        matrix = lp.a_matrix_
+        matrix.format_ = MatrixFormat.kColwise
+        matrix.num_col_, matrix.num_row_ = costs.size, offset
+        matrix.start_ = np.arange(0, 2 * costs.size + 1, 2, dtype=np.int32)
+        matrix.index_ = np.concatenate(rows).astype(np.int32)
+        matrix.value_ = np.ones(2 * costs.size)
+        if self._highs.passModel(lp) == HighsStatus.kError:
+            raise NumericalFailure("transport LP rejected by HiGHS")
+        self._shapes, self._rhs = shapes, rhs
+
+    def solve(self, problems) -> list:
+        """Optimal flows of the transportation problems ``(a, b, C)``.
+
+        The optimum is a vertex of the block-diagonal LP, so every block is
+        a basic plan.  Each block's costs are divided by their maximum first.
+        """
+        shapes = [C.shape for _, _, C in problems]
+        rhs = np.concatenate([v for a, b, _ in problems for v in (a, b)])
+        costs = np.concatenate([(C / top if (top := C.max()) > 0 else C).ravel()
+                                for _, _, C in problems])
+        if shapes == self._shapes and np.array_equal(rhs, self._rhs):
+            self._highs.changeColsCost(costs.size, np.arange(costs.size, dtype=np.int32),
+                                       costs)
+        else:
+            self._build(shapes, rhs, costs)
+        self._highs.run()
+        status = self._highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise NumericalFailure(
+                f"transport LP not solved: {self._highs.modelStatusToString(status)}")
+        self.pivots += self._highs.getInfo().simplex_iteration_count
+        x = np.maximum(np.array(self._highs.getSolution().col_value), 0.0)
+        ends = np.cumsum([m * n for m, n in shapes])
+        return [part.reshape(shape)
+                for part, shape in zip(np.split(x, ends[:-1]), shapes)]
 
 
 def _mass(dist: DiscreteDistribution) -> np.ndarray:
@@ -96,14 +146,19 @@ def _mass(dist: DiscreteDistribution) -> np.ndarray:
     return w / w.sum()
 
 
-def solve_ot_batch(mus, nu: DiscreteDistribution, p: float) -> list:
+def solve_ot_batch(mus, nu: DiscreteDistribution, p: float,
+                   model: TransportModel | None = None) -> list:
     """Minimum-cost couplings of every distribution in ``mus`` with ``nu``.
 
-    All couplings come from one LP solve.  Atoms lighter than ``ZERO_MASS``
-    get no flow and the rest of each side is renormalized; each plan's cost
-    is W_p(mu, nu)**p, priced with the unscaled cost matrix.  A pair with a
-    single mass-carrying atom on either side has exactly one feasible plan,
-    the product of the marginals, and skips the LP.
+    All couplings come from one LP solve on ``model``, or on a fresh
+    :class:`TransportModel` when none is given; a caller that solves the
+    same inputs against successive supports passes one model to every call
+    so that each solve starts from the previous basis.  Atoms lighter than
+    ``ZERO_MASS`` get no flow and the rest of each side is renormalized;
+    each plan's cost is W_p(mu, nu)**p, priced with the unscaled cost
+    matrix.  A pair with a single mass-carrying atom on either side has
+    exactly one feasible plan, the product of the marginals, and skips the
+    LP.
     """
     b = _mass(nu)
     cols = np.flatnonzero(b)
@@ -120,7 +175,9 @@ def solve_ot_batch(mus, nu: DiscreteDistribution, p: float) -> list:
             lps.append((flow, cells, (a[rows], b[cols], C[cells])))
         plans.append((flow, C))
     if lps:
-        subs = _solve_transport_lps([problem for _, _, problem in lps])
+        if model is None:
+            model = TransportModel()
+        subs = model.solve([problem for _, _, problem in lps])
         for (flow, cells, _), sub in zip(lps, subs):
             flow[cells] = sub
     return [TransportPlan(flow, float((flow * C).sum())) for flow, C in plans]
@@ -141,56 +198,6 @@ def transport_costs(mus, nu: DiscreteDistribution, p: float) -> np.ndarray:
     slot = [distinct.setdefault(id(mu), (len(distinct), mu))[0] for mu in mus]
     plans = solve_ot_batch([mu for _, mu in distinct.values()], nu, p)
     return np.array([plan.cost for plan in plans])[slot]
-
-
-@lru_cache(maxsize=64)
-def _tree_bases(m: int, n: int):
-    """All spanning-tree bases of the m x n transportation polytope.
-
-    Returns the basis cells as an array (B, m+n-1) of flat indices together
-    with the stacked inverses of the corresponding constraint submatrices
-    (row-sum equations plus all but the last column-sum equation).
-    """
-    k = m + n - 1
-    cand_cells = []
-    cand_mats = []
-    for cells in combinations(range(m * n), k):
-        A = np.zeros((k, k))
-        for col, flat in enumerate(cells):
-            i, j = divmod(flat, n)
-            A[i, col] = 1.0
-            if j < n - 1:
-                A[m + j, col] = 1.0
-        cand_cells.append(cells)
-        cand_mats.append(A)
-    mats = np.array(cand_mats)
-    dets = np.abs(np.linalg.det(mats))
-    keep = dets > 0.5  # incidence determinants are 0 or +-1
-    inv = np.linalg.inv(mats[keep])
-    return np.array(cand_cells)[keep], inv
-
-
-def solve_ot_oracle(mu: DiscreteDistribution, nu: DiscreteDistribution, p: float) -> TransportPlan:
-    """Globally optimal plan by enumerating every basic feasible solution.
-
-    Test oracle only; limited to supports with at most 16 cost-matrix cells.
-    """
-    _check_pair(mu, nu, p)
-    m, n = mu.size, nu.size
-    if m * n > 16:
-        raise TooLarge(f"oracle limited to 16 cells, got {m}x{n}")
-    C = cost_matrix(mu, nu, p)
-    cells, inv = _tree_bases(m, n)
-    rhs = np.concatenate([mu.weights, nu.weights[:-1]])
-    flows = inv @ rhs  # (B, m+n-1)
-    feasible = np.all(flows >= -1e-12, axis=1)
-    basis_costs = C.ravel()[cells]  # (B, m+n-1)
-    totals = np.where(feasible, (flows * basis_costs).sum(axis=1), np.inf)
-    best = int(np.argmin(totals))
-    flow = np.zeros(m * n)
-    np.add.at(flow, cells[best], np.maximum(flows[best], 0.0))
-    flow = flow.reshape(m, n)
-    return TransportPlan(flow, float((flow * C).sum()))
 
 
 def wasserstein_p(mu: DiscreteDistribution, nu: DiscreteDistribution, p: float) -> float:

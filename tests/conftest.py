@@ -32,8 +32,8 @@ def rising_transport_costs(monkeypatch):
     solve = barycenter.solve_ot_batch
     calls = count(1)
 
-    def rising(mus, nu, p):
+    def rising(mus, nu, p, model):
         cost = float(next(calls))
-        return [TransportPlan(plan.flow, cost) for plan in solve(mus, nu, p)]
+        return [TransportPlan(plan.flow, cost) for plan in solve(mus, nu, p, model)]
 
     monkeypatch.setattr(barycenter, "solve_ot_batch", rising)

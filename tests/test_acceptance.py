@@ -9,7 +9,7 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from baryreduce.core import Solution, make_distribution, validate_solution
-from baryreduce.transport import solve_ot, solve_ot_oracle, transport_costs
+from baryreduce.transport import solve_ot, transport_costs
 from baryreduce.barycenter import (
     SolverOptions,
     pairwise_cost_p2,
@@ -45,6 +45,7 @@ from baryreduce.instances import (
 )
 from baryreduce.core import BadMagic, CountMismatch, TruncatedFile
 from baryreduce.projection import cost_ratio_sweep
+from oracle import solve_ot_oracle
 
 
 def _random_rational(rng, T, d):

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from baryreduce import barycenter
 from baryreduce.core import (
+    WEIGHT_TOL,
     EmptyInput,
     InvalidSolution,
     NumericalFailure,
@@ -18,6 +22,7 @@ from baryreduce.barycenter import (
     solve_barycenter,
     update_support_atom,
 )
+from baryreduce.transport import TransportModel
 from conftest import random_distribution
 
 
@@ -146,6 +151,25 @@ class TestPairwiseIdentity:
         b = solution_cost(sol, mus, 2.0).total_cost
         assert abs(a - b) <= 1e-9 * (1 + b)
 
+    def test_memory_bounded_by_column_support(self):
+        # 4,000 atoms, each sending all its mass to one of 8 columns: an
+        # N x N Gram matrix alone would take 128 MB
+        N, n = 4000, 8
+        rng = np.random.default_rng(5)
+        mu = make_distribution(rng.random((N, 5)), np.full(N, 1.0 / N))
+        plan = np.zeros((N, n))
+        plan[np.arange(N), np.arange(N) % n] = 1.0 / N
+        sol = Solution((plan,), np.full(n, 1.0 / n))
+        tracemalloc.start()
+        try:
+            value = pairwise_cost_p2(sol, [mu])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert value == pytest.approx(solution_cost(sol, [mu], 2.0).total_cost,
+                                      rel=1e-12, abs=0.0)
+
 
 class TestSolveBarycenter:
     def test_single_distribution_zero_cost(self, rng):
@@ -207,3 +231,55 @@ class TestSolveBarycenter:
         mus = [delta([0.0]), delta([1.0]), delta([10.0])]
         nu, _, rep = solve_barycenter(mus, SolverOptions(support_size=1, p=1.0))
         assert 3 * rep.total_cost == pytest.approx(10.0, abs=1e-6)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("c", [1e-6, 1e4])
+    def test_stop_rules_are_scale_free(self, p, c):
+        rng = np.random.default_rng(99)
+        mus = [random_distribution(rng, 12, 6) for _ in range(20)]
+        opts = SolverOptions(support_size=8, p=p, seed=3)
+        _, _, base = solve_barycenter(mus, opts)
+        scaled = [make_distribution(c * mu.atoms, mu.weights) for mu in mus]
+        _, _, rep = solve_barycenter(scaled, opts)
+        assert rep.iterations == base.iterations
+        assert rep.total_cost / c**p == pytest.approx(base.total_cost, rel=1e-12, abs=0.0)
+
+
+class TestWarmStart:
+    @pytest.fixture
+    def blobs(self):
+        rng = np.random.default_rng(21)
+        centers = rng.normal(size=(3, 4))
+        return [make_distribution(c + 0.5 * rng.normal(size=(15, 4)), np.full(15, 1 / 15))
+                for c in centers for _ in range(2)]
+
+    def test_warm_solves_match_cold_in_fewer_pivots(self, blobs, monkeypatch):
+        solve = barycenter.solve_ot_batch
+        warm_models, cold_models = [], []
+
+        def warm_and_cold(mus, nu, p, model):
+            warm_models.append(model)
+            plans = solve(mus, nu, p, model)
+            cold_models.append(TransportModel())
+            for plan, cold in zip(plans, solve(mus, nu, p, cold_models[-1])):
+                assert plan.cost == pytest.approx(cold.cost, rel=1e-12, abs=0.0)
+            return plans
+
+        monkeypatch.setattr(barycenter, "solve_ot_batch", warm_and_cold)
+        _, _, rep = solve_barycenter(blobs, SolverOptions(support_size=5, p=2.0, seed=1))
+        assert rep.iterations >= 3
+        model = warm_models[0]
+        assert all(m is model for m in warm_models)
+        assert model.pivots < sum(m.pivots for m in cold_models)
+
+    def test_warm_plans_are_basic(self, blobs):
+        rng = np.random.default_rng(4)
+        model = TransportModel()
+        for _ in range(4):
+            nu = make_distribution(rng.normal(size=(5, 4)), [0.3, 0.1, 0.2, 0.25, 0.15])
+            for mu, plan in zip(blobs, barycenter.solve_ot_batch(blobs, nu, 2.0, model)):
+                assert (plan.flow > 0).sum() <= mu.size + nu.size - 1
+                np.testing.assert_allclose(plan.flow.sum(axis=1), mu.weights,
+                                           rtol=0, atol=WEIGHT_TOL)
+                np.testing.assert_allclose(plan.flow.sum(axis=0), nu.weights,
+                                           rtol=0, atol=WEIGHT_TOL)

@@ -6,7 +6,6 @@ from scipy.optimize import linear_sum_assignment
 from baryreduce.core import (
     BadExponent,
     DimensionMismatch,
-    TooLarge,
     make_distribution,
 )
 from baryreduce import transport
@@ -15,11 +14,11 @@ from baryreduce.transport import (
     cost_matrix,
     solve_ot,
     solve_ot_batch,
-    solve_ot_oracle,
     transport_costs,
     wasserstein_p,
 )
 from conftest import random_distribution
+from oracle import TooLarge, solve_ot_oracle
 
 
 def delta(x):
@@ -110,10 +109,10 @@ class TestSolveOt:
             np.testing.assert_allclose(plan.flow.sum(axis=0), nu.weights, atol=1e-9)
 
     def test_one_massive_atom_skips_the_lp(self, rng, monkeypatch):
-        def no_lp(problems):
+        def no_lp():
             raise AssertionError("forced plan sent to the LP")
 
-        monkeypatch.setattr(transport, "_solve_transport_lps", no_lp)
+        monkeypatch.setattr(transport, "TransportModel", no_lp)
         mu = make_distribution(rng.normal(size=(3, 2)), [0.25, 0.5, 0.25])
         pairs = [(mu, make_distribution(rng.normal(size=(2, 2)), [1.0, 0.0])),
                  (delta([0.5, -1.0]), mu)]
@@ -122,6 +121,35 @@ class TestSolveOt:
             np.testing.assert_array_equal(plan.flow, np.outer(a.weights, b.weights))
             assert plan.cost == pytest.approx(
                 a.weights @ cost_matrix(a, b, 2.0) @ b.weights, rel=1e-12, abs=0.0)
+
+
+class TestHighsBinding:
+    def test_private_api_has_what_the_model_uses(self):
+        # TransportModel drives scipy's private HiGHS binding; name what moved
+        from scipy.optimize._highspy import _core
+
+        wanted = {
+            "_Highs": ["setOptionValue", "getOptionValue", "passModel",
+                       "changeColsCost", "run", "getModelStatus",
+                       "modelStatusToString", "getInfo", "getSolution"],
+            "HighsLp": ["num_col_", "num_row_", "col_cost_", "col_lower_",
+                        "col_upper_", "row_lower_", "row_upper_", "a_matrix_"],
+            "HighsSparseMatrix": ["format_", "num_col_", "num_row_", "start_",
+                                  "index_", "value_"],
+            "HighsInfo": ["simplex_iteration_count"],
+            "HighsSolution": ["col_value"],
+            "HighsModelStatus": ["kOptimal"],
+            "HighsStatus": ["kOk", "kError"],
+            "MatrixFormat": ["kColwise"],
+        }
+        missing = [f"{owner}.{name}" for owner, names in wanted.items()
+                   for name in names
+                   if not hasattr(getattr(_core, owner, None), name)]
+        assert not missing, f"scipy's HiGHS binding lacks {missing}"
+        highs = _core._Highs()
+        unknown = [name for name, _ in transport._HIGHS_OPTIONS
+                   if highs.getOptionValue(name)[0] != _core.HighsStatus.kOk]
+        assert not unknown, f"HiGHS does not know the options {unknown}"
 
 
 class TestTransportCosts:
