@@ -13,7 +13,6 @@ from .core import (
     validate_solution,
 )
 from .transport import (
-    TransportModel,
     TransportPlan,
     cost_matrix,
     solve_ot,

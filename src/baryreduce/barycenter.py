@@ -201,9 +201,11 @@ def solve_barycenter(mus, opts: SolverOptions):
 
     Returns ``(nu, solution, report)`` where ``report.trace`` holds the
     objective after each transport step.  With the default fixed-uniform
-    barycenter weights the trace is non-increasing, and a rise raises
-    :class:`NumericalFailure`; re-estimated weights change the feasible set
-    between iterations, so no monotonicity is claimed for that mode.
+    barycenter weights the trace is non-increasing: an atom moves only when
+    that lowers its column's cost, and a rise beyond rounding (1e-9
+    relative) raises :class:`NumericalFailure`; re-estimated weights change
+    the feasible set between iterations, so no monotonicity is claimed for
+    that mode.
     """
     if not mus:
         raise EmptyInput("need at least one input distribution")
@@ -261,9 +263,15 @@ def solve_barycenter(mus, opts: SolverOptions):
         for j in range(n):
             w = stacked[:, j]
             if w.sum() > 0:
-                support[j] = update_support_atom(
-                    points, w, p, opts.inner_tol, opts.inner_max_iters
-                )
+                y = update_support_atom(points, w, p, opts.inner_tol, opts.inner_max_iters)
+                # The inner solve stops at a tolerance (Weiszfeld converges
+                # slowly to a median at a data point) and rounds, so it can
+                # land above the current atom; keep that atom then, and the
+                # plans' cost cannot rise between outer iterations.
+                rows = np.flatnonzero(w)
+                new, old = w[rows] @ cdist(points[rows], np.stack([y, support[j]])) ** p
+                if new < old:
+                    support[j] = y
 
     obj, support, b, flows = best
     nu = DiscreteDistribution(support, b)

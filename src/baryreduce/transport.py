@@ -117,18 +117,25 @@ class TransportModel:
         """Optimal flows of the transportation problems ``(a, b, C)``.
 
         The optimum is a vertex of the block-diagonal LP, so every block is
-        a basic plan.  Each block's costs are divided by their maximum first.
+        a basic plan.  Each block's costs are divided by their maximum first;
+        a non-finite cost, such as ``||x - y||**p`` overflowing, raises
+        :class:`NumericalFailure`, as does any HiGHS error or a model status
+        other than optimal.
         """
+        if not all(np.isfinite(C).all() for _, _, C in problems):
+            raise NumericalFailure("transport costs are not finite")
         shapes = [C.shape for _, _, C in problems]
         rhs = np.concatenate([v for a, b, _ in problems for v in (a, b)])
         costs = np.concatenate([(C / top if (top := C.max()) > 0 else C).ravel()
                                 for _, _, C in problems])
         if shapes == self._shapes and np.array_equal(rhs, self._rhs):
-            self._highs.changeColsCost(costs.size, np.arange(costs.size, dtype=np.int32),
-                                       costs)
+            if self._highs.changeColsCost(costs.size, np.arange(costs.size, dtype=np.int32),
+                                          costs) == HighsStatus.kError:
+                raise NumericalFailure("transport costs rejected by HiGHS")
         else:
             self._build(shapes, rhs, costs)
-        self._highs.run()
+        if self._highs.run() == HighsStatus.kError:
+            raise NumericalFailure("HiGHS failed on the transport LP")
         status = self._highs.getModelStatus()
         if status != HighsModelStatus.kOptimal:
             raise NumericalFailure(

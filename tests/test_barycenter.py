@@ -245,6 +245,21 @@ class TestSolveBarycenter:
         assert rep.total_cost / c**p == pytest.approx(base.total_cost, rel=1e-12, abs=0.0)
 
 
+    @pytest.mark.parametrize("p, n", [(1.0, 2), (2.0, 3)])
+    @pytest.mark.parametrize("c", [1.0, 1e4])
+    def test_objective_never_rises(self, p, n, c):
+        # p=2, n=3: the support starts on the atoms at cost 0, and the mean of
+        # one atom rounds off it; p=1, n=2: Weiszfeld stops short of a median
+        # at a data point, above the cost of the atom it started from
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            mu = make_distribution(c * rng.random((3, 2)), np.full(3, 1 / 3))
+            _, _, rep = solve_barycenter([mu], SolverOptions(support_size=n, p=p, seed=seed))
+            assert all(b <= a for a, b in zip(rep.trace, rep.trace[1:]))
+            if n == 3:
+                assert rep.total_cost == 0.0
+
+
 class TestWarmStart:
     @pytest.fixture
     def blobs(self):

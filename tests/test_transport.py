@@ -6,10 +6,12 @@ from scipy.optimize import linear_sum_assignment
 from baryreduce.core import (
     BadExponent,
     DimensionMismatch,
+    NumericalFailure,
     make_distribution,
 )
 from baryreduce import transport
 from baryreduce.transport import (
+    TransportModel,
     barycenter_objective,
     cost_matrix,
     solve_ot,
@@ -121,6 +123,25 @@ class TestSolveOt:
             np.testing.assert_array_equal(plan.flow, np.outer(a.weights, b.weights))
             assert plan.cost == pytest.approx(
                 a.weights @ cost_matrix(a, b, 2.0) @ b.weights, rel=1e-12, abs=0.0)
+
+
+    def test_non_finite_costs_raise(self, rng):
+        a, b = np.full(3, 1 / 3), np.full(2, 0.5)
+        C = rng.random((3, 2))
+        for bad in (np.inf, np.nan):
+            worse = C.copy()
+            worse[1, 0] = bad
+            model = TransportModel()
+            model.solve([(a, b, C)])
+            with pytest.raises(NumericalFailure, match="not finite"):
+                model.solve([(a, b, worse)])  # warm: only the costs change
+            with pytest.raises(NumericalFailure, match="not finite"):
+                TransportModel().solve([(a, b, worse)])
+        # ||x - y||**2 overflows to inf at coordinates near 1e200
+        mu = make_distribution([[0.0], [1e200]], [0.5, 0.5])
+        nu = make_distribution([[-1e200], [2e200]], [0.5, 0.5])
+        with pytest.raises(NumericalFailure):
+            solve_ot(mu, nu, 2.0)
 
 
 class TestHighsBinding:
