@@ -53,13 +53,18 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float,
 
     p=2 is the weighted mean in closed form; p=1 runs Weiszfeld iterations
     for the weighted geometric median; other p >= 1 use gradient descent
-    with backtracking line search on the convex objective.
+    with backtracking line search on the convex objective.  Points of zero
+    weight are dropped first, so they affect neither the result nor the
+    stop rules; callers pass a column's flow rows only.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64).ravel()
     total = weights.sum()
     if total <= 0:
         raise ZeroWeight("support update needs positive total weight")
+    if not weights.all():
+        rows = np.flatnonzero(weights)
+        points, weights = points[rows], weights[rows]
     if p == 2.0:
         return points.T @ weights / total
 
@@ -91,7 +96,7 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float,
         return float(weights @ np.linalg.norm(points - z, axis=1) ** p)
 
     f = objective(y)
-    step = 1.0
+    step = np.inf
     for _ in range(max_iters):
         diff = y - points
         dist = np.maximum(np.linalg.norm(diff, axis=1), 1e-14)
@@ -100,8 +105,9 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float,
         scale = float(np.linalg.norm(points - y, axis=1).max()) + 1e-30
         if gnorm * scale <= tol * f:
             break
-        step = min(step * 2.0, 1.0 / (weights.sum() * p * max(p - 1.0, 1.0)
-                                      * scale ** max(p - 2.0, 0.0) + 1e-30))
+        # the cap scales as length^(2-p), like the step itself
+        step = min(step * 2.0,
+                   scale ** (2.0 - p) / (weights.sum() * p * max(p - 1.0, 1.0)))
         while True:
             y_try = y - step * grad
             f_try = objective(y_try)
@@ -136,10 +142,11 @@ def reconstruct_barycenter(sol: Solution, mus, p: float,
     d = points.shape[1]
     atoms = np.zeros((sol.n_atoms, d))
     for j in range(sol.n_atoms):
-        w = stacked[:, j]
+        rows = np.flatnonzero(stacked[:, j])
+        w = stacked[rows, j]
         if w.sum() <= 0:
             continue  # degenerate: weight-0 atom stays at the origin
-        atoms[j] = update_support_atom(points, w, p, inner_tol, inner_max_iters)
+        atoms[j] = update_support_atom(points[rows], w, p, inner_tol, inner_max_iters)
     return DiscreteDistribution(atoms, sol.barycenter_weights)
 
 
@@ -156,8 +163,9 @@ def support_cost(sol: Solution, mus, nu: DiscreteDistribution,
     k = len(mus)
     per_atom = np.zeros(sol.n_atoms)
     for j in range(sol.n_atoms):
-        dist = np.linalg.norm(points - nu.atoms[j], axis=1)
-        per_atom[j] = (stacked[:, j] @ dist**p) / k
+        rows = np.flatnonzero(stacked[:, j])  # only rows with flow cost anything
+        dist = np.linalg.norm(points[rows] - nu.atoms[j], axis=1)
+        per_atom[j] = (stacked[rows, j] @ dist**p) / k
     return CostReport(float(per_atom.sum()), per_atom, 0, True)
 
 
@@ -218,9 +226,7 @@ def solve_barycenter(mus, opts: SolverOptions):
     points, pooled_w, _ = pooled_atoms(mus)
     if opts.reestimate_weights:
         # start from the mass each atom would attract, not from 1/n
-        nearest = np.argmin(
-            np.linalg.norm(points[:, None, :] - support[None, :, :], axis=2),
-            axis=1)
+        nearest = np.argmin(cdist(points, support), axis=1)
         b = np.bincount(nearest, weights=pooled_w, minlength=n) / k
 
     model = TransportModel()  # successive iterations start from its last basis
@@ -261,15 +267,16 @@ def solve_barycenter(mus, opts: SolverOptions):
                 b[empty] = 0.0
             b = b / b.sum()
         for j in range(n):
-            w = stacked[:, j]
+            # a basic plan leaves most rows of a column without flow
+            rows = np.flatnonzero(stacked[:, j])
+            w, column = stacked[rows, j], points[rows]
             if w.sum() > 0:
-                y = update_support_atom(points, w, p, opts.inner_tol, opts.inner_max_iters)
+                y = update_support_atom(column, w, p, opts.inner_tol, opts.inner_max_iters)
                 # The inner solve stops at a tolerance (Weiszfeld converges
                 # slowly to a median at a data point) and rounds, so it can
                 # land above the current atom; keep that atom then, and the
                 # plans' cost cannot rise between outer iterations.
-                rows = np.flatnonzero(w)
-                new, old = w[rows] @ cdist(points[rows], np.stack([y, support[j]])) ** p
+                new, old = w @ cdist(column, np.stack([y, support[j]])) ** p
                 if new < old:
                     support[j] = y
 

@@ -318,14 +318,39 @@ def _text_lines(fh, path):
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def load_csv_distributions(path):
-    """Rows ``dist_id, weight, x_1, ..., x_d`` grouped into distributions.
+def _csv_rows_bulk(path):
+    """Keys and numeric block of a CSV file, parsed by one ``np.loadtxt`` call.
 
-    An optional non-numeric first row is treated as a header.  Weights of
-    each group must sum to 1 within 1e-6 (then renormalized exactly).
+    Raises ``ValueError`` for any file the row reader might read differently
+    or reject: non-UTF-8 bytes, quotes, NUL characters, rows without
+    coordinates, ragged or non-numeric rows.  Universal newlines split lines
+    where the ``csv`` module ends records.
     """
-    groups: dict[str, list] = {}
-    order = []
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if '"' in text or "\0" in text:
+        raise ValueError("quoted fields or NUL characters")
+    lines = text.split("\n")
+    try:
+        for field in lines[0].split(",")[1:]:
+            float(field)
+    except ValueError:
+        lines = lines[1:]  # header
+    rows = [line.partition(",") for line in lines if line.strip()]
+    if not rows:
+        return [], None
+    block = np.loadtxt([rest for _, _, rest in rows], delimiter=",",
+                       comments=None, ndmin=2)
+    # loadtxt skips empty lines, so a row with no field after its key goes missing
+    if block.shape[0] != len(rows) or block.shape[1] < 2:
+        raise ValueError("rows without coordinates")
+    return [key.strip() for key, _, _ in rows], block
+
+
+def _csv_rows_checked(path):
+    """Keys and numeric block of a CSV file, read row by row; the error for a
+    malformed row names its line."""
+    keys, rows = [], []
     dim = None
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(_csv.reader(_text_lines(fh, path)), start=1):
@@ -345,15 +370,30 @@ def load_csv_distributions(path):
                 raise RaggedRows(
                     f"{path}:{lineno}: {len(values) - 1} coords, expected {dim}"
                 )
-            key = row[0].strip()
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(values)
+            keys.append(row[0].strip())
+            rows.append(values)
+    return keys, np.array(rows)
+
+
+def load_csv_distributions(path):
+    """Rows ``dist_id, weight, x_1, ..., x_d`` grouped into distributions.
+
+    An optional non-numeric first row is treated as a header.  Weights of
+    each group must sum to 1 within 1e-6 (then renormalized exactly).
+    Groups come in the order their ids first appear.  The numeric block is
+    parsed in one numpy call; a file that call cannot take is read again row
+    by row, which finds the line at fault.
+    """
+    try:
+        keys, block = _csv_rows_bulk(path)
+    except ValueError:  # UnicodeDecodeError included
+        keys, block = _csv_rows_checked(path)
+    groups: dict[str, list] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
     out = []
-    for key in order:
-        block = np.array(groups[key])
-        weights, atoms = block[:, 0], block[:, 1:]
+    for key, rows in groups.items():
+        weights, atoms = block[rows, 0], block[rows, 1:]
         if abs(weights.sum() - 1.0) > 1e-6:
             raise BadWeights(
                 f"{path}: distribution {key!r} weights sum to {weights.sum()!r}"

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BadParams, DiscreteDistribution, DimensionMismatch, make_distribution
+from .core import (
+    BadParams,
+    DimensionMismatch,
+    DiscreteDistribution,
+    make_distribution,
+    pooled_atoms,
+)
 from .barycenter import (
     SolverOptions,
     reconstruct_barycenter,
@@ -145,11 +151,16 @@ def identity_map(d: int) -> ProjectionMap:
 
 
 def project_instance(mus, pmap: ProjectionMap):
-    """Push every distribution through the map, keeping its weights."""
-    out = []
-    for mu in mus:
-        out.append(make_distribution(pmap(mu.atoms), mu.weights.copy()))
-    return out
+    """Push every distribution through the map, keeping its weights.
+
+    The map runs once on the pooled atoms, and the result is split back per
+    distribution: one matrix product in place of one per input.
+    """
+    if not mus:
+        return []
+    points, _, _ = pooled_atoms(mus)
+    low = np.split(pmap(points), np.cumsum([mu.size for mu in mus[:-1]]))
+    return [make_distribution(a, mu.weights.copy()) for a, mu in zip(low, mus)]
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,19 @@ class TestUpdateSupportAtom:
         mine = (w * np.abs(pts.ravel() - y[0]) ** p).sum()
         assert mine <= best + 1e-6 * (1 + best)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_flow_rows_match_all_rows(self, rng, p):
+        # zero-weight rows: one exactly at the weighted-mean start (Weiszfeld's
+        # point-hit branch) and one far outside, which would widen a radius
+        pts = rng.normal(size=(7, 5))
+        w = rng.random(7)
+        mean = pts.T @ w / w.sum()
+        all_pts = np.concatenate([pts[:3], [mean], pts[3:], [100.0 * np.ones(5)]])
+        all_w = np.concatenate([w[:3], [0.0], w[3:], [0.0]])
+        y = update_support_atom(pts, w, p)
+        y_all = update_support_atom(all_pts, all_w, p)
+        np.testing.assert_allclose(y_all, y, rtol=0.0, atol=1e-12 * np.abs(y).max())
+
     def test_zero_weight_rejected(self):
         with pytest.raises(ZeroWeight):
             update_support_atom([[0.0]], [0.0], 2.0)
@@ -232,7 +245,7 @@ class TestSolveBarycenter:
         nu, _, rep = solve_barycenter(mus, SolverOptions(support_size=1, p=1.0))
         assert 3 * rep.total_cost == pytest.approx(10.0, abs=1e-6)
 
-    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("c", [1e-6, 1e4])
     def test_stop_rules_are_scale_free(self, p, c):
         rng = np.random.default_rng(99)

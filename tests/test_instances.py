@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -8,11 +10,13 @@ from baryreduce.core import (
     BadWeights,
     CountMismatch,
     NotMultipleOfN,
+    ParseError,
     RaggedRows,
     Solution,
     TruncatedFile,
     make_distribution,
 )
+from baryreduce import instances
 from baryreduce.instances import (
     empirical_matching_distortion,
     gen_blob_classes,
@@ -263,6 +267,56 @@ class TestCsv:
         f = tmp_path / "d.csv"
         f.write_text("")
         assert load_csv_distributions(f) == []
+
+    LAYOUT = ("dist,w,x,y\r\n"
+              "a,0.25,0.1,1e-3\r\n"
+              "\r\n"
+              "b,1.0, 2.5 ,-7\r\n"
+              "   \t\r\n"
+              " a ,0.75,3.141592653589793,123456789.123456789\r\n")
+
+    def _check_layout(self, out):
+        assert len(out) == 2  # a before b: first-seen order, rows of a apart
+        a, b = out
+        np.testing.assert_array_equal(a.atoms, [[float("0.1"), float("1e-3")],
+                                                [float("3.141592653589793"),
+                                                 float("123456789.123456789")]])
+        np.testing.assert_array_equal(a.weights, [0.25, 0.75])
+        np.testing.assert_array_equal(b.atoms, [[float(" 2.5 "), float("-7")]])
+
+    def test_header_crlf_blank_lines_and_groups(self, tmp_path, monkeypatch):
+        f = tmp_path / "d.csv"
+        f.write_bytes(self.LAYOUT.encode())
+
+        def row_reader(path):
+            raise AssertionError("a plain file went to the row reader")
+
+        monkeypatch.setattr(instances, "_csv_rows_checked", row_reader)
+        self._check_layout(load_csv_distributions(f))
+
+    @pytest.mark.parametrize("old, new", [(" a ,0.75", '"a",0.75'),
+                                          ("b,1.0,", 'b,"1.0",')],
+                             ids=["key", "number"])
+    def test_quoted_fields(self, tmp_path, old, new):
+        f = tmp_path / "d.csv"
+        f.write_bytes(self.LAYOUT.replace(old, new).encode())
+        self._check_layout(load_csv_distributions(f))
+
+    @pytest.mark.parametrize("text, error, line", [
+        ("0,0.5,1,2\n0,0.5,3,4\n\n1,1.0,5,6\n1,1.0,7\n", RaggedRows, 5),
+        ("0,0.5,1\n0,0.5,2\n0,abc,3\n", ParseError, 3),
+        ("0,0.5,1\n0,0.5,1e400x\n", ParseError, 2),
+        ("0,0.5,1\n0,\n", ParseError, 2),
+        ("0,1.0\n", ParseError, 1),
+        ("0,0.5,1\n0,0.5\n", ParseError, 2),
+        ("0,0.5,1\n5\n", ParseError, 2),
+    ], ids=["ragged", "non_numeric", "bad_float", "empty_field", "short_first",
+            "short", "key_only"])
+    def test_malformed_row_names_its_line(self, tmp_path, text, error, line):
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(error, match=f"^{re.escape(str(f))}:{line}: "):
+            load_csv_distributions(f)
 
 
 class TestLowRank:

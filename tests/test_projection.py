@@ -134,6 +134,22 @@ class TestPipeline:
             np.testing.assert_array_equal(a.weights, b.weights)
             assert b.dim == 5
 
+    @pytest.mark.parametrize("make_map", [
+        identity_map,
+        lambda d: make_gaussian_map(d, 5, seed=1),
+        lambda d: make_srht_map(d, 5, seed=1),
+    ], ids=["identity", "gaussian", "srht"])
+    def test_project_instance_maps_each_input(self, rng, make_map):
+        mus = [random_distribution(rng, T, 12) for T in (1, 4, 7)]
+        pmap = make_map(12)
+        low = project_instance(mus, pmap)
+        assert len(low) == len(mus)
+        for mu, lo in zip(mus, low):
+            want = pmap(mu.atoms)
+            np.testing.assert_allclose(lo.atoms, want, rtol=0.0,
+                                       atol=1e-12 * np.abs(want).max())
+            np.testing.assert_array_equal(lo.weights, mu.weights)
+
     def test_identity_matches_plain_solver(self, rng):
         mus = self._family(rng)
         opts = SolverOptions(support_size=2, p=2.0, seed=4)
