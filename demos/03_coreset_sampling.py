@@ -9,12 +9,12 @@ weights keep the estimate unbiased either way.
 import numpy as np
 
 from baryreduce import (
-    SensitivityScores,
     build_coreset,
     evaluate_coreset,
     make_distribution,
     sensitivity_upper_bounds,
     transport_costs,
+    uniform_scores,
 )
 from baryreduce.instances import gen_coreset_synthetic
 
@@ -26,8 +26,7 @@ scores = sensitivity_upper_bounds(mus, p=2.0, alpha=1.0, pilot=mus[0])
 print("sampling probability of the outlier:", round(scores.probabilities[-1], 4))
 print("sampling probability of a crowd member:", scores.probabilities[0])
 
-flat = np.full(k, 1.0 / k)
-uniform = SensitivityScores(flat, 1.0, flat, scores.pilot_cost, False, 1.0, 2.0)
+uniform = uniform_scores(k)
 
 # every input's transport cost to each query, computed once per query
 queries = [0.0, 10.0, 100.0]

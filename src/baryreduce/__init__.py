@@ -44,6 +44,7 @@ from .coreset import (
     coreset_size_bound,
     evaluate_coreset,
     sensitivity_upper_bounds,
+    uniform_scores,
 )
 
 __version__ = "0.1.0"

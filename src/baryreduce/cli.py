@@ -17,10 +17,10 @@ import numpy as np
 from .core import BaryError, EmptyInput, NumericalFailure, make_distribution
 from .barycenter import SolverOptions, solve_barycenter
 from .coreset import (
-    SensitivityScores,
     build_coreset,
     evaluate_coreset,
     sensitivity_upper_bounds,
+    uniform_scores,
 )
 from .instances import (
     gen_coreset_synthetic,
@@ -150,12 +150,7 @@ def cmd_coreset(args) -> int:
     rows = []
     for size in args.sizes:
         for method in ("uniform", "sensitivity"):
-            if method == "uniform":
-                flat = np.full(k, 1.0 / k)
-                sc = SensitivityScores(flat, 1.0, flat, scores.pilot_cost,
-                                       scores.degenerate)
-            else:
-                sc = scores
+            sc = uniform_scores(k) if method == "uniform" else scores
             core = build_coreset(sc, size, seed=args.seed)
             for x, query_costs in zip(queries, costs):
                 ev = evaluate_coreset(core, query_costs)

@@ -192,17 +192,18 @@ def pooled_atoms(distributions):
     pooled weight totals the number of distributions."""
     if not distributions:
         raise EmptyInput("no distributions to pool")
-    d = distributions[0].dim
-    for i, mu in enumerate(distributions):
-        if mu.dim != d:
-            raise DimensionMismatch(
-                f"distribution {i} has dimension {mu.dim}, expected {d}"
-            )
-    points = np.concatenate([mu.atoms for mu in distributions], axis=0)
+    atoms = [mu.atoms for mu in distributions]
+    try:
+        points = np.concatenate(atoms, axis=0)
+    except ValueError:  # numpy names no input; find the first odd one out
+        d = distributions[0].dim
+        i = next(i for i, mu in enumerate(distributions) if mu.dim != d)
+        raise DimensionMismatch(
+            f"distribution {i} has dimension {distributions[i].dim}, expected {d}"
+        ) from None
     weights = np.concatenate([mu.weights for mu in distributions])
-    origins = np.concatenate(
-        [np.full(mu.size, i, dtype=np.intp) for i, mu in enumerate(distributions)]
-    )
+    sizes = np.fromiter(map(len, atoms), np.intp, len(atoms))
+    origins = np.repeat(np.arange(len(atoms)), sizes)
     return points, weights, origins
 
 

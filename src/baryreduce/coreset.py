@@ -72,6 +72,14 @@ def sensitivity_upper_bounds(mus, p: float = 2.0, alpha: float = 2.0,
                              degenerate, alpha, p)
 
 
+def uniform_scores(k: int) -> SensitivityScores:
+    """Scores under which :func:`build_coreset` draws every one of ``k``
+    inputs with probability 1/k, i.e. plain uniform subsampling.  No pilot
+    is involved; the scores have the shape a vanished pilot cost gives."""
+    flat = np.full(k, 1.0 / k)
+    return SensitivityScores(flat, 1.0, flat, 0.0, True)
+
+
 def build_coreset(scores: SensitivityScores, size: int,
                   seed: int = 0) -> WeightedCoreset:
     """Draw ``size`` distributions i.i.d. from the score distribution.

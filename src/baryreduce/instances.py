@@ -318,6 +318,16 @@ def _text_lines(fh, path):
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _csv_records(fh, path):
+    """The rows of a CSV file, with a reader error as a ``ParseError`` that
+    names the line."""
+    reader = _csv.reader(_text_lines(fh, path))
+    try:
+        yield from reader
+    except _csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def _csv_rows_bulk(path):
     """Keys and numeric block of a CSV file, parsed by one ``np.loadtxt`` call.
 
@@ -353,7 +363,7 @@ def _csv_rows_checked(path):
     keys, rows = [], []
     dim = None
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(_csv.reader(_text_lines(fh, path)), start=1):
+        for lineno, row in enumerate(_csv_records(fh, path), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             try:

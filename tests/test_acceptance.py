@@ -23,10 +23,10 @@ from baryreduce.projection import (
     reduce_solve_reconstruct,
 )
 from baryreduce.coreset import (
-    SensitivityScores,
     build_coreset,
     evaluate_coreset,
     sensitivity_upper_bounds,
+    uniform_scores,
 )
 from baryreduce.instances import (
     empirical_matching_distortion,
@@ -189,9 +189,7 @@ def test_08_importance_sampling_error_table():
     k = 50000
     mus = gen_coreset_synthetic(k)
     scores = sensitivity_upper_bounds(mus, p=2.0, alpha=1.0, pilot=mus[0])
-    flat = np.full(k, 1.0 / k)
-    uniform = SensitivityScores(flat, 1.0, flat, scores.pilot_cost, False,
-                                1.0, 2.0)
+    uniform = uniform_scores(k)
     costs = {x: transport_costs(mus, make_distribution([[float(x)]], [1.0]), 2.0)
              for x in (0, 10, 100)}
     for x, c in costs.items():

@@ -135,7 +135,9 @@ class TestSweepCmd:
         assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("content", [b"", b"\xff\xfe"], ids=["empty", "not_utf8"])
+@pytest.mark.parametrize("content", [
+    b"", b"\xff\xfe", b'"' + b"k" * 200_000 + b'",1.0,0.0\n',
+], ids=["empty", "not_utf8", "field_over_csv_limit"])
 @pytest.mark.parametrize("command", [
     ["barycenter"], ["reduce"], ["coreset"], ["sweep", "--m-values", "1"],
 ], ids=["barycenter", "reduce", "coreset", "sweep"])

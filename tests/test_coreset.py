@@ -9,6 +9,7 @@ from baryreduce.coreset import (
     evaluate_coreset,
     practical_size_bound,
     sensitivity_upper_bounds,
+    uniform_scores,
 )
 from baryreduce.transport import transport_costs, wasserstein_p
 from baryreduce.instances import gen_coreset_synthetic
@@ -25,6 +26,13 @@ class TestSensitivityScores:
         assert sc.degenerate
         np.testing.assert_allclose(sc.scores, 8.0)
         np.testing.assert_allclose(sc.probabilities, 0.2)
+
+    def test_uniform_scores(self):
+        sc = uniform_scores(4)
+        np.testing.assert_array_equal(sc.probabilities, 0.25)
+        assert sc.total == 1.0 and sc.mean_score == 0.25
+        core = build_coreset(sc, 8, seed=3)
+        np.testing.assert_allclose(core.weights, 1.0 / 8, rtol=1e-15)
 
     def test_outlier_instance_closed_form(self):
         k = 1000

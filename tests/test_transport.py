@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from baryreduce.core import (
+    WEIGHT_TOL,
     BadExponent,
     DimensionMismatch,
     NumericalFailure,
@@ -19,6 +21,7 @@ from baryreduce.transport import (
     transport_costs,
     wasserstein_p,
 )
+from baryreduce.instances import gen_coreset_synthetic
 from conftest import random_distribution
 from oracle import TooLarge, solve_ot_oracle
 
@@ -183,6 +186,118 @@ class TestTransportCosts:
         assert costs.shape == (len(mus),)
         for mu, cost in zip(mus, costs):
             assert cost == pytest.approx(solve_ot(mu, nu, 2.0).cost, rel=1e-12, abs=0.0)
+
+
+
+class TestBatchContract:
+    def test_empty_batch(self):
+        nu = delta([0.0, 1.0])
+        assert solve_ot_batch([], nu, 2.0) == []
+        costs = transport_costs([], nu, 2.0)
+        assert costs.shape == (0,) and costs.dtype == np.float64
+
+    def test_wrong_dimension_in_batch(self, rng):
+        nu = random_distribution(rng, 3, 2)
+        mus = [random_distribution(rng, 2, 2), random_distribution(rng, 2, 3),
+               random_distribution(rng, 4, 2)]
+        for price in (solve_ot_batch, transport_costs):
+            with pytest.raises(DimensionMismatch):
+                price(mus, nu, 2.0)
+            with pytest.raises(DimensionMismatch):  # every input against nu
+                price(mus[2:], random_distribution(rng, 3, 3), 2.0)
+
+    def test_exponent_below_one_rejected(self, rng):
+        mus = [random_distribution(rng, 2, 2), delta([0.0, 1.0])]
+        nu = random_distribution(rng, 3, 2)
+        for price in (solve_ot_batch, transport_costs):
+            with pytest.raises(BadExponent):
+                price(mus, nu, 0.5)
+
+    def test_distinct_lp_inputs_in_first_seen_order(self, rng, monkeypatch):
+        seen = []
+
+        class Recording(TransportModel):
+            def solve(self, problems):
+                seen.extend(problems)
+                return super().solve(problems)
+
+        monkeypatch.setattr(transport, "TransportModel", Recording)
+        nu = random_distribution(rng, 3, 2)
+        m1, m2, m3 = (random_distribution(rng, T, 2) for T in (2, 3, 4))
+        costs = transport_costs([m2, m1, m2, delta([0.0, 0.0]), m3, m1], nu, 2.0)
+        assert len(seen) == 3  # the one-atom input never reaches the LP
+        for (a, b, C), mu in zip(seen, (m2, m1, m3)):
+            np.testing.assert_array_equal(a, mu.weights)
+            np.testing.assert_array_equal(b, nu.weights)
+            np.testing.assert_array_equal(C, cost_matrix(mu, nu, 2.0))
+        assert costs[0] == costs[2] and costs[1] == costs[5]
+
+    def test_one_distance_call_per_batch(self, rng, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return cdist(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "cdist", counting)
+        transport_costs(gen_coreset_synthetic(50_000), delta([10.0]), 2.0)
+        assert len(calls) == 1
+        calls.clear()
+        mus = [random_distribution(rng, 2 + i % 4, 3) for i in range(10)]
+        solve_ot_batch(mus, random_distribution(rng, 5, 3), 1.5)
+        assert calls == [(sum(mu.size for mu in mus), 3)]
+
+
+def _weights_with_zeros(r, T):
+    """Random weights in which some atoms are massless: exactly zero or
+    lighter than ``ZERO_MASS``; at least one atom carries mass."""
+    w = r.random(T) + 0.05
+    kind = r.integers(0, 3, size=T)
+    w[kind == 1] = 0.0
+    w[kind == 2] = 1e-17
+    if not np.any(w > 1e-15):
+        w[r.integers(T)] = 1.0
+    return w / w.sum()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), k=st.integers(1, 6),
+       nu_kind=st.sampled_from(["plain", "zero_atom", "one_massive"]),
+       p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_bulk_pricing_matches_pair_solves(seed, k, nu_kind, p):
+    r = np.random.default_rng(seed)
+    n = int(r.integers(1, 5))
+    if nu_kind == "plain":
+        b = r.random(n) + 0.05
+    elif nu_kind == "zero_atom":
+        n = max(n, 2)
+        b = r.random(n) + 0.05
+        b[r.integers(n)] = 0.0
+    else:
+        b = np.zeros(n)
+        b[r.integers(n)] = 1.0
+    nu = make_distribution(r.normal(size=(n, 2)), b / b.sum())
+    mus = []
+    for _ in range(k):
+        if mus and r.random() < 0.3:
+            mus.append(mus[int(r.integers(len(mus)))])  # the same object again
+        else:
+            T = int(r.integers(1, 5))
+            mus.append(make_distribution(r.normal(size=(T, 2)), _weights_with_zeros(r, T)))
+    costs = transport_costs(mus, nu, p)
+    plans = solve_ot_batch(mus, nu, p)
+    assert costs.shape == (k,) and len(plans) == k
+    for mu, cost, plan in zip(mus, costs, plans):
+        single = solve_ot(mu, nu, p).cost
+        assert cost == pytest.approx(single, rel=1e-12, abs=0.0)
+        assert plan.cost == pytest.approx(single, rel=1e-12, abs=0.0)
+        priced = float((plan.flow * cost_matrix(mu, nu, p)).sum())  # one pair alone
+        assert plan.cost == pytest.approx(priced, rel=1e-12, abs=0.0)
+        assert single == pytest.approx(solve_ot_oracle(mu, nu, p).cost, rel=1e-9, abs=1e-15)
+        assert plan.flow.shape == (mu.size, nu.size)
+        np.testing.assert_allclose(plan.flow.sum(axis=1), mu.weights, rtol=0, atol=WEIGHT_TOL)
+        np.testing.assert_allclose(plan.flow.sum(axis=0), nu.weights, rtol=0, atol=WEIGHT_TOL)
+        assert np.count_nonzero(plan.flow) <= mu.size + nu.size - 1
 
 
 class TestOracle:
