@@ -26,7 +26,7 @@ from .core import (
     pooled_atoms,
     solution_violations,
 )
-from .transport import TransportModel, cost_matrix, solve_ot_batch
+from .transport import TransportModel, _distances, pool_batch, solve_pooled
 
 
 @dataclass(frozen=True)
@@ -193,9 +193,7 @@ def pairwise_cost_p2(sol: Solution, mus) -> float:
     return total / k
 
 
-def _init_support(mus, opts: SolverOptions, rng) -> np.ndarray:
-    points, weights, _ = pooled_atoms(mus)
-    n = opts.support_size
+def _init_support(points, weights, n: int, rng) -> np.ndarray:
     prob = weights / weights.sum()
     take = min(n, len(points))
     idx = list(rng.choice(len(points), size=take, replace=False, p=prob))
@@ -221,13 +219,14 @@ def solve_barycenter(mus, opts: SolverOptions):
     n = opts.support_size
     p = opts.p
     rng = np.random.default_rng(opts.seed)
-    support = _init_support(mus, opts, rng)
+    batch = pool_batch(mus)  # every outer iteration solves these inputs
+    points = batch.points
+    support = _init_support(points, batch.weights, n, rng)
     b = np.full(n, 1.0 / n)
-    points, pooled_w, _ = pooled_atoms(mus)
     if opts.reestimate_weights:
         # start from the mass each atom would attract, not from 1/n
         nearest = np.argmin(cdist(points, support), axis=1)
-        b = np.bincount(nearest, weights=pooled_w, minlength=n) / k
+        b = np.bincount(nearest, weights=batch.weights, minlength=n) / k
 
     model = TransportModel()  # successive iterations start from its last basis
     best = None
@@ -238,8 +237,8 @@ def solve_barycenter(mus, opts: SolverOptions):
     for it in range(opts.max_outer_iters):
         iters = it + 1
         nu = DiscreteDistribution(support.copy(), b.copy())
-        plans = solve_ot_batch(mus, nu, p, model)
-        obj = sum(pl.cost for pl in plans) / k
+        stacked, costs = solve_pooled(batch, nu, p, model)  # (sum T_i, n) flows
+        obj = sum(costs.tolist()) / k
         trace.append(obj)
         if (not opts.reestimate_weights
                 and obj > prev_obj + 1e-9 * abs(prev_obj)):
@@ -247,22 +246,18 @@ def solve_barycenter(mus, opts: SolverOptions):
                 f"alternation objective increased at outer iteration {iters}: "
                 f"{prev_obj!r} -> {obj!r}")
         if best is None or obj < best[0]:
-            best = (obj, support.copy(), b.copy(), [pl.flow.copy() for pl in plans])
+            best = (obj, support.copy(), b.copy(), stacked)
         if prev_obj - obj <= opts.rel_tol * abs(obj):
             converged = True
             break
         prev_obj = obj
 
-        stacked = np.concatenate([pl.flow for pl in plans], axis=0)
         if opts.reestimate_weights:
             b = stacked.sum(axis=0) / k
             empty = b <= 0
             if empty.any():
                 # restart heuristic: park empty atoms at the costliest point
-                flat = np.concatenate(
-                    [pl.flow * cost_matrix(mu, nu, p) for pl, mu in zip(plans, mus)]
-                )
-                worst = int(np.argmax(flat.sum(axis=1)))
+                worst = int(np.argmax((stacked * _distances(points, nu.atoms, p)).sum(axis=1)))
                 support[empty] = points[worst]
                 b[empty] = 0.0
             b = b / b.sum()
@@ -280,9 +275,9 @@ def solve_barycenter(mus, opts: SolverOptions):
                 if new < old:
                     support[j] = y
 
-    obj, support, b, flows = best
+    obj, support, b, flow = best
     nu = DiscreteDistribution(support, b)
-    sol = Solution(tuple(flows), b)
+    sol = Solution(tuple(np.split(flow, batch.starts[1:])), b)
     per_atom = support_cost(sol, mus, nu, p).per_atom_costs
     report = CostReport(float(obj), per_atom, iters, converged, trace)
     return nu, sol, report

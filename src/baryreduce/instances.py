@@ -392,23 +392,34 @@ def load_csv_distributions(path):
     each group must sum to 1 within 1e-6 (then renormalized exactly).
     Groups come in the order their ids first appear.  The numeric block is
     parsed in one numpy call; a file that call cannot take is read again row
-    by row, which finds the line at fault.
+    by row, which finds the line at fault.  Coordinates and weights are
+    checked for the whole block at once; the first group at fault, in
+    order, raises what :func:`make_distribution` would.
     """
     try:
         keys, block = _csv_rows_bulk(path)
     except ValueError:  # UnicodeDecodeError included
         keys, block = _csv_rows_checked(path)
-    groups: dict[str, list] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
+    if not keys:
+        return []
+    first_seen: dict[str, int] = {}
+    group = np.fromiter((first_seen.setdefault(key, len(first_seen)) for key in keys),
+                        np.intp, len(keys))
+    order = np.argsort(group, kind="stable")
+    starts = np.searchsorted(group[order], np.arange(len(first_seen)))
+    weights, atoms = block[order, 0], block[order, 1:]  # rows of a group adjacent
+    malformed = np.logical_or.reduceat(
+        ~np.isfinite(atoms).all(axis=1) | ~np.isfinite(weights) | (weights < 0), starts)
     out = []
-    for key, rows in groups.items():
-        weights, atoms = block[rows, 0], block[rows, 1:]
-        if abs(weights.sum() - 1.0) > 1e-6:
-            raise BadWeights(
-                f"{path}: distribution {key!r} weights sum to {weights.sum()!r}"
-            )
-        out.append(make_distribution(atoms, weights / weights.sum()))
+    for key, start, end, bad in zip(first_seen, starts.tolist(),
+                                    [*starts[1:].tolist(), len(keys)], malformed.tolist()):
+        w = weights[start:end]
+        total = w.sum()
+        if abs(total - 1.0) > 1e-6:
+            raise BadWeights(f"{path}: distribution {key!r} weights sum to {total!r}")
+        w = w / total
+        out.append(make_distribution(atoms[start:end], w) if bad  # raises what is wrong
+                   else DiscreteDistribution(atoms[start:end], w / w.sum()))
     return out
 
 

@@ -3,15 +3,30 @@
 Each coupling is the optimum of the transportation LP, solved by the HiGHS
 simplex through the binding that scipy ships.  Several problems that share a
 target, such as one outer iteration of the barycenter solver, are stacked
-into one block-diagonal LP and solved in a single call.  A
-:class:`TransportModel` keeps its HiGHS model between calls: when the next
-batch has the same block shapes and marginals, only the costs change, so
-the previous optimal basis stays primal-feasible and HiGHS starts from it.
-Each block's costs are scaled to a maximum of 1 before every solve, because
-HiGHS tolerances are absolute; reported costs use the unscaled matrix.  A
-pair with one atom of positive mass on either side has a single feasible
-plan, which is built directly.  A batch costs a few numpy calls on its
-pooled atoms, one cost matrix for all of them, not a Python pass per input.
+into one block-diagonal LP and solved in a single call.  Each block's costs
+are scaled to a maximum of 1 before every solve, because HiGHS tolerances
+are absolute; reported costs use the unscaled matrix.
+
+An optimal plan moves mass only along cells that are cheap for their row or
+their column (the shortlist method of Gottschlich and Schuhmacher, 2014), so
+the LP holds only some cells as columns: each row's and each column's
+``_HELD`` cheapest, plus the north-west-corner cells of the marginals, which
+make it feasible.  A block with at most ``_HELD`` rows or columns is held
+whole.  After each HiGHS run, the row duals y price every cell of the batch,
+c - y[row] - y[m + col]; every cell not yet held that prices below
+``-_PRICE_TOL`` joins the LP in one round, and HiGHS runs again from its
+basis.  The rounds end when no cell is added.  The final basis is then
+optimal for the held cells and no other cell has a negative reduced cost
+beyond ``_PRICE_TOL``, which is the optimality certificate HiGHS applies to
+a full LP, with a tighter tolerance.
+
+A :class:`TransportModel` keeps its HiGHS model and its held cells between
+calls: when the next batch has the same block shapes and marginals, only the
+costs change, so the previous optimal basis stays primal-feasible and HiGHS
+starts from it.  A pair with one atom of positive mass on either side has a
+single feasible plan, which is built directly.  A batch costs a few numpy
+calls on its pooled atoms, one cost matrix for all of them, not a Python
+pass per input.
 """
 
 from __future__ import annotations
@@ -21,10 +36,10 @@ from itertools import repeat
 
 import numpy as np
 from scipy.optimize._highspy._core import (
-    HighsLp,
     HighsModelStatus,
     HighsStatus,
     MatrixFormat,
+    ObjSense,
     _Highs,
 )
 from scipy.spatial.distance import cdist
@@ -42,9 +57,18 @@ from .core import (
 # Presolve about doubles the time of these LPs (measured, T=30-128).  The
 # dual simplex (strategy 1) solves cold LPs in about half the pivots of the
 # primal simplex (strategy 4); warm solves of barycenter iterations took
-# about as long with either.
+# about as long with either.  At the default primal feasibility tolerance
+# (1e-7) a basic flow can come back at -5e-9; clipping it to 0 leaves the
+# marginals off by as much, so the tolerance is 1e-10.
 _HIGHS_OPTIONS = (("output_flag", False), ("presolve", "off"),
-                  ("simplex_strategy", 1))
+                  ("simplex_strategy", 1), ("primal_feasibility_tolerance", 1e-10))
+# Cheapest cells per row and per column that a rebuilt LP holds.  A block
+# with at most this many rows or columns is held whole, so the barycenter
+# LPs of a support of up to 8 atoms are full LPs.
+_HELD = 8
+# A cell whose scaled reduced cost is below -_PRICE_TOL joins the LP; HiGHS
+# accepts reduced costs down to -1e-7 (its dual feasibility tolerance).
+_PRICE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,50 +100,85 @@ def cost_matrix(mu: DiscreteDistribution, nu: DiscreteDistribution, p: float) ->
     return _distances(mu.atoms, nu.atoms, p)
 
 
+def _shortlist(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The cells of one block that a rebuilt LP holds, as a boolean mask:
+    each row's and each column's ``_HELD`` cheapest cells and the
+    north-west-corner plan of ``(a, b)``, a feasible plan on its own."""
+    m, n = C.shape
+    if min(m, n) <= _HELD:
+        return np.ones((m, n), dtype=bool)
+    held = np.zeros((m, n), dtype=bool)
+    np.put_along_axis(held, np.argpartition(C, _HELD - 1, axis=1)[:, :_HELD], True, axis=1)
+    np.put_along_axis(held, np.argpartition(C, _HELD - 1, axis=0)[:_HELD], True, axis=0)
+    # the corner plan moves mass t along cell (i, j) with A[i-1] <= t < A[i]
+    # and B[j-1] <= t < B[j]; each such run of t starts at 0 or a breakpoint
+    A, B = np.cumsum(a), np.cumsum(b)
+    t = np.concatenate([[0.0], A[:-1], B[:-1]])
+    held[np.minimum(np.searchsorted(A, t, "right"), m - 1),
+         np.minimum(np.searchsorted(B, t, "right"), n - 1)] = True
+    return held
+
+
 class TransportModel:
     """One HiGHS model for a batch of transportation problems, kept between solves.
 
     :meth:`solve` builds the model when the batch's structure (block shapes
     and marginals) differs from the one it holds.  Otherwise it replaces
-    only the costs, and HiGHS starts from the previous optimal basis, which
-    is still primal-feasible.  ``pivots`` sums the simplex iterations of
-    every solve.  The HiGHS object is created on the first solve.
+    only the costs of the held cells, and HiGHS starts from the previous
+    optimal basis, which is still primal-feasible; cells added by pricing
+    stay held.  ``pivots`` sums the simplex iterations of every HiGHS run.
+    The HiGHS object is created on the first solve.
     """
 
     def __init__(self):
         self._highs = None
         self._shapes = None
         self._rhs = None
+        self._row = self._col = None  # the two LP rows of every cell
+        self._held = None  # the cells that are LP columns, in column order
         self.pivots = 0
 
-    def _build(self, shapes, rhs, costs) -> None:
-        """Pass HiGHS the block-diagonal LP: variable (i, j) of an m x n
-        block appears in its row-sum row i and its column-sum row m + j, so
-        each column of the constraint matrix holds exactly two ones."""
+    def _columns(self, cells):
+        """``start, index, value`` of the LP columns of ``cells``: cell
+        (i, j) of an m x n block appears in its row-sum row i and its
+        column-sum row m + j, so each column holds exactly two ones."""
+        start = np.arange(0, 2 * cells.size + 1, 2, dtype=np.int32)
+        index = np.stack([self._row[cells], self._col[cells]], axis=1).ravel()
+        return start, index, np.ones(2 * cells.size)
+
+    def _build(self, problems, blocks, rhs, costs) -> None:
+        """Pass HiGHS the block-diagonal LP on the shortlisted cells."""
         if self._highs is None:
             self._highs = _Highs()
             for name, value in _HIGHS_OPTIONS:
                 self._highs.setOptionValue(name, value)
-        rows, offset = [], 0
-        for m, n in shapes:
-            rows.append(np.stack([offset + np.repeat(np.arange(m), n),
-                                  offset + m + np.tile(np.arange(n), m)], axis=1).ravel())
+        rows, cols, held, offset = [], [], [], 0
+        for (a, b, _), C in zip(problems, blocks):
+            m, n = C.shape
+            rows.append(offset + np.repeat(np.arange(m, dtype=np.int32), n))
+            cols.append(offset + m + np.tile(np.arange(n, dtype=np.int32), m))
+            held.append(_shortlist(a, b, C).ravel())
             offset += m + n
-        lp = HighsLp()
-        lp.num_col_, lp.num_row_ = costs.size, offset
-        lp.col_cost_ = costs
-        lp.col_lower_ = np.zeros(costs.size)
-        lp.col_upper_ = np.full(costs.size, np.inf)
-        lp.row_lower_ = lp.row_upper_ = rhs
-        matrix = lp.a_matrix_
-        matrix.format_ = MatrixFormat.kColwise
-        matrix.num_col_, matrix.num_row_ = costs.size, offset
-        matrix.start_ = np.arange(0, 2 * costs.size + 1, 2, dtype=np.int32)
-        matrix.index_ = np.concatenate(rows).astype(np.int32)
-        matrix.value_ = np.ones(2 * costs.size)
-        if self._highs.passModel(lp) == HighsStatus.kError:
+        self._row, self._col = np.concatenate(rows), np.concatenate(cols)
+        self._held = np.flatnonzero(np.concatenate(held))
+        size = self._held.size
+        if self._highs.passModel(
+                size, offset, 2 * size, int(MatrixFormat.kColwise),
+                int(ObjSense.kMinimize), 0.0, costs[self._held], np.zeros(size),
+                np.full(size, np.inf), rhs, rhs, *self._columns(self._held),
+                np.zeros(size, dtype=np.int32)) == HighsStatus.kError:
             raise NumericalFailure("transport LP rejected by HiGHS")
-        self._shapes, self._rhs = shapes, rhs
+
+    def _run(self):
+        """Run HiGHS on the held cells; the solution, once optimal."""
+        if self._highs.run() == HighsStatus.kError:
+            raise NumericalFailure("HiGHS failed on the transport LP")
+        status = self._highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise NumericalFailure(
+                f"transport LP not solved: {self._highs.modelStatusToString(status)}")
+        self.pivots += self._highs.getInfo().simplex_iteration_count
+        return self._highs.getSolution()
 
     def solve(self, problems) -> list:
         """Optimal flows of the transportation problems ``(a, b, C)``.
@@ -134,22 +193,33 @@ class TransportModel:
             raise NumericalFailure("transport costs are not finite")
         shapes = [C.shape for _, _, C in problems]
         rhs = np.concatenate([v for a, b, _ in problems for v in (a, b)])
-        costs = np.concatenate([(C / top if (top := C.max()) > 0 else C).ravel()
-                                for _, _, C in problems])
+        blocks = [C / top if (top := C.max()) > 0 else C for _, _, C in problems]
+        costs = np.concatenate([C.ravel() for C in blocks])
         if shapes == self._shapes and np.array_equal(rhs, self._rhs):
-            if self._highs.changeColsCost(costs.size, np.arange(costs.size, dtype=np.int32),
-                                          costs) == HighsStatus.kError:
+            if self._highs.changeColsCost(
+                    self._held.size, np.arange(self._held.size, dtype=np.int32),
+                    costs[self._held]) == HighsStatus.kError:
                 raise NumericalFailure("transport costs rejected by HiGHS")
         else:
-            self._build(shapes, rhs, costs)
-        if self._highs.run() == HighsStatus.kError:
-            raise NumericalFailure("HiGHS failed on the transport LP")
-        status = self._highs.getModelStatus()
-        if status != HighsModelStatus.kOptimal:
-            raise NumericalFailure(
-                f"transport LP not solved: {self._highs.modelStatusToString(status)}")
-        self.pivots += self._highs.getInfo().simplex_iteration_count
-        x = np.maximum(np.array(self._highs.getSolution().col_value), 0.0)
+            self._shapes = self._rhs = None  # until the new model is in
+            self._build(problems, blocks, rhs, costs)
+            self._shapes, self._rhs = shapes, rhs
+        solution = self._run()
+        while self._held.size < costs.size:
+            y = np.array(solution.row_dual)
+            priced = costs - y[self._row] - y[self._col]
+            priced[self._held] = 0.0
+            new = np.flatnonzero(priced < -_PRICE_TOL)
+            if not new.size:
+                break
+            if self._highs.addCols(new.size, costs[new], np.zeros(new.size),
+                                   np.full(new.size, np.inf), 2 * new.size,
+                                   *self._columns(new)) == HighsStatus.kError:
+                raise NumericalFailure("transport cells rejected by HiGHS")
+            self._held = np.concatenate([self._held, new])
+            solution = self._run()
+        x = np.zeros(costs.size)
+        x[self._held] = np.maximum(np.array(solution.col_value), 0.0)
         ends = np.cumsum([m * n for m, n in shapes])
         return [part.reshape(shape)
                 for part, shape in zip(np.split(x, ends[:-1]), shapes)]
@@ -161,25 +231,50 @@ def _mass(dist: DiscreteDistribution) -> np.ndarray:
     return w / w.sum()
 
 
-def _solve_pooled(mus, nu: DiscreteDistribution, p: float,
-                  model: TransportModel | None):
-    """Optimal flows and costs of every input against ``nu``, pooled.
+@dataclass(frozen=True)
+class PooledBatch:
+    """The inputs of a batch pooled once, for repeated :func:`solve_pooled` calls.
 
-    Returns ``(flow, costs, starts)``: rows ``starts[i]`` up to
-    ``starts[i + 1]`` of the pooled (N, n) ``flow`` are input i's plan, and
-    ``costs[i]`` is its price under one cost matrix of all pooled atoms.
-    Only inputs with several mass-carrying atoms, against a ``nu`` with
-    several, reach the LP; every other plan is the product of its marginals.
+    Rows ``starts[i]`` up to ``starts[i + 1]`` of ``points`` are input i's
+    atoms; ``weights`` are their weights as given, ``mass`` the same with
+    atoms lighter than ``ZERO_MASS`` zeroed and each input renormalized, and
+    ``massive[i]`` counts input i's atoms with mass.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+    origins: np.ndarray
+    starts: np.ndarray
+    mass: np.ndarray
+    massive: np.ndarray
+
+
+def pool_batch(mus) -> PooledBatch:
+    """Pool the atoms of ``mus`` (see :class:`PooledBatch`)."""
+    points, weights, origins = pooled_atoms(mus)
+    starts = np.searchsorted(origins, np.arange(len(mus)))  # first row of each input
+    mass = np.where(weights > ZERO_MASS, weights, 0.0)
+    mass /= np.add.reduceat(mass, starts)[origins]
+    massive = np.add.reduceat(mass > 0, starts, dtype=np.intp)
+    return PooledBatch(points, weights, origins, starts, mass, massive)
+
+
+def solve_pooled(batch: PooledBatch, nu: DiscreteDistribution, p: float,
+                 model: TransportModel | None = None):
+    """Optimal flows and costs of every pooled input against ``nu``.
+
+    Returns ``(flow, costs)``: rows ``batch.starts[i]`` up to
+    ``batch.starts[i + 1]`` of the pooled (N, n) ``flow`` are input i's
+    plan, and ``costs[i]`` is its price under one cost matrix of all pooled
+    atoms.  Only inputs with several mass-carrying atoms, against a ``nu``
+    with several, reach the LP, solved on ``model`` as in
+    :func:`solve_ot_batch`; every other plan is the product of its marginals.
     """
     _check_exponent(p)
-    points, weights, origins = pooled_atoms(mus)
-    if points.shape[1] != nu.dim:
-        raise DimensionMismatch(f"dimensions differ: {points.shape[1]} vs {nu.dim}")
-    C = _distances(points, nu.atoms, p)
-    starts = np.searchsorted(origins, np.arange(len(mus)))  # first row of each input
-    a = np.where(weights > ZERO_MASS, weights, 0.0)
-    a /= np.add.reduceat(a, starts)[origins]
-    massive = np.add.reduceat(a > 0, starts, dtype=np.intp)
+    if batch.points.shape[1] != nu.dim:
+        raise DimensionMismatch(f"dimensions differ: {batch.points.shape[1]} vs {nu.dim}")
+    C = _distances(batch.points, nu.atoms, p)
+    a, origins, massive = batch.mass, batch.origins, batch.massive
     b = _mass(nu)
     cols = np.flatnonzero(b)
     lp = (massive > 1) & (len(cols) > 1)
@@ -194,8 +289,8 @@ def _solve_pooled(mus, nu: DiscreteDistribution, p: float,
         if model is None:
             model = TransportModel()
         flow[cells] = np.concatenate(model.solve(list(problems)))
-    costs = np.add.reduceat((flow * C).sum(axis=1), starts)
-    return flow, costs, starts
+    costs = np.add.reduceat((flow * C).sum(axis=1), batch.starts)
+    return flow, costs
 
 
 def solve_ot_batch(mus, nu: DiscreteDistribution, p: float,
@@ -214,10 +309,12 @@ def solve_ot_batch(mus, nu: DiscreteDistribution, p: float,
     """
     if not len(mus):
         return []
-    flow, costs, starts = _solve_pooled(mus, nu, p, model)
-    ends = [*starts[1:].tolist(), len(flow)]
+    _check_exponent(p)
+    batch = pool_batch(mus)
+    flow, costs = solve_pooled(batch, nu, p, model)
+    starts = batch.starts.tolist()
     return [TransportPlan(flow[start:end], cost)
-            for start, end, cost in zip(starts.tolist(), ends, costs.tolist())]
+            for start, end, cost in zip(starts, [*starts[1:], len(flow)], costs.tolist())]
 
 
 def solve_ot(mu: DiscreteDistribution, nu: DiscreteDistribution, p: float) -> TransportPlan:
@@ -233,11 +330,12 @@ def transport_costs(mus, nu: DiscreteDistribution, p: float) -> np.ndarray:
     """
     if not len(mus):
         return np.empty(0)
+    _check_exponent(p)
     ids = np.fromiter(map(id, mus), np.intp, len(mus))
     _, first, slot = np.unique(ids, return_index=True, return_inverse=True)
     order = np.argsort(first)  # distinct inputs, first-seen first
-    _, costs, _ = _solve_pooled(list(map(mus.__getitem__, first[order].tolist())),
-                                nu, p, None)
+    batch = pool_batch(list(map(mus.__getitem__, first[order].tolist())))
+    _, costs = solve_pooled(batch, nu, p)
     return costs[np.argsort(order)[slot]]
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from baryreduce import barycenter
 from baryreduce.core import make_distribution
-from baryreduce.transport import TransportPlan
 
 
 @pytest.fixture
@@ -29,11 +28,11 @@ def random_distribution(rng, T, d, rational=False):
 def rising_transport_costs(monkeypatch):
     """Make the barycenter solver's transport step report costs 1, 2, 3, ...
     on successive outer iterations, keeping the real plans."""
-    solve = barycenter.solve_ot_batch
+    solve = barycenter.solve_pooled
     calls = count(1)
 
-    def rising(mus, nu, p, model):
-        cost = float(next(calls))
-        return [TransportPlan(plan.flow, cost) for plan in solve(mus, nu, p, model)]
+    def rising(batch, nu, p, model):
+        flow, costs = solve(batch, nu, p, model)
+        return flow, np.full_like(costs, float(next(calls)))
 
-    monkeypatch.setattr(barycenter, "solve_ot_batch", rising)
+    monkeypatch.setattr(barycenter, "solve_pooled", rising)

@@ -22,7 +22,7 @@ from baryreduce.barycenter import (
     solve_barycenter,
     update_support_atom,
 )
-from baryreduce.transport import TransportModel
+from baryreduce.transport import TransportModel, solve_ot_batch
 from conftest import random_distribution
 
 
@@ -282,30 +282,50 @@ class TestWarmStart:
                 for c in centers for _ in range(2)]
 
     def test_warm_solves_match_cold_in_fewer_pivots(self, blobs, monkeypatch):
-        solve = barycenter.solve_ot_batch
+        solve = barycenter.solve_pooled
         warm_models, cold_models = [], []
 
-        def warm_and_cold(mus, nu, p, model):
+        def warm_and_cold(batch, nu, p, model):
             warm_models.append(model)
-            plans = solve(mus, nu, p, model)
+            flow, costs = solve(batch, nu, p, model)
             cold_models.append(TransportModel())
-            for plan, cold in zip(plans, solve(mus, nu, p, cold_models[-1])):
-                assert plan.cost == pytest.approx(cold.cost, rel=1e-12, abs=0.0)
-            return plans
+            _, cold = solve(batch, nu, p, cold_models[-1])
+            for cost, cold_cost in zip(costs, cold):
+                assert cost == pytest.approx(cold_cost, rel=1e-12, abs=0.0)
+            return flow, costs
 
-        monkeypatch.setattr(barycenter, "solve_ot_batch", warm_and_cold)
+        monkeypatch.setattr(barycenter, "solve_pooled", warm_and_cold)
         _, _, rep = solve_barycenter(blobs, SolverOptions(support_size=5, p=2.0, seed=1))
         assert rep.iterations >= 3
         model = warm_models[0]
         assert all(m is model for m in warm_models)
         assert model.pivots < sum(m.pivots for m in cold_models)
 
+    def test_warm_solves_that_add_cells_match_cold(self, blobs, monkeypatch):
+        # 15 x 12 blocks: the LP holds part of each block and warm solves
+        # price the rest, adding the cells that the new costs make cheap
+        solve = barycenter.solve_pooled
+        held = []
+
+        def warm_and_cold(batch, nu, p, model):
+            flow, costs = solve(batch, nu, p, model)
+            held.append(model._highs.getNumCol())
+            _, cold = solve(batch, nu, p, TransportModel())
+            for cost, cold_cost in zip(costs, cold):
+                assert cost == pytest.approx(cold_cost, rel=1e-12, abs=0.0)
+            return flow, costs
+
+        monkeypatch.setattr(barycenter, "solve_pooled", warm_and_cold)
+        _, _, rep = solve_barycenter(blobs, SolverOptions(support_size=12, p=2.0, seed=1))
+        assert rep.iterations >= 3
+        assert held[0] < held[-1] < len(blobs) * 15 * 12
+
     def test_warm_plans_are_basic(self, blobs):
         rng = np.random.default_rng(4)
         model = TransportModel()
         for _ in range(4):
             nu = make_distribution(rng.normal(size=(5, 4)), [0.3, 0.1, 0.2, 0.25, 0.15])
-            for mu, plan in zip(blobs, barycenter.solve_ot_batch(blobs, nu, 2.0, model)):
+            for mu, plan in zip(blobs, solve_ot_batch(blobs, nu, 2.0, model)):
                 assert (plan.flow > 0).sum() <= mu.size + nu.size - 1
                 np.testing.assert_allclose(plan.flow.sum(axis=1), mu.weights,
                                            rtol=0, atol=WEIGHT_TOL)

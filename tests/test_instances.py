@@ -16,7 +16,7 @@ from baryreduce.core import (
     TruncatedFile,
     make_distribution,
 )
-from baryreduce import instances
+from baryreduce import core, instances
 from baryreduce.instances import (
     empirical_matching_distortion,
     gen_blob_classes,
@@ -261,6 +261,18 @@ class TestCsv:
         f = tmp_path / "d.csv"
         f.write_text("0,0.5,1.0\n0,0.4,3.0\n")
         with pytest.raises(BadWeights):
+            load_csv_distributions(f)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("a,0.5,inf\nb,0.3,1\na,0.5,2\nb,0.6,1\n", "BadPoints", "coordinates must be finite"),
+        ("a,0.4,1\nb,0.5,inf\na,0.5,2\nb,0.5,1\n", "BadWeights", "'a' weights sum to"),
+        ("a,0.5,1\nb,-0.5,1\na,0.5,2\nb,1.5,1\n", "BadWeights", "finite and nonnegative"),
+        ("a,0.5,1\nb,nan,1\na,0.5,2\nb,1.0,1\n", "BadWeights", "finite and nonnegative"),
+    ], ids=["points_first", "sum_first", "negative", "nan"])
+    def test_first_group_at_fault_raises(self, tmp_path, text, error, message):
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(getattr(core, error), match=message):
             load_csv_distributions(f)
 
     def test_empty_file(self, tmp_path):

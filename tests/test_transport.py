@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse import eye, kron, vstack
 from scipy.spatial.distance import cdist
 
 from baryreduce.core import (
@@ -147,24 +148,96 @@ class TestSolveOt:
             solve_ot(mu, nu, 2.0)
 
 
+def full_lp_optimum(a, b, C) -> float:
+    """The transportation LP on every cell, solved by ``linprog``."""
+    m, n = C.shape
+    A = vstack([kron(eye(m), np.ones((1, n))), kron(np.ones((1, m)), eye(n))])
+    res = linprog(C.ravel(), A_eq=A.tocsr(), b_eq=np.concatenate([a, b]),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def check_optimal_plan(mu, nu, plan, optimum):
+    np.testing.assert_allclose(plan.flow.sum(axis=1), mu.weights, rtol=0, atol=WEIGHT_TOL)
+    np.testing.assert_allclose(plan.flow.sum(axis=0), nu.weights, rtol=0, atol=WEIGHT_TOL)
+    assert np.count_nonzero(plan.flow) <= mu.size + nu.size - 1  # basic
+    assert plan.cost == pytest.approx(optimum, rel=1e-9, abs=0.0)
+
+
+class TestHeldCells:
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("T", [64, 128])
+    def test_random_weights_match_the_full_lp(self, T, p):
+        r = np.random.default_rng(T + int(p))
+        X, Y = r.normal(size=(T, 8)), r.normal(size=(T, 8))
+        a, b = r.uniform(0.1, 1.0, T), r.uniform(0.1, 1.0, T)
+        a, b = a / a.sum(), b / b.sum()
+        optimum = full_lp_optimum(a, b, cdist(X, Y) ** p)
+        for scale in (1e-6, 1.0, 1e4):
+            mu, nu = make_distribution(scale * X, a), make_distribution(scale * Y, b)
+            check_optimal_plan(mu, nu, solve_ot(mu, nu, p), optimum * scale**p)
+
+    def test_basic_flow_not_clipped_off_the_marginals(self):
+        # case 69 of the benchmark's ot_pairs cases at seed 417 (T=128, random
+        # weights): at HiGHS's default primal feasibility tolerance a basic
+        # flow came back at -5.3e-9, and clipping it left the marginals off
+        rng = np.random.default_rng([417, *b"ot_pairs"])
+        for _ in range(2):  # the draws of two passes, up to this case
+            for T in (32, 64, 128):
+                for weights in ("uniform", "random"):
+                    X, Y = rng.standard_normal((T, 8)), rng.standard_normal((T, 8))
+                    if weights == "random":
+                        a, b = rng.uniform(0.1, 1.0, T), rng.uniform(0.1, 1.0, T)
+        a, b = a / a.sum(), b / b.sum()
+        optimum = full_lp_optimum(a, b, cdist(X, Y, "sqeuclidean"))
+        for scale in (1e-6, 1.0, 1e4):
+            mu, nu = make_distribution(scale * X, a), make_distribution(scale * Y, b)
+            check_optimal_plan(mu, nu, solve_ot(mu, nu, 2.0), optimum * scale**2)
+
+    def test_optimum_outside_the_shortlist(self):
+        # Row 0 carries half the mass and is the dearest row of every column,
+        # cheapest in the columns on the right.  It must fill columns 15-29;
+        # its 8 cheapest are 22-29 and its north-west-corner cells 0-14 (15
+        # too, as the cumulative sums round), so cells 16-21 are in no
+        # shortlist and only pricing can add them.
+        n = 30
+        r = np.random.default_rng(3)
+        C = 1e-3 * r.random((n, n))
+        C[0] = 10.0 - 0.01 * np.arange(n)
+        a = np.full(n, 0.5 / (n - 1))
+        a[0] = 0.5
+        b = np.full(n, 1.0 / n)
+        assert not transport._shortlist(a, b, C / C.max())[0, 16:22].any()
+        model = TransportModel()
+        (flow,) = model.solve([(a, b, C)])
+        assert np.all(flow[0, 15:] > 0)
+        assert (flow * C).sum() == pytest.approx(full_lp_optimum(a, b, C), rel=1e-9, abs=0.0)
+        np.testing.assert_allclose(flow.sum(axis=1), a, rtol=0, atol=WEIGHT_TOL)
+        np.testing.assert_allclose(flow.sum(axis=0), b, rtol=0, atol=WEIGHT_TOL)
+
+    def test_cold_solve_holds_a_subset_of_the_cells(self, rng):
+        mu, nu = random_distribution(rng, 128, 8), random_distribution(rng, 128, 8)
+        model = TransportModel()
+        model.solve([(mu.weights, nu.weights, cost_matrix(mu, nu, 2.0))])
+        assert model._highs.getNumCol() < 128 * 128
+
+
 class TestHighsBinding:
     def test_private_api_has_what_the_model_uses(self):
         # TransportModel drives scipy's private HiGHS binding; name what moved
         from scipy.optimize._highspy import _core
 
         wanted = {
-            "_Highs": ["setOptionValue", "getOptionValue", "passModel",
-                       "changeColsCost", "run", "getModelStatus",
+            "_Highs": ["setOptionValue", "getOptionValue", "passModel", "addCols",
+                       "changeColsCost", "run", "getModelStatus", "getNumCol",
                        "modelStatusToString", "getInfo", "getSolution"],
-            "HighsLp": ["num_col_", "num_row_", "col_cost_", "col_lower_",
-                        "col_upper_", "row_lower_", "row_upper_", "a_matrix_"],
-            "HighsSparseMatrix": ["format_", "num_col_", "num_row_", "start_",
-                                  "index_", "value_"],
             "HighsInfo": ["simplex_iteration_count"],
-            "HighsSolution": ["col_value"],
+            "HighsSolution": ["col_value", "row_dual"],
             "HighsModelStatus": ["kOptimal"],
             "HighsStatus": ["kOk", "kError"],
             "MatrixFormat": ["kColwise"],
+            "ObjSense": ["kMinimize"],
         }
         missing = [f"{owner}.{name}" for owner, names in wanted.items()
                    for name in names
@@ -174,6 +247,24 @@ class TestHighsBinding:
         unknown = [name for name, _ in transport._HIGHS_OPTIONS
                    if highs.getOptionValue(name)[0] != _core.HighsStatus.kOk]
         assert not unknown, f"HiGHS does not know the options {unknown}"
+
+    def test_array_pass_model_on_one_cell(self):
+        # hasattr cannot see overloads: pass min x s.t. x = 1 (two rows), x >= 0
+        from scipy.optimize._highspy import _core
+
+        highs = _core._Highs()
+        highs.setOptionValue("output_flag", False)
+        one = np.ones(1)
+        status = highs.passModel(
+            1, 2, 2, int(_core.MatrixFormat.kColwise), int(_core.ObjSense.kMinimize),
+            0.0, 2.0 * one, np.zeros(1), np.full(1, np.inf), np.ones(2), np.ones(2),
+            np.array([0, 2], dtype=np.int32), np.array([0, 1], dtype=np.int32),
+            np.ones(2), np.zeros(1, dtype=np.int32))
+        assert status == _core.HighsStatus.kOk
+        assert highs.run() == _core.HighsStatus.kOk
+        assert highs.getModelStatus() == _core.HighsModelStatus.kOptimal
+        assert highs.getSolution().col_value == [1.0]
+        assert highs.getNumCol() == 1
 
 
 class TestTransportCosts:
