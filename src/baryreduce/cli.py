@@ -19,7 +19,8 @@ from .barycenter import SolverOptions, solve_barycenter
 from .coreset import (
     build_coreset,
     evaluate_coreset,
-    sensitivity_upper_bounds,
+    pilot_barycenter,
+    scores_from_costs,
     uniform_scores,
 )
 from .instances import (
@@ -36,7 +37,7 @@ from .projection import (
     jl_dimension,
     reduce_solve_reconstruct,
 )
-from .transport import transport_costs
+from .transport import pool_distinct, solve_pooled
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -109,8 +110,8 @@ def _resolve_map(args, mus):
     else:
         m = jl_dimension(n_pooled, args.eps, args.delta, args.p,
                          policy=args.policy, k=len(mus))
-    if m == d:
-        return identity_map(d), m
+    if m >= d:  # a map never raises the dimension
+        return identity_map(d), d
     return MAP_MAKERS[args.map](d, m, args.seed), m
 
 
@@ -141,11 +142,15 @@ def cmd_coreset(args) -> int:
         raise BaryError("need positive --sizes")
     queries = args.queries or [0.0]
     d = mus[0].dim
-    costs = [transport_costs(mus, make_distribution(np.full((1, d), float(x)),
-                                                    np.array([1.0])), args.p)
+    batch, slot = pool_distinct(mus)  # every query and the pilot are priced on it
+
+    def costs_to(nu):
+        return solve_pooled(batch, nu, args.p)[1][slot]
+
+    costs = [costs_to(make_distribution(np.full((1, d), float(x)), np.array([1.0])))
              for x in queries]
-    scores = sensitivity_upper_bounds(mus, p=args.p, pilot=mus[0]
-                                      if args.input is None else None)
+    pilot = mus[0] if args.input is None else pilot_barycenter(mus, args.p)
+    scores = scores_from_costs(costs_to(pilot), p=args.p)
     k = len(mus)
     rows = []
     for size in args.sizes:

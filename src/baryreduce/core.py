@@ -182,7 +182,7 @@ def make_distribution(atoms, weights) -> DiscreteDistribution:
         raise BadWeights("weights must be finite and nonnegative")
     total = w.sum()
     if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise BadWeights(f"weights sum to {total!r}, not 1")
+        raise BadWeights(f"weights sum to {float(total)!r}, not 1")
     return DiscreteDistribution(pts, w / total)
 
 
@@ -229,7 +229,7 @@ def solution_violations(sol: Solution, distributions, tol: float = WEIGHT_TOL):
         if col_err > tol:
             out.append(f"plan {i} column sums off by {col_err:.3e}")
     if abs(b.sum() - 1.0) > tol:
-        out.append(f"barycenter weights sum to {b.sum()!r}")
+        out.append(f"barycenter weights sum to {float(b.sum())!r}")
     if np.any(b < -tol):
         out.append("negative barycenter weights")
     return out

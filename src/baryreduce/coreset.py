@@ -40,29 +40,27 @@ class WeightedCoreset:
     size: int
 
 
-def sensitivity_upper_bounds(mus, p: float = 2.0, alpha: float = 2.0,
-                             pilot: DiscreteDistribution | None = None) -> SensitivityScores:
-    """Per-distribution importance bounds from a pilot solution.
+def pilot_barycenter(mus, p: float = 2.0) -> DiscreteDistribution:
+    """The cheap pilot solution that sensitivity scores are measured against."""
+    return solve_barycenter(mus, SolverOptions(
+        support_size=min(4, mus[0].size), p=p, max_outer_iters=30, seed=0))[0]
 
-    With ``avg`` the mean p-th power transport cost to the pilot, the bound
-    for distribution i is
+
+def scores_from_costs(costs: np.ndarray, p: float = 2.0,
+                      alpha: float = 2.0) -> SensitivityScores:
+    """Per-distribution importance bounds from the costs W(mu_i, pilot)^p.
+
+    With ``avg`` the mean cost, the bound for distribution i is
 
         alpha * 2^(p-1) * W(mu_i, pilot)^p / avg  +  alpha * 4^(p-1)  +  4^(p-1).
 
     When every pilot cost is zero (all inputs identical to the pilot) the
     family is exchangeable and the scores collapse to a uniform constant.
     """
-    if not mus:
-        raise EmptyInput("need at least one distribution")
-    k = len(mus)
-    if pilot is None:
-        pilot, _, _ = solve_barycenter(mus, SolverOptions(
-            support_size=min(4, mus[0].size), p=p, max_outer_iters=30, seed=0))
-    costs = transport_costs(mus, pilot, p)
     avg = costs.mean()
     additive = alpha * 4.0 ** (p - 1) + 4.0 ** (p - 1)
     if avg <= 0:
-        scores = np.full(k, additive)
+        scores = np.full(len(costs), additive)
         degenerate = True
     else:
         scores = alpha * 2.0 ** (p - 1) * costs / avg + additive
@@ -70,6 +68,17 @@ def sensitivity_upper_bounds(mus, p: float = 2.0, alpha: float = 2.0,
     total = float(scores.sum())
     return SensitivityScores(scores, total, scores / total, float(avg),
                              degenerate, alpha, p)
+
+
+def sensitivity_upper_bounds(mus, p: float = 2.0, alpha: float = 2.0,
+                             pilot: DiscreteDistribution | None = None) -> SensitivityScores:
+    """:func:`scores_from_costs` of every input's cost to ``pilot``, by
+    default :func:`pilot_barycenter` of the inputs."""
+    if not mus:
+        raise EmptyInput("need at least one distribution")
+    if pilot is None:
+        pilot = pilot_barycenter(mus, p)
+    return scores_from_costs(transport_costs(mus, pilot, p), p, alpha)
 
 
 def uniform_scores(k: int) -> SensitivityScores:

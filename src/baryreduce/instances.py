@@ -416,7 +416,7 @@ def load_csv_distributions(path):
         w = weights[start:end]
         total = w.sum()
         if abs(total - 1.0) > 1e-6:
-            raise BadWeights(f"{path}: distribution {key!r} weights sum to {total!r}")
+            raise BadWeights(f"{path}: distribution {key!r} weights sum to {float(total)!r}")
         w = w / total
         out.append(make_distribution(atoms[start:end], w) if bad  # raises what is wrong
                    else DiscreteDistribution(atoms[start:end], w / w.sum()))

@@ -322,21 +322,29 @@ def solve_ot(mu: DiscreteDistribution, nu: DiscreteDistribution, p: float) -> Tr
     return solve_ot_batch([mu], nu, p)[0]
 
 
-def transport_costs(mus, nu: DiscreteDistribution, p: float) -> np.ndarray:
-    """W_p(mu_i, nu)**p for every distribution in ``mus``, from one LP solve.
+def pool_distinct(mus):
+    """The distinct inputs of ``mus`` pooled once, and ``slot``: input i is
+    pooled input ``slot[i]``.
 
     Distributions are immutable, so an input that repeats as the same object
-    is solved once; the distinct inputs keep the order they first appear in.
+    is pooled once; the distinct inputs keep the order they first appear in.
+    ``solve_pooled(batch, nu, p)[1][slot]`` prices every input against ``nu``.
     """
-    if not len(mus):
-        return np.empty(0)
-    _check_exponent(p)
     ids = np.fromiter(map(id, mus), np.intp, len(mus))
     _, first, slot = np.unique(ids, return_index=True, return_inverse=True)
     order = np.argsort(first)  # distinct inputs, first-seen first
     batch = pool_batch(list(map(mus.__getitem__, first[order].tolist())))
-    _, costs = solve_pooled(batch, nu, p)
-    return costs[np.argsort(order)[slot]]
+    return batch, np.argsort(order)[slot]
+
+
+def transport_costs(mus, nu: DiscreteDistribution, p: float) -> np.ndarray:
+    """W_p(mu_i, nu)**p for every distribution in ``mus``, from one LP solve
+    over the distinct inputs (see :func:`pool_distinct`)."""
+    if not len(mus):
+        return np.empty(0)
+    _check_exponent(p)
+    batch, slot = pool_distinct(mus)
+    return solve_pooled(batch, nu, p)[1][slot]
 
 
 def wasserstein_p(mu: DiscreteDistribution, nu: DiscreteDistribution, p: float) -> float:

@@ -1,9 +1,25 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+from baryreduce import cli
 from baryreduce.cli import main
+from baryreduce.core import make_distribution
+from baryreduce.coreset import (
+    build_coreset,
+    evaluate_coreset,
+    sensitivity_upper_bounds,
+    uniform_scores,
+)
+from baryreduce.instances import gen_coreset_synthetic, load_csv_distributions
+from baryreduce.projection import jl_dimension
+from baryreduce.transport import pool_distinct, transport_costs
 
 try:
     from importlib import resources
@@ -20,6 +36,42 @@ def two_deltas(tmp_path):
     f = tmp_path / "two.csv"
     f.write_text("0,1.0,0.0\n1,1.0,2.0\n")
     return str(f)
+
+
+def write_inputs(path, groups):
+    """One CSV row ``i, weight, coords`` per atom of each ``(weights, atoms)``."""
+    path.write_text("".join(
+        f"{i},{w!r}," + ",".join(map(repr, x)) + "\n"
+        for i, (weights, atoms) in enumerate(groups)
+        for w, x in zip(weights.tolist(), atoms.tolist())))
+    return str(path)
+
+
+@pytest.fixture
+def two_deltas_wide(tmp_path):
+    """``two_deltas`` in R^256, wider than the dimension (237) that
+    ``--policy optimal --eps 0.5 --delta 0.1`` asks for."""
+    f = tmp_path / "two_wide.csv"
+    zeros = ",0.0" * 255
+    f.write_text(f"0,1.0,0.0{zeros}\n1,1.0,2.0{zeros}\n")
+    return str(f)
+
+
+@pytest.fixture
+def blobs64(tmp_path):
+    """3 inputs of 6 atoms in R^64; the default policy asks for m = 1685."""
+    rng = np.random.default_rng(5)
+    return write_inputs(tmp_path / "d64.csv",
+                        [(np.full(6, 1 / 6), rng.normal(size=(6, 64))) for _ in range(3)])
+
+
+@pytest.fixture
+def small_inputs(tmp_path):
+    """12 inputs of 1-4 atoms in R^2 with random weights."""
+    rng = np.random.default_rng(11)
+    return write_inputs(tmp_path / "small.csv",
+                        [(rng.dirichlet(np.ones(n)), rng.normal(size=(n, 2)))
+                         for n in rng.integers(1, 5, size=12)])
 
 
 def run(args, capsys):
@@ -72,13 +124,24 @@ class TestReduceCmd:
         assert out["map"] == "identity"
         check_schema(out)
 
-    def test_policy_echoes_dimension(self, two_deltas, capsys):
-        from baryreduce.projection import jl_dimension
-        code, out = run(["reduce", "--input", two_deltas, "--support-size", "1",
+    def test_policy_echoes_dimension(self, two_deltas_wide, capsys):
+        code, out = run(["reduce", "--input", two_deltas_wide, "--support-size", "1",
                          "--eps", "0.5", "--delta", "0.1",
                          "--policy", "optimal", "--no-timing"], capsys)
         assert code == 0
         assert out["m"] == jl_dimension(2, 0.5, 0.1, 2.0, "optimal", k=2)
+        assert out["map"] == "gaussian"
+
+    @pytest.mark.parametrize("extra", [[], ["--dim", "100"]], ids=["policy", "dim"])
+    def test_never_maps_up(self, blobs64, capsys, extra):
+        assert jl_dimension(18, 0.25, 0.1, 2.0, "optimal", k=3) == 1685
+        code, out = run(["reduce", "--input", blobs64, "--p", "2", *extra,
+                         "--no-timing"], capsys)
+        assert code == 0
+        assert out["map"] == "identity" and out["m"] == 64
+        # both costs price the same plans and atoms, along two summation orders
+        assert out["cost_low"] == pytest.approx(out["cost_high"], rel=1e-12)
+        check_schema(out)
 
     def test_bad_policy_name(self, two_deltas):
         assert main(["reduce", "--input", two_deltas,
@@ -95,6 +158,50 @@ class TestCoresetCmd:
 
     def test_negative_size(self, capsys):
         assert main(["coreset", "--k", "100", "--sizes", "-5"]) == 2
+
+    @pytest.mark.parametrize("source", ["k", "input"])
+    def test_one_pass_over_the_inputs(self, source, small_inputs, monkeypatch, capsys):
+        passes = []
+
+        def counted(mus):
+            passes.append(len(mus))
+            return pool_distinct(mus)
+
+        monkeypatch.setattr(cli, "pool_distinct", counted)
+        argv = ["--k", "300"] if source == "k" else ["--input", small_inputs]
+        code, _ = run(["coreset", *argv, "--sizes", "5", "50",
+                       "--queries", "0", "1", "10", "--no-timing"], capsys)
+        assert code == 0
+        assert passes == [300 if source == "k" else 12]
+
+    @pytest.mark.parametrize("source, p", [("k", 2.0), ("input", 2.0), ("input", 1.5)])
+    def test_rows_match_per_query_pricing(self, source, p, small_inputs, capsys):
+        if source == "k":  # the synthetic family's pilot is its first input
+            mus, argv = gen_coreset_synthetic(2000), ["--k", "2000"]
+            pilot = mus[0]
+        else:
+            mus, argv = load_csv_distributions(small_inputs), ["--input", small_inputs]
+            pilot = None
+        sizes, queries, seed = [3, 40], [0.0, 1.0, 10.0], 7
+        code, out = run(["coreset", *argv, "--p", str(p), "--sizes", *map(str, sizes),
+                         "--queries", *map(str, queries), "--seed", str(seed),
+                         "--no-timing"], capsys)
+        assert code == 0
+        d = mus[0].dim
+        costs = [transport_costs(mus, make_distribution(np.full((1, d), x), [1.0]), p)
+                 for x in queries]
+        scores = {"uniform": uniform_scores(len(mus)),
+                  "sensitivity": sensitivity_upper_bounds(mus, p, pilot=pilot)}
+        rows = []
+        for size in sizes:
+            for method, sc in scores.items():
+                core = build_coreset(sc, size, seed=seed)
+                for x, query_costs in zip(queries, costs):
+                    ev = evaluate_coreset(core, query_costs)
+                    rows.append({"method": method, "size": size, "query": x,
+                                 "rel_error": ev["rel_error"],
+                                 "zero_cost": ev["zero_cost"]})
+        assert out == {"k": len(mus), "rows": rows}
 
 
 class TestGenCmd:
@@ -150,3 +257,26 @@ def test_unusable_input_file_is_a_usage_error(tmp_path, capsys, command, content
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_weight_sum_error_prints_a_plain_float(tmp_path, capsys):
+    f = tmp_path / "short.csv"
+    f.write_text("0,0.5,0.0\n0,0.4,1.0\n")
+    code = main(["barycenter", "--input", str(f)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "np.float64" not in err
+    assert err == f"error: {f}: distribution '0' weights sum to 0.9\n"
+
+
+def test_runs_as_a_module():
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-m", "baryreduce", "coreset", "--k", "100",
+                           "--sizes", "5", "--no-timing"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["k"] == 100 and len(out["rows"]) == 4
+    check_schema(out)

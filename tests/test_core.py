@@ -104,6 +104,14 @@ def test_negative_flow_detected():
     assert not validate_solution(tampered, mus)
 
 
+def test_weight_sums_print_as_plain_floats():
+    with pytest.raises(BadWeights, match=r"^weights sum to 1\.1, not 1$"):
+        make_distribution([[0.0], [1.0]], [0.5, 0.6])
+    _, mus = _valid_solution()
+    sol = Solution((np.array([[0.5]]), np.array([[0.5]])), np.array([0.5]))
+    assert "barycenter weights sum to 0.5" in solution_violations(sol, mus)
+
+
 def test_solution_counts():
     sol, _ = _valid_solution()
     assert sol.n_atoms == 1

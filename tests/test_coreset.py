@@ -7,7 +7,9 @@ from baryreduce.coreset import (
     build_coreset,
     coreset_size_bound,
     evaluate_coreset,
+    pilot_barycenter,
     practical_size_bound,
+    scores_from_costs,
     sensitivity_upper_bounds,
     uniform_scores,
 )
@@ -56,6 +58,19 @@ class TestSensitivityScores:
         sc = sensitivity_upper_bounds(mus, p=2.0)
         assert sc.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(sc.scores >= 4.0 ** (2.0 - 1) - 1e-12)
+
+    @pytest.mark.parametrize("p, alpha", [(1.0, 1.0), (2.0, 2.0), (1.5, 3.0)])
+    def test_composition_of_pilot_and_costs(self, rng, p, alpha):
+        mus = [make_distribution(rng.normal(size=(n, 2)), np.full(n, 1.0 / n))
+               for n in rng.integers(1, 5, size=12)]
+        pilot = pilot_barycenter(mus, p)
+        expected = scores_from_costs(transport_costs(mus, pilot, p), p, alpha)
+        for given in (pilot, None):  # None solves the same pilot
+            sc = sensitivity_upper_bounds(mus, p, alpha, given)
+            np.testing.assert_array_equal(sc.scores, expected.scores)
+            np.testing.assert_array_equal(sc.probabilities, expected.probabilities)
+            assert (sc.total, sc.pilot_cost, sc.degenerate, sc.alpha, sc.p) == (
+                expected.total, expected.pilot_cost, expected.degenerate, alpha, p)
 
     def test_dominates_true_sensitivity_on_grid(self):
         # brute-force sup over single-atom candidates on a fine grid
