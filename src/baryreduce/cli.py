@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import functools
 import json
 import sys
 
@@ -218,7 +219,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  It holds no functions: ``main``
+    looks up ``cmd_<command>`` when it runs, so a replaced handler is seen."""
     top = argparse.ArgumentParser(prog="baryreduce")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -233,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--input", required=True)
     b.add_argument("--support-size", type=int, default=4)
     common(b)
-    b.set_defaults(func=cmd_barycenter)
 
     r = sub.add_parser("reduce", help="project, solve low-dim, lift back")
     r.add_argument("--input", required=True)
@@ -246,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="optimal")
     r.add_argument("--map", choices=tuple(MAP_MAKERS), default="gaussian")
     common(r)
-    r.set_defaults(func=cmd_reduce)
 
     c = sub.add_parser("coreset", help="importance-sampling error table")
     c.add_argument("--input", default=None)
@@ -254,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--sizes", type=int, nargs="+", default=[10, 100])
     c.add_argument("--queries", type=float, nargs="+", default=[0.0, 10.0])
     common(c)
-    c.set_defaults(func=cmd_coreset)
 
     g = sub.add_parser("gen", help="write a synthetic instance")
     g.add_argument("kind", choices=("ot_pair", "pullback", "lb_barycenter",
@@ -266,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--eps", type=float, default=0.1)
     g.add_argument("--k", type=int, default=10)
     common(g)
-    g.set_defaults(func=cmd_gen)
 
     s = sub.add_parser("sweep", help="cost-ratio curve over target dimensions")
     s.add_argument("--input", required=True)
@@ -275,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, default=5)
     s.add_argument("--map", choices=tuple(MAP_MAKERS), default="gaussian")
     common(s)
-    s.set_defaults(func=cmd_sweep)
     return top
 
 
@@ -286,7 +285,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except NumericalFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BadSize, DiscreteDistribution, EmptyInput
+from .core import BadSize, DiscreteDistribution, EmptyInput, NumericalFailure
 from .barycenter import SolverOptions, solve_barycenter
 from .transport import transport_costs
 
@@ -56,16 +56,22 @@ def scores_from_costs(costs: np.ndarray, p: float = 2.0,
 
     When every pilot cost is zero (all inputs identical to the pilot) the
     family is exchangeable and the scores collapse to a uniform constant.
+    A mean cost or a sum of scores that is not finite (a score overflows at
+    a large ``p``) raises :class:`NumericalFailure`.
     """
-    avg = costs.mean()
-    additive = alpha * 4.0 ** (p - 1) + 4.0 ** (p - 1)
-    if avg <= 0:
-        scores = np.full(len(costs), additive)
-        degenerate = True
-    else:
-        scores = alpha * 2.0 ** (p - 1) * costs / avg + additive
-        degenerate = False
-    total = float(scores.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        avg = costs.mean()
+        four = np.float64(4.0) ** (p - 1)
+        additive = alpha * four + four
+        if avg <= 0:
+            scores = np.full(len(costs), additive)
+            degenerate = True
+        else:
+            scores = alpha * np.float64(2.0) ** (p - 1) * costs / avg + additive
+            degenerate = False
+        total = float(scores.sum())
+    if not np.isfinite([avg, total]).all():  # a NaN or inf score makes total so
+        raise NumericalFailure(f"sensitivity scores are not finite at p={p!r}")
     return SensitivityScores(scores, total, scores / total, float(avg),
                              degenerate, alpha, p)
 

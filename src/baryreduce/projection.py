@@ -1,17 +1,18 @@
 """Randomized linear maps for dimensionality reduction of transport instances.
 
 Two families: dense Gaussian matrices, and subsampled randomized Hadamard
-transforms (sign flip, fast Walsh-Hadamard, then a uniform sample of
-coordinates rescaled to keep distances unbiased).  The target dimension
-comes from one of three policies trading the exponent's influence against
-the number of pooled atoms.
+transforms (sign flip, Hadamard transform, then a uniform sample of
+coordinates rescaled to keep distances unbiased), both stored as a matrix
+and applied as one product.  The target dimension comes from one of three
+policies trading the exponent's influence against the number of pooled
+atoms.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,24 +71,6 @@ def jl_dimension(n: int, eps: float, delta: float, p: float,
     return max(1, math.ceil(c * f))
 
 
-def _fwht(x: np.ndarray) -> np.ndarray:
-    """In-place fast Walsh-Hadamard transform along the last axis.
-
-    Length must be a power of two.  Unnormalized; callers divide by
-    sqrt(length) for the orthonormal version.
-    """
-    n = x.shape[-1]
-    h = 1
-    while h < n:
-        x = x.reshape(-1, n // (2 * h), 2, h)
-        a = x[:, :, 0, :].copy()
-        x[:, :, 0, :] = a + x[:, :, 1, :]
-        x[:, :, 1, :] = a - x[:, :, 1, :]
-        x = x.reshape(-1, n)
-        h *= 2
-    return x
-
-
 @dataclass(frozen=True)
 class ProjectionMap:
     """A fixed linear map R^d -> R^m, applied row-wise to point arrays."""
@@ -96,10 +79,7 @@ class ProjectionMap:
     d: int
     m: int
     seed: int
-    matrix: np.ndarray | None = None          # gaussian
-    signs: np.ndarray | None = field(default=None, repr=False)   # srht
-    indices: np.ndarray | None = field(default=None, repr=False)
-    scale: float = 1.0
+    matrix: np.ndarray | None = None  # (m, d); None for the identity
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -109,13 +89,7 @@ class ProjectionMap:
             )
         if self.kind == "identity":
             return points.copy()
-        if self.kind == "gaussian":
-            return points @ self.matrix.T
-        d_pad = len(self.signs)
-        padded = np.zeros((points.shape[0], d_pad))
-        padded[:, : self.d] = points * self.signs[: self.d]
-        out = _fwht(padded) / math.sqrt(d_pad)
-        return out[:, self.indices] * self.scale
+        return points @ self.matrix.T
 
 
 def make_gaussian_map(d: int, m: int, seed: int = 0) -> ProjectionMap:
@@ -132,7 +106,10 @@ def make_srht_map(d: int, m: int, seed: int = 0) -> ProjectionMap:
 
     Pads to the next power of two, flips signs, applies the orthonormal
     Hadamard transform, keeps ``m`` distinct coordinates chosen uniformly
-    and rescales by sqrt(d_pad / m) so squared norms are unbiased.
+    and rescales by sqrt(d_pad / m) so squared norms are unbiased.  The map
+    is stored as its (m, d) matrix: only the kept Hadamard columns
+    H[i, j] = (-1)^popcount(i & j) of the d unpadded rows, built bit by bit
+    in O(d m) memory.
     """
     if m < 1 or d < 1:
         raise BadParams("dimensions must be positive")
@@ -141,9 +118,13 @@ def make_srht_map(d: int, m: int, seed: int = 0) -> ProjectionMap:
         raise BadParams(f"m={m} exceeds padded dimension {d_pad}")
     rng = np.random.default_rng(seed)
     signs = rng.choice([-1.0, 1.0], size=d_pad)
-    idx = rng.choice(d_pad, size=m, replace=False)
-    return ProjectionMap("srht", d, m, seed, signs=signs, indices=np.sort(idx),
-                         scale=math.sqrt(d_pad / m))
+    both = np.arange(d)[:, None] & np.sort(rng.choice(d_pad, size=m, replace=False))
+    parity = np.zeros_like(both)
+    for bit in range(d_pad.bit_length()):
+        parity ^= both >> bit
+    # sqrt(d_pad / m) / sqrt(d_pad): the rescaling times the orthonormal factor
+    mat = signs[:d, None] * (1.0 - 2.0 * (parity & 1)) / math.sqrt(m)
+    return ProjectionMap("srht", d, m, seed, matrix=mat.T)
 
 
 def identity_map(d: int) -> ProjectionMap:

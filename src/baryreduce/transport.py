@@ -1,11 +1,15 @@
 """Exact discrete optimal transport under Euclidean costs raised to a power.
 
-Each coupling is the optimum of the transportation LP, solved by the HiGHS
-simplex through the binding that scipy ships.  Several problems that share a
-target, such as one outer iteration of the barycenter solver, are stacked
-into one block-diagonal LP and solved in a single call.  Each block's costs
-are scaled to a maximum of 1 before every solve, because HiGHS tolerances
-are absolute; reported costs use the unscaled matrix.
+Each coupling is the optimum of the transportation LP.  Between equal
+numbers of atoms with equal masses on each side, some optimal plan is a
+permutation divided by the count (Birkhoff-von Neumann), so such a pair is an
+assignment problem, solved exactly by scipy's ``linear_sum_assignment``.
+Every other pair is solved by the HiGHS simplex through the binding that
+scipy ships.  Several problems that share a target, such as one outer
+iteration of the barycenter solver, are stacked into one block-diagonal LP
+and solved in a single call.  Each block's costs are scaled to a maximum of
+1 before every solve, because HiGHS tolerances are absolute; reported costs
+use the unscaled matrix.
 
 An optimal plan moves mass only along cells that are cheap for their row or
 their column (the shortlist method of Gottschlich and Schuhmacher, 2014), so
@@ -26,15 +30,16 @@ costs change, so the previous optimal basis stays primal-feasible and HiGHS
 starts from it.  A pair with one atom of positive mass on either side has a
 single feasible plan, which is built directly.  A batch costs a few numpy
 calls on its pooled atoms, one cost matrix for all of them, not a Python
-pass per input.
+pass per input; a cost matrix with a non-finite entry raises
+:class:`NumericalFailure` before any plan is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 from scipy.optimize._highspy._core import (
     HighsModelStatus,
     HighsStatus,
@@ -89,7 +94,8 @@ def _distances(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
     if p == 2.0:
         return cdist(X, Y, "sqeuclidean")
     dist = cdist(X, Y)
-    return dist if p == 1.0 else dist**p
+    with np.errstate(over="ignore"):  # an overflow is caught as a non-finite cost
+        return dist if p == 1.0 else dist**p
 
 
 def cost_matrix(mu: DiscreteDistribution, nu: DiscreteDistribution, p: float) -> np.ndarray:
@@ -184,13 +190,11 @@ class TransportModel:
         """Optimal flows of the transportation problems ``(a, b, C)``.
 
         The optimum is a vertex of the block-diagonal LP, so every block is
-        a basic plan.  Each block's costs are divided by their maximum first;
-        a non-finite cost, such as ``||x - y||**p`` overflowing, raises
-        :class:`NumericalFailure`, as does any HiGHS error or a model status
-        other than optimal.
+        a basic plan.  Each block's costs, which must be finite (see
+        :func:`solve_pooled`), are divided by their maximum first.  Any HiGHS
+        error or a model status other than optimal raises
+        :class:`NumericalFailure`.
         """
-        if not all(np.isfinite(C).all() for _, _, C in problems):
-            raise NumericalFailure("transport costs are not finite")
         shapes = [C.shape for _, _, C in problems]
         rhs = np.concatenate([v for a, b, _ in problems for v in (a, b)])
         blocks = [C / top if (top := C.max()) > 0 else C for _, _, C in problems]
@@ -266,14 +270,21 @@ def solve_pooled(batch: PooledBatch, nu: DiscreteDistribution, p: float,
     Returns ``(flow, costs)``: rows ``batch.starts[i]`` up to
     ``batch.starts[i + 1]`` of the pooled (N, n) ``flow`` are input i's
     plan, and ``costs[i]`` is its price under one cost matrix of all pooled
-    atoms.  Only inputs with several mass-carrying atoms, against a ``nu``
-    with several, reach the LP, solved on ``model`` as in
-    :func:`solve_ot_batch`; every other plan is the product of its marginals.
+    atoms; a non-finite entry of that matrix raises :class:`NumericalFailure`.
+    An input with one mass-carrying atom, or a ``nu`` with one, has the
+    product of its marginals as its plan.  An input whose mass-carrying atoms
+    match ``nu``'s in number, with all masses equal on each side, is an
+    assignment, solved by ``linear_sum_assignment``.  Every other input
+    reaches the LP, solved on ``model`` as in :func:`solve_ot_batch`; which
+    inputs do depends on the masses only, so the LP keeps its structure
+    across calls that change only ``nu``'s atoms.
     """
     _check_exponent(p)
     if batch.points.shape[1] != nu.dim:
         raise DimensionMismatch(f"dimensions differ: {batch.points.shape[1]} vs {nu.dim}")
     C = _distances(batch.points, nu.atoms, p)
+    if not np.isfinite(C).all():
+        raise NumericalFailure("transport costs are not finite")
     a, origins, massive = batch.mass, batch.origins, batch.massive
     b = _mass(nu)
     cols = np.flatnonzero(b)
@@ -283,12 +294,23 @@ def solve_pooled(batch: PooledBatch, nu: DiscreteDistribution, p: float,
     flow[~on_lp] = a[~on_lp, None] * b
     if lp.any():
         rows = np.flatnonzero(on_lp & (a > 0))
-        cells = np.ix_(rows, cols)
-        ends = np.cumsum(massive[lp])[:-1]
-        problems = zip(np.split(a[rows], ends), repeat(b[cols]), np.split(C[cells], ends))
-        if model is None:
-            model = TransportModel()
-        flow[cells] = np.concatenate(model.solve(list(problems)))
+        sizes = massive[lp]
+        starts = np.cumsum(sizes) - sizes
+        a_rows, b_cols = a[rows], b[cols]
+        masses = np.split(a_rows, starts[1:])
+        blocks = np.split(C[np.ix_(rows, cols)], starts[1:])
+        # equal counts of equal masses on each side: a permutation is optimal
+        square = ((sizes == len(cols)) & (b_cols.min() == b_cols.max())
+                  & (np.minimum.reduceat(a_rows, starts) == np.maximum.reduceat(a_rows, starts)))
+        for i in np.flatnonzero(square).tolist():
+            r, c = linear_sum_assignment(blocks[i])
+            flow[rows[starts[i] + r], cols[c]] = masses[i][r]
+        if not square.all():
+            if model is None:
+                model = TransportModel()
+            flows = model.solve([(masses[i], b_cols, blocks[i])
+                                 for i in np.flatnonzero(~square).tolist()])
+            flow[np.ix_(rows[np.repeat(~square, sizes)], cols)] = np.concatenate(flows)
     costs = np.add.reduceat((flow * C).sum(axis=1), batch.starts)
     return flow, costs
 
@@ -305,7 +327,9 @@ def solve_ot_batch(mus, nu: DiscreteDistribution, p: float,
     each plan's cost is W_p(mu, nu)**p, priced with the unscaled cost
     matrix.  A pair with a single mass-carrying atom on either side has
     exactly one feasible plan, the product of the marginals, and skips the
-    LP.  The plans' flows are row blocks of one pooled array.
+    LP.  So does a pair with equal counts of equal masses on each side: it
+    is an assignment, and its plan is a permutation scaled by the mass.  The
+    plans' flows are row blocks of one pooled array.
     """
     if not len(mus):
         return []

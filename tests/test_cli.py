@@ -280,3 +280,40 @@ def test_runs_as_a_module():
     out = json.loads(done.stdout)
     assert out["k"] == 100 and len(out["rows"]) == 4
     check_schema(out)
+
+
+def run_module(*argvs):
+    """Run ``cli.main`` on each argv in turn in one fresh interpreter; returns
+    the completed process, whose stdout holds each run's output in order."""
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    script = ("import sys\nfrom baryreduce.cli import main\n"
+              f"sys.exit(max(main(argv) for argv in {list(argvs)!r}))")
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("p", ["200", "400", "inf", "1e6"])
+def test_non_finite_coreset_costs_exit_1(p):
+    # |x - 100|**p overflows; scores, sampling and the JSON must not see it
+    done = run_module(["coreset", "--k", "10", "--sizes", "5", "--p", p,
+                       "--queries", "100"])
+    assert done.returncode == 1
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0] == "error: transport costs are not finite"
+
+
+def test_one_parser_serves_every_call(tmp_path):
+    gen = ["gen", "ot_pair", "--d", "4", "--no-timing"]
+    coreset = ["coreset", "--k", "50", "--sizes", "5", "--no-timing"]
+    together = run_module(gen, coreset, gen)
+    apart = [run_module(argv) for argv in (gen, coreset, gen)]
+    assert together.returncode == 0 and all(done.returncode == 0 for done in apart)
+    assert together.stdout == "".join(done.stdout for done in apart)
+    assert cli.build_parser() is cli.build_parser()
+    for bad in (["coreset", "--sizes"], ["nope"], ["gen", "ot_pair", "--d", "x"]):
+        assert main(bad) == 2
+    assert main(coreset + ["--output", str(tmp_path / "out.json")]) == 0
+    assert (tmp_path / "out.json").read_text() == apart[1].stdout

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from baryreduce.core import BadSize, make_distribution
+from baryreduce.core import BadSize, NumericalFailure, make_distribution
 from baryreduce.coreset import (
     SensitivityScores,
     build_coreset,
@@ -71,6 +71,23 @@ class TestSensitivityScores:
             np.testing.assert_array_equal(sc.probabilities, expected.probabilities)
             assert (sc.total, sc.pilot_cost, sc.degenerate, sc.alpha, sc.p) == (
                 expected.total, expected.pilot_cost, expected.degenerate, alpha, p)
+
+    @pytest.mark.parametrize("costs", [[0.0, 0.0], [0.0, 1.0], [1e300, 1e300]])
+    @pytest.mark.parametrize("p", [1e6, 600.0, np.inf])
+    def test_non_finite_scores_raise(self, costs, p):
+        # 4**(p-1) overflows a float here; no OverflowError, no NaN weights
+        with pytest.raises(NumericalFailure, match="not finite"):
+            scores_from_costs(np.array(costs), p=p)
+
+    @pytest.mark.parametrize("alpha", [1e-10, 1.0])
+    def test_overflowing_mean_raises(self, alpha):
+        with pytest.raises(NumericalFailure, match="not finite"):
+            scores_from_costs(np.array([1e308, 1e308, 0.0]), alpha=alpha)
+
+    def test_overflowing_total_raises(self):
+        # every score is 6e307, finite, and ten of them sum past the float range
+        with pytest.raises(NumericalFailure, match="not finite"):
+            scores_from_costs(np.ones(10), alpha=1e307)
 
     def test_dominates_true_sensitivity_on_grid(self):
         # brute-force sup over single-atom candidates on a fine grid

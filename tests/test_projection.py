@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 
 from baryreduce.core import BadParams, DimensionMismatch, make_distribution
 from baryreduce.barycenter import SolverOptions, solution_cost, solve_barycenter
 from baryreduce.projection import (
-    _fwht,
     cost_ratio_sweep,
     identity_map,
     jl_dimension,
@@ -56,20 +56,36 @@ class TestJlDimension:
             jl_dimension(1, 0.5, 0.1, 2.0, "optimal")
 
 
-class TestFwht:
+class TestSrhtMatrix:
+    """The SRHT map is stored as the kept columns of the Hadamard matrix;
+    check them against scipy's Sylvester construction of the whole matrix."""
+
+    @pytest.mark.parametrize("d, m", [(1, 1), (2, 2), (5, 3), (8, 8), (13, 7), (16, 16), (40, 9)])
+    def test_matches_scipy_hadamard(self, d, m):
+        d_pad = 1 << (d - 1).bit_length()
+        rng = np.random.default_rng(4)  # the draws make_srht_map makes
+        signs = rng.choice([-1.0, 1.0], size=d_pad)
+        idx = np.sort(rng.choice(d_pad, size=m, replace=False))
+        H = hadamard(d_pad) / math.sqrt(d_pad)
+        expected = (signs[:d, None] * H[:d, idx] * math.sqrt(d_pad / m)).T
+        np.testing.assert_allclose(make_srht_map(d, m, seed=4).matrix, expected,
+                                   rtol=0, atol=1e-15)
+
     def test_orthogonal(self):
-        H = _fwht(np.eye(8)) / math.sqrt(8)
-        np.testing.assert_allclose(H @ H.T, np.eye(8), atol=1e-12)
+        M = make_srht_map(8, 8, seed=1).matrix
+        np.testing.assert_allclose(M @ M.T, np.eye(8), atol=1e-12)
 
     def test_norm_preserving(self, rng):
-        x = rng.normal(size=(3, 16))
-        y = _fwht(x.copy()) / math.sqrt(16)
+        x = rng.normal(size=(3, 784))
+        y = make_srht_map(784, 1024, seed=2)(x)  # every padded coordinate kept
         np.testing.assert_allclose(
             np.linalg.norm(y, axis=1), np.linalg.norm(x, axis=1), rtol=1e-9)
 
-    def test_two_point_transform(self):
-        y = _fwht(np.array([[1.0, 0.0]])) / math.sqrt(2)
-        np.testing.assert_allclose(y, [[1 / math.sqrt(2), 1 / math.sqrt(2)]])
+    def test_two_point_map(self):
+        pm = make_srht_map(2, 2, seed=0)
+        y = pm(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        np.testing.assert_allclose(np.abs(y), np.full((2, 2), 1 / math.sqrt(2)))
+        assert y[0] @ y[1] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestMaps:

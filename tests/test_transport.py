@@ -5,14 +5,16 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import eye, kron, vstack
 from scipy.spatial.distance import cdist
 
+from baryreduce.barycenter import SolverOptions, solve_barycenter
 from baryreduce.core import (
     WEIGHT_TOL,
     BadExponent,
     DimensionMismatch,
     NumericalFailure,
     make_distribution,
+    validate_solution,
 )
-from baryreduce import transport
+from baryreduce import barycenter, transport
 from baryreduce.transport import (
     TransportModel,
     barycenter_objective,
@@ -100,6 +102,10 @@ class TestSolveOt:
         optimum = C[rows, cols].sum() / 64
         cost = solve_ot(mu, nu, 2.0).cost
         assert cost == pytest.approx(optimum, rel=1e-9, abs=0.0)
+        # the engine solves this pair with the same routine: check it
+        # against the full LP as well, solved at unit scale
+        lp_optimum = full_lp_optimum(u, u, cdist(X, Y, "sqeuclidean")) * scale**2
+        assert cost == pytest.approx(lp_optimum, rel=1e-9, abs=0.0)
 
     def test_batch_matches_single_solves(self, rng):
         # a zero-weight atom in nu, as weight re-estimation leaves behind
@@ -129,23 +135,31 @@ class TestSolveOt:
                 a.weights @ cost_matrix(a, b, 2.0) @ b.weights, rel=1e-12, abs=0.0)
 
 
-    def test_non_finite_costs_raise(self, rng):
-        a, b = np.full(3, 1 / 3), np.full(2, 0.5)
-        C = rng.random((3, 2))
+    def test_non_finite_costs_raise(self, rng, monkeypatch):
+        mu, nu = random_distribution(rng, 3, 2), random_distribution(rng, 2, 2)
+        batch = transport.pool_batch([mu])
         for bad in (np.inf, np.nan):
-            worse = C.copy()
-            worse[1, 0] = bad
+            def spoiled(*args, **kwargs):
+                D = cdist(*args, **kwargs)
+                D[1, 0] = bad
+                return D
+
             model = TransportModel()
-            model.solve([(a, b, C)])
-            with pytest.raises(NumericalFailure, match="not finite"):
-                model.solve([(a, b, worse)])  # warm: only the costs change
-            with pytest.raises(NumericalFailure, match="not finite"):
-                TransportModel().solve([(a, b, worse)])
-        # ||x - y||**2 overflows to inf at coordinates near 1e200
+            transport.solve_pooled(batch, nu, 2.0, model)
+            with monkeypatch.context() as patch:
+                patch.setattr(transport, "cdist", spoiled)
+                with pytest.raises(NumericalFailure, match="not finite"):
+                    transport.solve_pooled(batch, nu, 2.0, model)  # warm: only the costs change
+                with pytest.raises(NumericalFailure, match="not finite"):
+                    transport.solve_pooled(batch, nu, 2.0)
+        # ||x - y||**2 overflows to inf at coordinates near 1e200, on an
+        # assignment, on a forced plan and on a zero-mass atom alike
         mu = make_distribution([[0.0], [1e200]], [0.5, 0.5])
         nu = make_distribution([[-1e200], [2e200]], [0.5, 0.5])
-        with pytest.raises(NumericalFailure):
-            solve_ot(mu, nu, 2.0)
+        light = make_distribution([[0.0], [1e200]], [1.0, 0.0])
+        for a, b in ((mu, nu), (mu, delta([-1e200])), (light, delta([-1e200]))):
+            with pytest.raises(NumericalFailure, match="not finite"):
+                solve_ot(a, b, 2.0)
 
 
 def full_lp_optimum(a, b, C) -> float:
@@ -221,6 +235,103 @@ class TestHeldCells:
         model = TransportModel()
         model.solve([(mu.weights, nu.weights, cost_matrix(mu, nu, 2.0))])
         assert model._highs.getNumCol() < 128 * 128
+
+
+class TestAssignment:
+    """Equal counts of equal masses on both sides are solved as assignments;
+    every plan is checked against the full LP, not against the same routine."""
+
+    @staticmethod
+    def no_lp():
+        raise AssertionError("assignment pair sent to the LP")
+
+    @staticmethod
+    def recording(monkeypatch):
+        seen = []
+
+        class Recording(TransportModel):
+            def solve(self, problems):
+                seen.extend(problems)
+                return super().solve(problems)
+
+        monkeypatch.setattr(transport, "TransportModel", Recording)
+        monkeypatch.setattr(barycenter, "TransportModel", Recording)
+        return seen
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("T", [2, 8, 64, 128])
+    def test_uniform_pairs_match_the_full_lp(self, T, p, monkeypatch):
+        monkeypatch.setattr(transport, "TransportModel", self.no_lp)
+        r = np.random.default_rng(10 * T + int(2 * p))
+        X, Y = r.normal(size=(T, 8)), r.normal(size=(T, 8))
+        u = np.full(T, 1.0 / T)
+        optimum = full_lp_optimum(u, u, cdist(X, Y) ** p)
+        for scale in (1e-6, 1.0, 1e4):
+            mu, nu = make_distribution(scale * X, u), make_distribution(scale * Y, u)
+            check_optimal_plan(mu, nu, solve_ot(mu, nu, p), optimum * scale**p)
+
+    def test_zero_mass_atoms_leave_an_assignment(self, rng, monkeypatch):
+        monkeypatch.setattr(transport, "TransportModel", self.no_lp)
+        X, Y = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        cases = [([0.25, 0.0, 0.25, 0.25, 0.25], [0.25, 0.25, 0.25, 0.0, 0.25]),
+                 ([0.2] * 5, [0.2] * 5),
+                 ([1 / 3, 1 / 3, 0.0, 1 / 3], [1 / 3, 1 / 3, 1 / 3])]
+        for a, b in cases:
+            mu = make_distribution(X[:len(a)], a)
+            nu = make_distribution(Y[:len(b)], b)
+            C = cdist(mu.atoms, nu.atoms, "sqeuclidean")
+            plan = solve_ot(mu, nu, 2.0)
+            check_optimal_plan(mu, nu, plan, full_lp_optimum(mu.weights, nu.weights, C))
+            assert np.all(plan.flow[mu.weights == 0] == 0.0)
+            assert np.all(plan.flow[:, nu.weights == 0] == 0.0)
+
+    def test_unequal_counts_or_masses_reach_highs(self, rng, monkeypatch):
+        seen = self.recording(monkeypatch)
+        X, Y = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+        quarter = np.full(4, 0.25)
+        nudged = quarter.copy()
+        nudged[3] = np.nextafter(0.25, 1.0)  # one ulp heavier
+        cases = [(quarter, np.full(5, 0.2)), (nudged, quarter), (quarter, nudged)]
+        for a, b in cases:
+            mu, nu = make_distribution(X[:len(a)], a), make_distribution(Y[:len(b)], b)
+            seen.clear()
+            plan = solve_ot(mu, nu, 2.0)
+            assert len(seen) == 1
+            (ma, mb, _), = seen
+            assert len(ma) != len(mb) or ma.min() < ma.max() or mb.min() < mb.max()
+            C = cdist(mu.atoms, nu.atoms, "sqeuclidean")
+            check_optimal_plan(mu, nu, plan, full_lp_optimum(mu.weights, nu.weights, C))
+
+    def test_mixed_batch_matches_pair_solves(self, rng, monkeypatch):
+        seen = self.recording(monkeypatch)
+        nu = make_distribution(rng.normal(size=(6, 3)), np.full(6, 1 / 6))
+        uniform = [make_distribution(rng.normal(size=(T, 3)), np.full(T, 1 / T))
+                   for T in (6, 4, 6)]
+        mus = [uniform[0], random_distribution(rng, 6, 3), uniform[1], delta([0.0] * 3),
+               uniform[2], random_distribution(rng, 9, 3)]
+        plans = solve_ot_batch(mus, nu, 2.0)
+        assert [len(a) for a, _, _ in seen] == [6, 4, 9]  # the assignments skip HiGHS
+        for mu, plan in zip(mus, plans):
+            single = solve_ot(mu, nu, 2.0)
+            assert plan.cost == pytest.approx(single.cost, rel=1e-12, abs=0.0)
+            C = cdist(mu.atoms, nu.atoms, "sqeuclidean")
+            check_optimal_plan(mu, nu, plan, full_lp_optimum(mu.weights, nu.weights, C))
+        for i in 0, 4:  # uniform 6-atom inputs: a permutation, mass 1/6 per cell
+            assert np.count_nonzero(plans[i].flow) == 6
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_barycenter_of_equal_sizes(self, p, monkeypatch):
+        seen = self.recording(monkeypatch)
+        r = np.random.default_rng(8)
+        mus = [make_distribution(r.normal(size=(8, 3)) + i % 3, np.full(8, 1 / 8))
+               for i in range(12)]
+        nu, sol, report = solve_barycenter(mus, SolverOptions(support_size=8, p=p, seed=1))
+        assert not seen  # every block is an assignment
+        assert all(b <= a for a, b in zip(report.trace, report.trace[1:]))
+        assert validate_solution(sol, mus)
+        full = np.mean([full_lp_optimum(mu.weights, nu.weights, cdist(mu.atoms, nu.atoms) ** p)
+                        for mu in mus])
+        assert report.total_cost == pytest.approx(full, rel=1e-9, abs=0.0)
 
 
 class TestHighsBinding:
