@@ -196,10 +196,10 @@ def pairwise_cost_p2(sol: Solution, mus) -> float:
 def _init_support(points, weights, n: int, rng) -> np.ndarray:
     prob = weights / weights.sum()
     take = min(n, len(points))
-    idx = list(rng.choice(len(points), size=take, replace=False, p=prob))
-    while len(idx) < n:  # more atoms requested than pooled points: duplicate
-        idx.append(int(rng.choice(len(points), p=prob)))
-    return points[idx].copy()
+    idx = rng.choice(len(points), size=take, replace=False, p=prob)
+    if n > take:  # more atoms requested than pooled points: duplicate
+        idx = np.concatenate([idx, rng.choice(len(points), size=n - take, p=prob)])
+    return points[idx]
 
 
 def solve_barycenter(mus, opts: SolverOptions):

@@ -25,6 +25,7 @@ from .coreset import (
     uniform_scores,
 )
 from .instances import (
+    coreset_synthetic_family,
     gen_coreset_synthetic,
     gen_lb_barycenter,
     gen_ot_pair,
@@ -38,7 +39,7 @@ from .projection import (
     jl_dimension,
     reduce_solve_reconstruct,
 )
-from .transport import pool_distinct, solve_pooled
+from .transport import pool_batch, solve_pooled
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -136,29 +137,29 @@ def cmd_reduce(args) -> int:
 
 def cmd_coreset(args) -> int:
     if args.input is not None:
-        mus = _load(args.input)
+        distinct = _load(args.input)  # CSV groups are distinct objects
+        slot = np.arange(len(distinct))
     else:
-        mus = gen_coreset_synthetic(args.k)
-    if args.sizes is None or min(args.sizes) < 1:
+        distinct, slot = coreset_synthetic_family(args.k)
+    if min(args.sizes) < 1:
         raise BaryError("need positive --sizes")
-    queries = args.queries or [0.0]
-    d = mus[0].dim
-    batch, slot = pool_distinct(mus)  # every query and the pilot are priced on it
+    d = distinct[0].dim
+    batch = pool_batch(distinct)  # every query and the pilot are priced on it
 
     def costs_to(nu):
         return solve_pooled(batch, nu, args.p)[1][slot]
 
     costs = [costs_to(make_distribution(np.full((1, d), float(x)), np.array([1.0])))
-             for x in queries]
-    pilot = mus[0] if args.input is None else pilot_barycenter(mus, args.p)
+             for x in args.queries]
+    pilot = distinct[0] if args.input is None else pilot_barycenter(distinct, args.p)
     scores = scores_from_costs(costs_to(pilot), p=args.p)
-    k = len(mus)
+    k = len(slot)
     rows = []
     for size in args.sizes:
         for method in ("uniform", "sensitivity"):
             sc = uniform_scores(k) if method == "uniform" else scores
             core = build_coreset(sc, size, seed=args.seed)
-            for x, query_costs in zip(queries, costs):
+            for x, query_costs in zip(args.queries, costs):
                 ev = evaluate_coreset(core, query_costs)
                 rows.append({
                     "method": method, "size": int(size),
@@ -292,6 +293,9 @@ def main(argv=None) -> int:
     except (BaryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # numpy names the allocation that failed
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

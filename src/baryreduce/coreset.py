@@ -108,10 +108,7 @@ def build_coreset(scores: SensitivityScores, size: int,
     rng = np.random.default_rng(seed)
     draws = rng.choice(k, size=size, replace=True, p=scores.probabilities)
     weights = 1.0 / (size * k * scores.probabilities[draws])
-    uniq, counts = np.unique(draws, return_counts=True)
-    mult = np.zeros(k, dtype=np.int64)
-    mult[uniq] = counts
-    return WeightedCoreset(draws, mult, weights, size)
+    return WeightedCoreset(draws, np.bincount(draws, minlength=k), weights, size)
 
 
 def coreset_size_bound(n: int, d: int, p: float, eps: float, delta: float,

@@ -152,12 +152,23 @@ def gen_pullback(d: int, C: int):
     return np.array(A), np.array(B), d / 2.0
 
 
-def gen_coreset_synthetic(k: int):
-    """k single-atom distributions on the line: k-1 at zero, one at x=k."""
+def coreset_synthetic_family(k: int):
+    """The one-outlier family of :func:`gen_coreset_synthetic` as its two
+    distinct inputs and ``slot``: input i is ``distinct[slot[i]]``.  No
+    k-long list is built."""
     if k < 2:
         raise BadParams("need k >= 2")
     zero = make_distribution(np.zeros((1, 1)), np.array([1.0]))
     outlier = make_distribution(np.array([[float(k)]]), np.array([1.0]))
+    slot = np.zeros(k, dtype=np.intp)
+    slot[-1] = 1
+    return [zero, outlier], slot
+
+
+def gen_coreset_synthetic(k: int):
+    """k single-atom distributions on the line: k-1 at zero, one at x=k.
+    The k-1 zeros are one object."""
+    (zero, outlier), _ = coreset_synthetic_family(k)
     return [zero] * (k - 1) + [outlier]
 
 

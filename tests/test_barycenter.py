@@ -228,6 +228,15 @@ class TestSolveBarycenter:
         assert nu.atoms.shape == (5, 1)
         assert rep.total_cost <= 1.0 + 1e-9
 
+    def test_support_above_pool_is_pinned(self):
+        # 13 atoms from 5 pooled points: a draw without replacement of all
+        # 5, then 8 weighted duplicates; the values predate the one-call draw
+        points = np.arange(5.0)[:, None]
+        weights = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
+        support = barycenter._init_support(points, weights, 13, np.random.default_rng(0))
+        assert support.ravel().tolist() == [3.0, 1.0, 0.0, 4.0, 2.0, 2.0, 4.0,
+                                            3.0, 0.0, 4.0, 0.0, 3.0, 1.0]
+
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             solve_barycenter([], SolverOptions())

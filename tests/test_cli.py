@@ -19,7 +19,7 @@ from baryreduce.coreset import (
 )
 from baryreduce.instances import gen_coreset_synthetic, load_csv_distributions
 from baryreduce.projection import jl_dimension
-from baryreduce.transport import pool_distinct, transport_costs
+from baryreduce.transport import pool_batch, transport_costs
 
 try:
     from importlib import resources
@@ -161,18 +161,20 @@ class TestCoresetCmd:
 
     @pytest.mark.parametrize("source", ["k", "input"])
     def test_one_pass_over_the_inputs(self, source, small_inputs, monkeypatch, capsys):
-        passes = []
+        # one pool of the distinct inputs: the synthetic family's two objects
+        pooled = []
 
         def counted(mus):
-            passes.append(len(mus))
-            return pool_distinct(mus)
+            pooled.append(len(mus))
+            return pool_batch(mus)
 
-        monkeypatch.setattr(cli, "pool_distinct", counted)
+        monkeypatch.setattr(cli, "pool_batch", counted)
         argv = ["--k", "300"] if source == "k" else ["--input", small_inputs]
-        code, _ = run(["coreset", *argv, "--sizes", "5", "50",
-                       "--queries", "0", "1", "10", "--no-timing"], capsys)
+        code, out = run(["coreset", *argv, "--sizes", "5", "50",
+                         "--queries", "0", "1", "10", "--no-timing"], capsys)
         assert code == 0
-        assert passes == [300 if source == "k" else 12]
+        assert pooled == [2 if source == "k" else 12]
+        assert out["k"] == (300 if source == "k" else 12)
 
     @pytest.mark.parametrize("source, p", [("k", 2.0), ("input", 2.0), ("input", 1.5)])
     def test_rows_match_per_query_pricing(self, source, p, small_inputs, capsys):
@@ -303,6 +305,22 @@ def test_non_finite_coreset_costs_exit_1(p):
     assert done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0] == "error: transport costs are not finite"
+
+
+@pytest.mark.parametrize("argv", [
+    ["coreset", "--k", "3", "--sizes", str(10**15)],
+    ["coreset", "--k", str(10**15)],
+    ["barycenter", "--support-size", str(10**15)],
+], ids=["coreset_size", "coreset_k", "barycenter_support"])
+def test_out_of_memory_is_one_error_line(argv, two_deltas):
+    # each argv asks for an array of 10**15 elements, so the allocation fails at once
+    if argv[0] == "barycenter":
+        argv = [*argv, "--input", two_deltas]
+    done = run_module(argv)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
 
 
 def test_one_parser_serves_every_call(tmp_path):

@@ -115,6 +115,7 @@ class TestBuildCoreset:
         sc = SensitivityScores(q, 1.0, q, 1.0, False)
         core = build_coreset(sc, 1, seed=0)
         assert list(core.indices) == [0]
+        assert core.multiplicities.tolist() == [1, 0, 0]  # one count per input
         np.testing.assert_allclose(core.weights, [1.0 / 3.0])
 
     def test_bad_size(self):
@@ -129,6 +130,12 @@ class TestBuildCoreset:
         a = build_coreset(sc, 10, seed=3)
         b = build_coreset(sc, 10, seed=3)
         np.testing.assert_array_equal(a.indices, b.indices)
+        uniq, counts = np.unique(a.indices, return_counts=True)
+        expected = np.zeros(4, dtype=np.int64)  # per-input draw counts
+        expected[uniq] = counts
+        assert a.multiplicities.dtype == np.int64
+        np.testing.assert_array_equal(a.multiplicities, expected)
+        assert a.multiplicities.sum() == 10
 
 
 class TestSizeBounds:

@@ -20,6 +20,7 @@ from baryreduce import core, instances
 from baryreduce.instances import (
     empirical_matching_distortion,
     gen_blob_classes,
+    coreset_synthetic_family,
     gen_coreset_synthetic,
     gen_lb_barycenter,
     gen_ot_pair,
@@ -148,6 +149,25 @@ class TestCoresetSynthetic:
     def test_small(self):
         mus = gen_coreset_synthetic(3)
         assert [m.atoms[0, 0] for m in mus] == [0.0, 0.0, 3.0]
+
+    @pytest.mark.parametrize("k", [2, 3, 1000])
+    def test_family_expands_to_the_list(self, k):
+        distinct, slot = coreset_synthetic_family(k)
+        mus = gen_coreset_synthetic(k)
+        assert len(distinct) == 2 and slot.shape == (k,)
+        objects = [mus[0], mus[-1]]  # the list repeats these two objects as slot says
+        assert all(objects[s] is mu for s, mu in zip(slot.tolist(), mus))
+        for made, listed in zip(distinct, objects):
+            np.testing.assert_array_equal(made.atoms, listed.atoms)
+            np.testing.assert_array_equal(made.weights, listed.weights)
+        assert [mu.atoms[0, 0] for mu in distinct] == [0.0, float(k)]
+
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    def test_family_needs_two_inputs(self, k):
+        with pytest.raises(BadParams):
+            coreset_synthetic_family(k)
+        with pytest.raises(BadParams):
+            gen_coreset_synthetic(k)
 
     def test_closed_form_costs(self):
         from baryreduce.transport import wasserstein_p
