@@ -16,7 +16,6 @@ from .transport import (
     TransportPlan,
     cost_matrix,
     solve_ot,
-    solve_ot_batch,
     transport_costs,
     wasserstein_p,
 )

@@ -26,7 +26,7 @@ from .core import (
     pooled_atoms,
     solution_violations,
 )
-from .transport import TransportModel, _distances, pool_batch, solve_pooled
+from .transport import TransportModel, pool_batch, solve_pooled
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,6 @@ class SolverOptions:
     seed: int = 0
     inner_max_iters: int = 500
     inner_tol: float = 1e-9
-    reestimate_weights: bool = False
 
     def __post_init__(self):
         if self.support_size < 1:
@@ -206,12 +205,10 @@ def solve_barycenter(mus, opts: SolverOptions):
     """Alternating minimization for the barycenter objective.
 
     Returns ``(nu, solution, report)`` where ``report.trace`` holds the
-    objective after each transport step.  With the default fixed-uniform
-    barycenter weights the trace is non-increasing: an atom moves only when
-    that lowers its column's cost, and a rise beyond rounding (1e-9
-    relative) raises :class:`NumericalFailure`; re-estimated weights change
-    the feasible set between iterations, so no monotonicity is claimed for
-    that mode.
+    objective after each transport step.  The barycenter weights are fixed
+    at 1/n, so the trace is non-increasing: an atom moves only when that
+    lowers its column's cost, and a rise beyond rounding (1e-9 relative)
+    raises :class:`NumericalFailure`.
     """
     if not mus:
         raise EmptyInput("need at least one input distribution")
@@ -223,10 +220,6 @@ def solve_barycenter(mus, opts: SolverOptions):
     points = batch.points
     support = _init_support(points, batch.weights, n, rng)
     b = np.full(n, 1.0 / n)
-    if opts.reestimate_weights:
-        # start from the mass each atom would attract, not from 1/n
-        nearest = np.argmin(cdist(points, support), axis=1)
-        b = np.bincount(nearest, weights=batch.weights, minlength=n) / k
 
     model = TransportModel()  # successive iterations start from its last basis
     best = None
@@ -236,31 +229,21 @@ def solve_barycenter(mus, opts: SolverOptions):
     iters = 0
     for it in range(opts.max_outer_iters):
         iters = it + 1
-        nu = DiscreteDistribution(support.copy(), b.copy())
+        nu = DiscreteDistribution(support.copy(), b)
         stacked, costs = solve_pooled(batch, nu, p, model)  # (sum T_i, n) flows
         obj = sum(costs.tolist()) / k
         trace.append(obj)
-        if (not opts.reestimate_weights
-                and obj > prev_obj + 1e-9 * abs(prev_obj)):
+        if obj > prev_obj + 1e-9 * abs(prev_obj):
             raise NumericalFailure(
                 f"alternation objective increased at outer iteration {iters}: "
                 f"{prev_obj!r} -> {obj!r}")
         if best is None or obj < best[0]:
-            best = (obj, support.copy(), b.copy(), stacked)
+            best = (obj, support.copy(), stacked)
         if prev_obj - obj <= opts.rel_tol * abs(obj):
             converged = True
             break
         prev_obj = obj
 
-        if opts.reestimate_weights:
-            b = stacked.sum(axis=0) / k
-            empty = b <= 0
-            if empty.any():
-                # restart heuristic: park empty atoms at the costliest point
-                worst = int(np.argmax((stacked * _distances(points, nu.atoms, p)).sum(axis=1)))
-                support[empty] = points[worst]
-                b[empty] = 0.0
-            b = b / b.sum()
         for j in range(n):
             # a basic plan leaves most rows of a column without flow
             rows = np.flatnonzero(stacked[:, j])
@@ -275,7 +258,7 @@ def solve_barycenter(mus, opts: SolverOptions):
                 if new < old:
                     support[j] = y
 
-    obj, support, b, flow = best
+    obj, support, flow = best
     nu = DiscreteDistribution(support, b)
     sol = Solution(tuple(np.split(flow, batch.starts[1:])), b)
     per_atom = support_cost(sol, mus, nu, p).per_atom_costs

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .core import BaryError, EmptyInput, NumericalFailure, make_distribution
+from .core import BadParams, BaryError, EmptyInput, NumericalFailure, make_distribution
 from .barycenter import SolverOptions, solve_barycenter
 from .coreset import (
     build_coreset,
@@ -76,12 +76,8 @@ def _emit(payload: dict, args) -> None:
             fh.write(text + "\n")
 
 
-def _solver_options(args, support_size=None) -> SolverOptions:
-    return SolverOptions(
-        support_size=support_size or args.support_size,
-        p=args.p,
-        seed=args.seed,
-    )
+def _solver_options(args) -> SolverOptions:
+    return SolverOptions(support_size=args.support_size, p=args.p, seed=args.seed)
 
 
 def _load(path):
@@ -286,6 +282,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        if args.seed < 0:  # numpy's generators take non-negative seeds only
+            raise BadParams(f"--seed must be >= 0, got {args.seed}")
         return globals()[f"cmd_{args.command}"](args)
     except NumericalFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,8 +54,8 @@ def jl_dimension(n: int, eps: float, delta: float, p: float,
         raise BadParams("eps and delta must lie in (0, 1)")
     if n < 2:
         raise BadParams("n must be at least 2")
-    if p < 1:
-        raise BadParams("exponent must be >= 1")
+    if not 1 <= p < math.inf:
+        raise BadParams(f"exponent must be finite and >= 1, got {p}")
     if policy == "p2":
         if p != 2:
             raise BadParams("policy 'p2' only applies to exponent 2")
@@ -171,7 +171,7 @@ def reduce_solve_reconstruct(mus, pmap: ProjectionMap,
     t1 = time.perf_counter()
     nu_low, sol, rep = solve_barycenter(low, opts)
     t2 = time.perf_counter()
-    nu_high = reconstruct_barycenter(sol, mus, opts.p)
+    nu_high = reconstruct_barycenter(sol, mus, opts.p, opts.inner_tol, opts.inner_max_iters)
     cost_high = support_cost(sol, mus, nu_high, opts.p).total_cost
     t3 = time.perf_counter()
     return ReductionResult(nu_low, nu_high, sol, rep.total_cost, cost_high,

@@ -275,9 +275,12 @@ def solve_pooled(batch: PooledBatch, nu: DiscreteDistribution, p: float,
     product of its marginals as its plan.  An input whose mass-carrying atoms
     match ``nu``'s in number, with all masses equal on each side, is an
     assignment, solved by ``linear_sum_assignment``.  Every other input
-    reaches the LP, solved on ``model`` as in :func:`solve_ot_batch`; which
-    inputs do depends on the masses only, so the LP keeps its structure
-    across calls that change only ``nu``'s atoms.
+    reaches the LP, solved in one call on ``model``, or on a fresh
+    :class:`TransportModel` when none is given; a caller that solves the
+    same inputs against successive supports passes one model to every call
+    so that each solve starts from the previous basis.  Which inputs reach
+    the LP depends on the masses only, so the LP keeps its structure across
+    calls that change only ``nu``'s atoms.
     """
     _check_exponent(p)
     if batch.points.shape[1] != nu.dim:
@@ -315,60 +318,20 @@ def solve_pooled(batch: PooledBatch, nu: DiscreteDistribution, p: float,
     return flow, costs
 
 
-def solve_ot_batch(mus, nu: DiscreteDistribution, p: float,
-                   model: TransportModel | None = None) -> list:
-    """Minimum-cost couplings of every distribution in ``mus`` with ``nu``.
-
-    All couplings come from one LP solve on ``model``, or on a fresh
-    :class:`TransportModel` when none is given; a caller that solves the
-    same inputs against successive supports passes one model to every call
-    so that each solve starts from the previous basis.  Atoms lighter than
-    ``ZERO_MASS`` get no flow and the rest of each side is renormalized;
-    each plan's cost is W_p(mu, nu)**p, priced with the unscaled cost
-    matrix.  A pair with a single mass-carrying atom on either side has
-    exactly one feasible plan, the product of the marginals, and skips the
-    LP.  So does a pair with equal counts of equal masses on each side: it
-    is an assignment, and its plan is a permutation scaled by the mass.  The
-    plans' flows are row blocks of one pooled array.
-    """
-    if not len(mus):
-        return []
-    _check_exponent(p)
-    batch = pool_batch(mus)
-    flow, costs = solve_pooled(batch, nu, p, model)
-    starts = batch.starts.tolist()
-    return [TransportPlan(flow[start:end], cost)
-            for start, end, cost in zip(starts, [*starts[1:], len(flow)], costs.tolist())]
-
-
 def solve_ot(mu: DiscreteDistribution, nu: DiscreteDistribution, p: float) -> TransportPlan:
     """Minimum-cost coupling of mu and nu; cost is W_p(mu, nu)**p."""
-    return solve_ot_batch([mu], nu, p)[0]
-
-
-def pool_distinct(mus):
-    """The distinct inputs of ``mus`` pooled once, and ``slot``: input i is
-    pooled input ``slot[i]``.
-
-    Distributions are immutable, so an input that repeats as the same object
-    is pooled once; the distinct inputs keep the order they first appear in.
-    ``solve_pooled(batch, nu, p)[1][slot]`` prices every input against ``nu``.
-    """
-    ids = np.fromiter(map(id, mus), np.intp, len(mus))
-    _, first, slot = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # distinct inputs, first-seen first
-    batch = pool_batch(list(map(mus.__getitem__, first[order].tolist())))
-    return batch, np.argsort(order)[slot]
+    flow, costs = solve_pooled(pool_batch([mu]), nu, p)
+    return TransportPlan(flow, float(costs[0]))
 
 
 def transport_costs(mus, nu: DiscreteDistribution, p: float) -> np.ndarray:
-    """W_p(mu_i, nu)**p for every distribution in ``mus``, from one LP solve
-    over the distinct inputs (see :func:`pool_distinct`)."""
+    """W_p(mu_i, nu)**p for every distribution in ``mus``, in list order,
+    from one :func:`solve_pooled` call.  An input that repeats is priced
+    again; a caller with repeats pools the distinct inputs and indexes the
+    costs itself."""
     if not len(mus):
         return np.empty(0)
-    _check_exponent(p)
-    batch, slot = pool_distinct(mus)
-    return solve_pooled(batch, nu, p)[1][slot]
+    return solve_pooled(pool_batch(mus), nu, p)[1]
 
 
 def wasserstein_p(mu: DiscreteDistribution, nu: DiscreteDistribution, p: float) -> float:

@@ -22,7 +22,7 @@ from baryreduce.barycenter import (
     solve_barycenter,
     update_support_atom,
 )
-from baryreduce.transport import TransportModel, solve_ot_batch
+from baryreduce.transport import TransportModel, pool_batch, solve_pooled
 from conftest import random_distribution
 
 
@@ -186,11 +186,9 @@ class TestPairwiseIdentity:
 
 class TestSolveBarycenter:
     def test_single_distribution_zero_cost(self, rng):
-        # matching the input exactly needs the atom weights re-estimated,
-        # since the default keeps them fixed at 1/n
-        mu = random_distribution(rng, 4, 2)
-        nu, sol, rep = solve_barycenter(
-            [mu], SolverOptions(support_size=4, p=2.0, reestimate_weights=True))
+        # a uniform input of 4 atoms is matched exactly by 4 atoms of mass 1/4
+        mu = make_distribution(rng.normal(size=(4, 2)), np.full(4, 0.25))
+        nu, sol, rep = solve_barycenter([mu], SolverOptions(support_size=4, p=2.0))
         assert rep.total_cost == pytest.approx(0.0, abs=1e-10)
 
     def test_two_deltas(self):
@@ -214,12 +212,6 @@ class TestSolveBarycenter:
     def test_returns_valid_solution(self, rng):
         mus = random_family(rng)
         _, sol, _ = solve_barycenter(mus, SolverOptions(support_size=2, p=2.0))
-        assert validate_solution(sol, mus)
-
-    def test_reestimated_weights_stay_valid(self, rng):
-        mus = random_family(rng)
-        _, sol, _ = solve_barycenter(
-            mus, SolverOptions(support_size=2, p=2.0, reestimate_weights=True))
         assert validate_solution(sol, mus)
 
     def test_support_above_pool_is_allowed(self):
@@ -332,11 +324,13 @@ class TestWarmStart:
     def test_warm_plans_are_basic(self, blobs):
         rng = np.random.default_rng(4)
         model = TransportModel()
+        batch = pool_batch(blobs)
         for _ in range(4):
             nu = make_distribution(rng.normal(size=(5, 4)), [0.3, 0.1, 0.2, 0.25, 0.15])
-            for mu, plan in zip(blobs, solve_ot_batch(blobs, nu, 2.0, model)):
-                assert (plan.flow > 0).sum() <= mu.size + nu.size - 1
-                np.testing.assert_allclose(plan.flow.sum(axis=1), mu.weights,
+            flow, _ = solve_pooled(batch, nu, 2.0, model)
+            for mu, plan in zip(blobs, np.split(flow, batch.starts[1:])):
+                assert (plan > 0).sum() <= mu.size + nu.size - 1
+                np.testing.assert_allclose(plan.sum(axis=1), mu.weights,
                                            rtol=0, atol=WEIGHT_TOL)
-                np.testing.assert_allclose(plan.flow.sum(axis=0), nu.weights,
+                np.testing.assert_allclose(plan.sum(axis=0), nu.weights,
                                            rtol=0, atol=WEIGHT_TOL)

@@ -244,6 +244,15 @@ class TestSweepCmd:
         assert a.read_bytes() == b.read_bytes()
 
 
+def assert_one_error_line(code, capsys):
+    """Exit code 2, nothing on stdout and one ``error:`` line on stderr."""
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("content", [
     b"", b"\xff\xfe", b'"' + b"k" * 200_000 + b'",1.0,0.0\n',
 ], ids=["empty", "not_utf8", "field_over_csv_limit"])
@@ -253,12 +262,25 @@ class TestSweepCmd:
 def test_unusable_input_file_is_a_usage_error(tmp_path, capsys, command, content):
     f = tmp_path / "in.csv"
     f.write_bytes(content)
-    code = main([*command, "--input", str(f)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert_one_error_line(main([*command, "--input", str(f)]), capsys)
+
+
+@pytest.mark.parametrize("command", [
+    ["barycenter"], ["reduce"], ["coreset"], ["sweep", "--m-values", "1"],
+], ids=["barycenter", "reduce", "coreset", "sweep"])
+def test_negative_seed_is_a_usage_error(two_deltas, capsys, command):
+    code = main([*command, "--input", two_deltas, "--seed", "-1"])
+    assert_one_error_line(code, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--p", "nan"], ["reduce", "--p", "inf"],
+    ["gen", "lb_barycenter", "--p", "nan"], ["gen", "lb_barycenter", "--p", "0.5"],
+], ids=["reduce-nan", "reduce-inf", "gen-nan", "gen-half"])
+def test_bad_exponent_is_a_usage_error(two_deltas, capsys, argv):
+    if argv[0] == "reduce":  # the dimension policy sees --p first
+        argv = [*argv, "--input", two_deltas]
+    assert_one_error_line(main(argv), capsys)
 
 
 def test_weight_sum_error_prints_a_plain_float(tmp_path, capsys):

@@ -87,6 +87,9 @@ class TestLbBarycenter:
             gen_lb_barycenter(2, 10, 1, 2.0)
         with pytest.raises(BadParams):
             gen_lb_barycenter(2, 1, 1, 0.1)
+        for p in (0.5, float("nan")):
+            with pytest.raises(BadParams):
+                gen_lb_barycenter(2, 10, 1, 0.1, p)
 
 
 class TestOtPair:

@@ -5,7 +5,12 @@ import pytest
 from scipy.linalg import hadamard
 
 from baryreduce.core import BadParams, DimensionMismatch, make_distribution
-from baryreduce.barycenter import SolverOptions, solution_cost, solve_barycenter
+from baryreduce.barycenter import (
+    SolverOptions,
+    reconstruct_barycenter,
+    solution_cost,
+    solve_barycenter,
+)
 from baryreduce.projection import (
     cost_ratio_sweep,
     identity_map,
@@ -54,6 +59,11 @@ class TestJlDimension:
             jl_dimension(16, 1.5, 0.1, 2.0, "optimal")
         with pytest.raises(BadParams):
             jl_dimension(1, 0.5, 0.1, 2.0, "optimal")
+
+    @pytest.mark.parametrize("p", [0.5, math.nan, math.inf])
+    def test_exponent_finite_and_at_least_one(self, p):
+        with pytest.raises(BadParams, match="exponent"):
+            jl_dimension(16, 0.5, 0.1, p, "optimal")
 
 
 class TestSrhtMatrix:
@@ -180,6 +190,16 @@ class TestPipeline:
         res = reduce_solve_reconstruct(mus, make_gaussian_map(12, 6, 2), opts)
         assert validate_solution(res.solution, mus)
         assert res.cost_high == solution_cost(res.solution, mus, opts.p).total_cost
+
+    def test_lift_uses_the_inner_options(self, rng):
+        # one Weiszfeld step at p=1 stops short of the geometric medians
+        mus = self._family(rng, k=4, T=5)
+        opts = SolverOptions(support_size=3, p=1.0, seed=2, inner_max_iters=1)
+        res = reduce_solve_reconstruct(mus, make_gaussian_map(12, 4, 3), opts)
+        capped = reconstruct_barycenter(res.solution, mus, 1.0, inner_max_iters=1)
+        np.testing.assert_array_equal(res.nu_high.atoms, capped.atoms)
+        full = reconstruct_barycenter(res.solution, mus, 1.0)
+        assert not np.allclose(res.nu_high.atoms, full.atoms)
 
     def test_n1_unique_solution_insensitive_to_map(self):
         mus = [make_distribution([[0.0]], [1.0]), make_distribution([[2.0]], [1.0])]

@@ -17,10 +17,12 @@ from baryreduce.core import (
 from baryreduce import barycenter, transport
 from baryreduce.transport import (
     TransportModel,
+    TransportPlan,
     barycenter_objective,
     cost_matrix,
+    pool_batch,
     solve_ot,
-    solve_ot_batch,
+    solve_pooled,
     transport_costs,
     wasserstein_p,
 )
@@ -31,6 +33,19 @@ from oracle import TooLarge, solve_ot_oracle
 
 def delta(x):
     return make_distribution(np.atleast_2d(np.asarray(x, dtype=float)), [1.0])
+
+
+def pooled_plans(mus, nu, p):
+    """Every input's plan from one :func:`solve_pooled` call, split at the
+    batch's input starts."""
+    batch = pool_batch(mus)
+    flow, costs = solve_pooled(batch, nu, p)
+    return [TransportPlan(part, cost)
+            for part, cost in zip(np.split(flow, batch.starts[1:]), costs.tolist())]
+
+
+def pooled_costs(mus, nu, p):
+    return solve_pooled(pool_batch(mus), nu, p)[1]
 
 
 class TestCostMatrix:
@@ -108,10 +123,10 @@ class TestSolveOt:
         assert cost == pytest.approx(lp_optimum, rel=1e-9, abs=0.0)
 
     def test_batch_matches_single_solves(self, rng):
-        # a zero-weight atom in nu, as weight re-estimation leaves behind
+        # a zero-weight atom in nu gets no flow
         nu = make_distribution(rng.normal(size=(4, 2)), [0.3, 0.0, 0.45, 0.25])
         mus = [random_distribution(rng, T, 2) for T in (1, 3, 5, 7)]
-        plans = solve_ot_batch(mus, nu, 2.0)
+        plans = pooled_plans(mus, nu, 2.0)
         for mu, plan in zip(mus, plans):
             single = solve_ot(mu, nu, 2.0).cost
             assert plan.cost == pytest.approx(single, rel=1e-12, abs=0.0)
@@ -309,7 +324,7 @@ class TestAssignment:
                    for T in (6, 4, 6)]
         mus = [uniform[0], random_distribution(rng, 6, 3), uniform[1], delta([0.0] * 3),
                uniform[2], random_distribution(rng, 9, 3)]
-        plans = solve_ot_batch(mus, nu, 2.0)
+        plans = pooled_plans(mus, nu, 2.0)
         assert [len(a) for a, _, _ in seen] == [6, 4, 9]  # the assignments skip HiGHS
         for mu, plan in zip(mus, plans):
             single = solve_ot(mu, nu, 2.0)
@@ -394,7 +409,6 @@ class TestTransportCosts:
 class TestBatchContract:
     def test_empty_batch(self):
         nu = delta([0.0, 1.0])
-        assert solve_ot_batch([], nu, 2.0) == []
         costs = transport_costs([], nu, 2.0)
         assert costs.shape == (0,) and costs.dtype == np.float64
 
@@ -402,7 +416,7 @@ class TestBatchContract:
         nu = random_distribution(rng, 3, 2)
         mus = [random_distribution(rng, 2, 2), random_distribution(rng, 2, 3),
                random_distribution(rng, 4, 2)]
-        for price in (solve_ot_batch, transport_costs):
+        for price in (pooled_costs, transport_costs):
             with pytest.raises(DimensionMismatch):
                 price(mus, nu, 2.0)
             with pytest.raises(DimensionMismatch):  # every input against nu
@@ -411,11 +425,11 @@ class TestBatchContract:
     def test_exponent_below_one_rejected(self, rng):
         mus = [random_distribution(rng, 2, 2), delta([0.0, 1.0])]
         nu = random_distribution(rng, 3, 2)
-        for price in (solve_ot_batch, transport_costs):
+        for price in (pooled_costs, transport_costs):
             with pytest.raises(BadExponent):
                 price(mus, nu, 0.5)
 
-    def test_distinct_lp_inputs_in_first_seen_order(self, rng, monkeypatch):
+    def test_lp_inputs_in_list_order(self, rng, monkeypatch):
         seen = []
 
         class Recording(TransportModel):
@@ -427,8 +441,8 @@ class TestBatchContract:
         nu = random_distribution(rng, 3, 2)
         m1, m2, m3 = (random_distribution(rng, T, 2) for T in (2, 3, 4))
         costs = transport_costs([m2, m1, m2, delta([0.0, 0.0]), m3, m1], nu, 2.0)
-        assert len(seen) == 3  # the one-atom input never reaches the LP
-        for (a, b, C), mu in zip(seen, (m2, m1, m3)):
+        assert len(seen) == 5  # a repeat is priced again; the one-atom input skips the LP
+        for (a, b, C), mu in zip(seen, (m2, m1, m2, m3, m1)):
             np.testing.assert_array_equal(a, mu.weights)
             np.testing.assert_array_equal(b, nu.weights)
             np.testing.assert_array_equal(C, cost_matrix(mu, nu, 2.0))
@@ -446,7 +460,7 @@ class TestBatchContract:
         assert len(calls) == 1
         calls.clear()
         mus = [random_distribution(rng, 2 + i % 4, 3) for i in range(10)]
-        solve_ot_batch(mus, random_distribution(rng, 5, 3), 1.5)
+        solve_pooled(pool_batch(mus), random_distribution(rng, 5, 3), 1.5)
         assert calls == [(sum(mu.size for mu in mus), 3)]
 
 
@@ -487,7 +501,7 @@ def test_bulk_pricing_matches_pair_solves(seed, k, nu_kind, p):
             T = int(r.integers(1, 5))
             mus.append(make_distribution(r.normal(size=(T, 2)), _weights_with_zeros(r, T)))
     costs = transport_costs(mus, nu, p)
-    plans = solve_ot_batch(mus, nu, p)
+    plans = pooled_plans(mus, nu, p)
     assert costs.shape == (k,) and len(plans) == k
     for mu, cost, plan in zip(mus, costs, plans):
         single = solve_ot(mu, nu, p).cost
