@@ -15,6 +15,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .core import (
+    BadExponent,
     CostReport,
     DiscreteDistribution,
     EmptyInput,
@@ -42,6 +43,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.support_size < 1:
             raise EmptyInput("support_size must be >= 1")
+        if not 1.0 <= self.p < np.inf:
+            raise BadExponent(f"exponent p must be finite and >= 1, got {self.p}")
         if self.rel_tol <= 0 or self.inner_tol <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -121,9 +124,17 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float,
 
 
 def _column_points(sol: Solution, mus):
-    points, _, _ = pooled_atoms(mus)
-    stacked = np.concatenate([p for p in sol.plans], axis=0)  # (sum T_i, n)
-    return points, stacked
+    return pooled_atoms(mus)[0], np.concatenate(sol.plans)  # (sum T_i, n) flows
+
+
+def _atom_costs(points, flow, atoms, p: float, k: int) -> np.ndarray:
+    """Per-atom objective terms of the pooled ``flow`` from ``points`` to ``atoms``."""
+    per_atom = np.zeros(len(atoms))
+    for j in range(len(atoms)):
+        rows = np.flatnonzero(flow[:, j])  # only rows with flow cost anything
+        dist = np.linalg.norm(points[rows] - atoms[j], axis=1)
+        per_atom[j] = (flow[rows, j] @ dist**p) / k
+    return per_atom
 
 
 def reconstruct_barycenter(sol: Solution, mus, p: float,
@@ -158,13 +169,7 @@ def solution_cost(sol: Solution, mus, p: float,
 def support_cost(sol: Solution, mus, nu: DiscreteDistribution,
                  p: float) -> CostReport:
     """Objective value of a solution's plans priced against the atoms of ``nu``."""
-    points, stacked = _column_points(sol, mus)
-    k = len(mus)
-    per_atom = np.zeros(sol.n_atoms)
-    for j in range(sol.n_atoms):
-        rows = np.flatnonzero(stacked[:, j])  # only rows with flow cost anything
-        dist = np.linalg.norm(points[rows] - nu.atoms[j], axis=1)
-        per_atom[j] = (stacked[rows, j] @ dist**p) / k
+    per_atom = _atom_costs(*_column_points(sol, mus), nu.atoms, p, len(mus))
     return CostReport(float(per_atom.sum()), per_atom, 0, True)
 
 
@@ -261,6 +266,6 @@ def solve_barycenter(mus, opts: SolverOptions):
     obj, support, flow = best
     nu = DiscreteDistribution(support, b)
     sol = Solution(tuple(np.split(flow, batch.starts[1:])), b)
-    per_atom = support_cost(sol, mus, nu, p).per_atom_costs
+    per_atom = _atom_costs(points, flow, support, p, k)
     report = CostReport(float(obj), per_atom, iters, converged, trace)
     return nu, sol, report

@@ -193,6 +193,8 @@ def cost_ratio_sweep(mus, m_values, opts: SolverOptions, map_kind: str = "gaussi
     """
     if map_kind not in MAP_MAKERS:
         raise BadParams(f"unknown map kind {map_kind!r}")
+    if any(m < 1 for m in m_values):  # before m seeds a map
+        raise BadParams("dimensions must be positive")
     d = mus[0].dim
     if reference_cost is None:
         t0 = time.perf_counter()

@@ -5,11 +5,14 @@ numbers of atoms with equal masses on each side, some optimal plan is a
 permutation divided by the count (Birkhoff-von Neumann), so such a pair is an
 assignment problem, solved exactly by scipy's ``linear_sum_assignment``.
 Every other pair is solved by the HiGHS simplex through the binding that
-scipy ships.  Several problems that share a target, such as one outer
-iteration of the barycenter solver, are stacked into one block-diagonal LP
-and solved in a single call.  Each block's costs are scaled to a maximum of
-1 before every solve, because HiGHS tolerances are absolute; reported costs
-use the unscaled matrix.
+scipy ships.  A batch of inputs that share a target, such as one outer
+iteration of the barycenter solver, stays pooled throughout: one (N, n) cost
+array of all its atoms, one block-diagonal LP on consecutive row runs of it,
+solved in one call, and one (N, n) flow array, with no per-input arrays.
+Each block's costs are scaled to a maximum of 1 before every solve, because
+HiGHS tolerances are absolute; reported costs use the unscaled matrix.  A
+cost matrix with a non-finite entry raises :class:`NumericalFailure` before
+any plan is built.
 
 An optimal plan moves mass only along cells that are cheap for their row or
 their column (the shortlist method of Gottschlich and Schuhmacher, 2014), so
@@ -17,21 +20,14 @@ the LP holds only some cells as columns: each row's and each column's
 ``_HELD`` cheapest, plus the north-west-corner cells of the marginals, which
 make it feasible.  A block with at most ``_HELD`` rows or columns is held
 whole.  After each HiGHS run, the row duals y price every cell of the batch,
-c - y[row] - y[m + col]; every cell not yet held that prices below
+c - y[row] - y[col]; every cell not yet held that prices below
 ``-_PRICE_TOL`` joins the LP in one round, and HiGHS runs again from its
 basis.  The rounds end when no cell is added.  The final basis is then
 optimal for the held cells and no other cell has a negative reduced cost
 beyond ``_PRICE_TOL``, which is the optimality certificate HiGHS applies to
-a full LP, with a tighter tolerance.
-
-A :class:`TransportModel` keeps its HiGHS model and its held cells between
-calls: when the next batch has the same block shapes and marginals, only the
-costs change, so the previous optimal basis stays primal-feasible and HiGHS
-starts from it.  A pair with one atom of positive mass on either side has a
-single feasible plan, which is built directly.  A batch costs a few numpy
-calls on its pooled atoms, one cost matrix for all of them, not a Python
-pass per input; a cost matrix with a non-finite entry raises
-:class:`NumericalFailure` before any plan is built.
+a full LP, with a tighter tolerance.  A :class:`TransportModel` keeps its
+LP between calls, so a batch whose costs alone change starts from the last
+optimal basis.
 """
 
 from __future__ import annotations
@@ -107,12 +103,10 @@ def cost_matrix(mu: DiscreteDistribution, nu: DiscreteDistribution, p: float) ->
 
 
 def _shortlist(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """The cells of one block that a rebuilt LP holds, as a boolean mask:
-    each row's and each column's ``_HELD`` cheapest cells and the
+    """The held cells of a block of more than ``_HELD`` rows and columns, as
+    a mask: each row's and each column's ``_HELD`` cheapest cells and the
     north-west-corner plan of ``(a, b)``, a feasible plan on its own."""
     m, n = C.shape
-    if min(m, n) <= _HELD:
-        return np.ones((m, n), dtype=bool)
     held = np.zeros((m, n), dtype=bool)
     np.put_along_axis(held, np.argpartition(C, _HELD - 1, axis=1)[:, :_HELD], True, axis=1)
     np.put_along_axis(held, np.argpartition(C, _HELD - 1, axis=0)[:_HELD], True, axis=0)
@@ -126,51 +120,49 @@ def _shortlist(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 class TransportModel:
-    """One HiGHS model for a batch of transportation problems, kept between solves.
+    """One HiGHS model for a pooled batch of transportation problems, kept between solves.
 
-    :meth:`solve` builds the model when the batch's structure (block shapes
-    and marginals) differs from the one it holds.  Otherwise it replaces
-    only the costs of the held cells, and HiGHS starts from the previous
-    optimal basis, which is still primal-feasible; cells added by pricing
-    stay held.  ``pivots`` sums the simplex iterations of every HiGHS run.
-    The HiGHS object is created on the first solve.
+    Block i is the next ``sizes[i]`` rows of one (R, n) cost array.  The LP
+    rows are each block's row sums, then its n column sums; the LP columns
+    are cells in pooled row-major order.  :meth:`solve` builds the model
+    when the block sizes or marginals differ from the ones it holds.
+    Otherwise it replaces only the held cells' costs, and HiGHS starts from
+    the previous optimal basis, which is still primal-feasible; cells added
+    by pricing stay held.  ``pivots`` sums the simplex iterations of every
+    HiGHS run.  The HiGHS object is created on the first solve.
     """
 
     def __init__(self):
         self._highs = None
-        self._shapes = None
+        self._sizes = None
         self._rhs = None
         self._row = self._col = None  # the two LP rows of every cell
         self._held = None  # the cells that are LP columns, in column order
         self.pivots = 0
 
     def _columns(self, cells):
-        """``start, index, value`` of the LP columns of ``cells``: cell
-        (i, j) of an m x n block appears in its row-sum row i and its
-        column-sum row m + j, so each column holds exactly two ones."""
+        """``start, index, value`` of the LP columns of ``cells``: each cell
+        is in its row's sum and its column's sum, so holds exactly two ones."""
         start = np.arange(0, 2 * cells.size + 1, 2, dtype=np.int32)
         index = np.stack([self._row[cells], self._col[cells]], axis=1).ravel()
         return start, index, np.ones(2 * cells.size)
 
-    def _build(self, problems, blocks, rhs, costs) -> None:
-        """Pass HiGHS the block-diagonal LP on the shortlisted cells."""
+    def _build(self, a, b, C, sizes, rhs) -> None:
+        """Pass HiGHS the block-diagonal LP on the shortlisted cells of ``C``."""
         if self._highs is None:
             self._highs = _Highs()
             for name, value in _HIGHS_OPTIONS:
                 self._highs.setOptionValue(name, value)
-        rows, cols, held, offset = [], [], [], 0
-        for (a, b, _), C in zip(problems, blocks):
-            m, n = C.shape
-            rows.append(offset + np.repeat(np.arange(m, dtype=np.int32), n))
-            cols.append(offset + m + np.tile(np.arange(n, dtype=np.int32), m))
-            held.append(_shortlist(a, b, C).ravel())
-            offset += m + n
-        self._row, self._col = np.concatenate(rows), np.concatenate(cols)
-        self._held = np.flatnonzero(np.concatenate(held))
+        held = np.ones(C.shape, dtype=bool)
+        starts = np.cumsum(sizes) - sizes
+        for i in np.flatnonzero((sizes > _HELD) & (C.shape[1] > _HELD)).tolist():
+            rows = slice(starts[i], starts[i] + sizes[i])
+            held[rows] = _shortlist(a[rows], b, C[rows])
+        self._held = np.flatnonzero(held)
         size = self._held.size
         if self._highs.passModel(
-                size, offset, 2 * size, int(MatrixFormat.kColwise),
-                int(ObjSense.kMinimize), 0.0, costs[self._held], np.zeros(size),
+                size, rhs.size, 2 * size, int(MatrixFormat.kColwise),
+                int(ObjSense.kMinimize), 0.0, C.ravel()[self._held], np.zeros(size),
                 np.full(size, np.inf), rhs, rhs, *self._columns(self._held),
                 np.zeros(size, dtype=np.int32)) == HighsStatus.kError:
             raise NumericalFailure("transport LP rejected by HiGHS")
@@ -186,28 +178,36 @@ class TransportModel:
         self.pivots += self._highs.getInfo().simplex_iteration_count
         return self._highs.getSolution()
 
-    def solve(self, problems) -> list:
-        """Optimal flows of the transportation problems ``(a, b, C)``.
+    def solve(self, a, b, C, sizes) -> np.ndarray:
+        """The (R, n) optimal flows of the blocks of ``sizes`` rows of the
+        finite costs ``C``, row masses ``a`` and target masses ``b``.
 
         The optimum is a vertex of the block-diagonal LP, so every block is
-        a basic plan.  Each block's costs, which must be finite (see
-        :func:`solve_pooled`), are divided by their maximum first.  Any HiGHS
-        error or a model status other than optimal raises
-        :class:`NumericalFailure`.
+        a basic plan.  Any HiGHS error or a model status other than optimal
+        raises :class:`NumericalFailure`.
         """
-        shapes = [C.shape for _, _, C in problems]
-        rhs = np.concatenate([v for a, b, _ in problems for v in (a, b)])
-        blocks = [C / top if (top := C.max()) > 0 else C for _, _, C in problems]
-        costs = np.concatenate([C.ravel() for C in blocks])
-        if shapes == self._shapes and np.array_equal(rhs, self._rhs):
+        R, n = C.shape
+        ends = np.cumsum(sizes)
+        block = np.repeat(np.arange(sizes.size), sizes)
+        # block i's LP rows: row sum r at r + i n, column sum j at ends[i] + i n + j
+        row = np.arange(R) + n * block
+        col = (ends + n * np.arange(sizes.size))[:, None] + np.arange(n)
+        rhs = np.empty(R + col.size)
+        rhs[row], rhs[col] = a, b
+        top = np.maximum.reduceat(C.max(axis=1), ends - sizes)
+        C = C / np.repeat(np.where(top > 0, top, 1.0), sizes)[:, None]
+        costs = C.ravel()
+        if np.array_equal(sizes, self._sizes) and np.array_equal(rhs, self._rhs):
             if self._highs.changeColsCost(
                     self._held.size, np.arange(self._held.size, dtype=np.int32),
                     costs[self._held]) == HighsStatus.kError:
                 raise NumericalFailure("transport costs rejected by HiGHS")
         else:
-            self._shapes = self._rhs = None  # until the new model is in
-            self._build(problems, blocks, rhs, costs)
-            self._shapes, self._rhs = shapes, rhs
+            self._sizes = self._rhs = None  # until the new model is in
+            self._row = np.repeat(row, n).astype(np.int32)
+            self._col = col[block].ravel().astype(np.int32)
+            self._build(a, b, C, sizes, rhs)
+            self._sizes, self._rhs = sizes.copy(), rhs
         solution = self._run()
         while self._held.size < costs.size:
             y = np.array(solution.row_dual)
@@ -224,15 +224,7 @@ class TransportModel:
             solution = self._run()
         x = np.zeros(costs.size)
         x[self._held] = np.maximum(np.array(solution.col_value), 0.0)
-        ends = np.cumsum([m * n for m, n in shapes])
-        return [part.reshape(shape)
-                for part, shape in zip(np.split(x, ends[:-1]), shapes)]
-
-
-def _mass(dist: DiscreteDistribution) -> np.ndarray:
-    """Weights with atoms lighter than ``ZERO_MASS`` zeroed, renormalized."""
-    w = np.where(dist.weights > ZERO_MASS, dist.weights, 0.0)
-    return w / w.sum()
+        return x.reshape(R, n)
 
 
 @dataclass(frozen=True)
@@ -274,13 +266,13 @@ def solve_pooled(batch: PooledBatch, nu: DiscreteDistribution, p: float,
     An input with one mass-carrying atom, or a ``nu`` with one, has the
     product of its marginals as its plan.  An input whose mass-carrying atoms
     match ``nu``'s in number, with all masses equal on each side, is an
-    assignment, solved by ``linear_sum_assignment``.  Every other input
-    reaches the LP, solved in one call on ``model``, or on a fresh
-    :class:`TransportModel` when none is given; a caller that solves the
-    same inputs against successive supports passes one model to every call
-    so that each solve starts from the previous basis.  Which inputs reach
-    the LP depends on the masses only, so the LP keeps its structure across
-    calls that change only ``nu``'s atoms.
+    assignment, solved by ``linear_sum_assignment`` on its slice of the
+    pooled rows.  The pooled rows of every other input go to one
+    :meth:`TransportModel.solve` call on ``model`` (a fresh one when none is
+    given); a caller that solves the same inputs against successive supports
+    passes one model to every call so that each solve starts from the
+    previous basis.  Which inputs reach the LP depends on the masses only, so
+    the LP keeps its structure across calls that change only ``nu``'s atoms.
     """
     _check_exponent(p)
     if batch.points.shape[1] != nu.dim:
@@ -289,7 +281,8 @@ def solve_pooled(batch: PooledBatch, nu: DiscreteDistribution, p: float,
     if not np.isfinite(C).all():
         raise NumericalFailure("transport costs are not finite")
     a, origins, massive = batch.mass, batch.origins, batch.massive
-    b = _mass(nu)
+    b = np.where(nu.weights > ZERO_MASS, nu.weights, 0.0)
+    b /= b.sum()
     cols = np.flatnonzero(b)
     lp = (massive > 1) & (len(cols) > 1)
     on_lp = lp[origins]
@@ -299,21 +292,20 @@ def solve_pooled(batch: PooledBatch, nu: DiscreteDistribution, p: float,
         rows = np.flatnonzero(on_lp & (a > 0))
         sizes = massive[lp]
         starts = np.cumsum(sizes) - sizes
-        a_rows, b_cols = a[rows], b[cols]
-        masses = np.split(a_rows, starts[1:])
-        blocks = np.split(C[np.ix_(rows, cols)], starts[1:])
+        a_rows, b_cols, C_lp = a[rows], b[cols], C[np.ix_(rows, cols)]
         # equal counts of equal masses on each side: a permutation is optimal
         square = ((sizes == len(cols)) & (b_cols.min() == b_cols.max())
                   & (np.minimum.reduceat(a_rows, starts) == np.maximum.reduceat(a_rows, starts)))
         for i in np.flatnonzero(square).tolist():
-            r, c = linear_sum_assignment(blocks[i])
-            flow[rows[starts[i] + r], cols[c]] = masses[i][r]
+            block = slice(starts[i], starts[i] + sizes[i])
+            r, c = linear_sum_assignment(C_lp[block])
+            flow[rows[block][r], cols[c]] = a_rows[block][r]
         if not square.all():
             if model is None:
                 model = TransportModel()
-            flows = model.solve([(masses[i], b_cols, blocks[i])
-                                 for i in np.flatnonzero(~square).tolist()])
-            flow[np.ix_(rows[np.repeat(~square, sizes)], cols)] = np.concatenate(flows)
+            to_lp = np.repeat(~square, sizes)
+            flow[np.ix_(rows[to_lp], cols)] = model.solve(
+                a_rows[to_lp], b_cols, C_lp[to_lp], sizes[~square])
     costs = np.add.reduceat((flow * C).sum(axis=1), batch.starts)
     return flow, costs
 

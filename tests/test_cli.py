@@ -273,14 +273,32 @@ def test_negative_seed_is_a_usage_error(two_deltas, capsys, command):
     assert_one_error_line(code, capsys)
 
 
+# Every column distance of these atoms is at most 1, so at p = inf the costs
+# stay finite and the support update is the first to see the exponent.
+NEAR = "0,0.5,0.0\n0,0.5,0.2\n1,0.5,0.1\n1,0.5,0.3\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "--p", "nan"], ["reduce", "--p", "inf"],
     ["gen", "lb_barycenter", "--p", "nan"], ["gen", "lb_barycenter", "--p", "0.5"],
-], ids=["reduce-nan", "reduce-inf", "gen-nan", "gen-half"])
-def test_bad_exponent_is_a_usage_error(two_deltas, capsys, argv):
-    if argv[0] == "reduce":  # the dimension policy sees --p first
+    ["barycenter", "--p", "inf"], ["barycenter", "--support-size", "1", "--p", "inf", NEAR],
+    ["reduce", "--dim", "1", "--p", "inf"], ["reduce", "--dim", "1", "--p", "inf", NEAR],
+], ids=["reduce-nan", "reduce-inf", "gen-nan", "gen-half",
+        "barycenter-inf", "barycenter-inf-near", "reduce-dim-inf", "reduce-dim-inf-near"])
+def test_bad_exponent_is_a_usage_error(two_deltas, tmp_path, capsys, argv):
+    if argv[-1] == NEAR:
+        f = tmp_path / "near.csv"
+        f.write_text(NEAR)
+        argv = [*argv[:-1], "--input", str(f)]
+    elif argv[0] != "gen":  # the dimension policy of reduce sees --p first
         argv = [*argv, "--input", two_deltas]
     assert_one_error_line(main(argv), capsys)
+
+
+@pytest.mark.parametrize("m", ["-3", "0"])
+def test_sweep_dimension_below_one_is_a_usage_error(two_deltas, capsys, m):
+    code = main(["sweep", "--input", two_deltas, "--m-values", "1", m])
+    assert_one_error_line(code, capsys)
 
 
 def test_weight_sum_error_prints_a_plain_float(tmp_path, capsys):

@@ -48,6 +48,21 @@ def pooled_costs(mus, nu, p):
     return solve_pooled(pool_batch(mus), nu, p)[1]
 
 
+def recording(monkeypatch):
+    """Record every block that reaches the LP as ``(a, b, C)``, in LP order."""
+    seen = []
+
+    class Recording(TransportModel):
+        def solve(self, a, b, C, sizes):
+            ends = np.cumsum(sizes)[:-1]
+            seen.extend((m, b, c) for m, c in zip(np.split(a, ends), np.split(C, ends)))
+            return super().solve(a, b, C, sizes)
+
+    monkeypatch.setattr(transport, "TransportModel", Recording)
+    monkeypatch.setattr(barycenter, "TransportModel", Recording)
+    return seen
+
+
 class TestCostMatrix:
     def test_pythagoras(self):
         C = cost_matrix(delta([0.0, 0.0]), delta([3.0, 4.0]), 2.0)
@@ -239,16 +254,57 @@ class TestHeldCells:
         b = np.full(n, 1.0 / n)
         assert not transport._shortlist(a, b, C / C.max())[0, 16:22].any()
         model = TransportModel()
-        (flow,) = model.solve([(a, b, C)])
+        flow = model.solve(a, b, C, np.array([n]))
         assert np.all(flow[0, 15:] > 0)
         assert (flow * C).sum() == pytest.approx(full_lp_optimum(a, b, C), rel=1e-9, abs=0.0)
         np.testing.assert_allclose(flow.sum(axis=1), a, rtol=0, atol=WEIGHT_TOL)
         np.testing.assert_allclose(flow.sum(axis=0), b, rtol=0, atol=WEIGHT_TOL)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4])
+    def test_multi_block_batch_matches_the_full_lp(self, scale):
+        # Blocks of 3 to 40 rows against a 12-atom target, so every block of
+        # more than _HELD rows is shortlisted.  The middle block is built
+        # like the one above: its row 0 carries half the mass far out along
+        # the first axis, the dearest row of every column and cheapest in
+        # the columns furthest out, which it must fill.  The target's first
+        # three atoms carry more than half the mass, so row 0's
+        # north-west-corner cells end by column 2 and its 8 cheapest are
+        # columns 4-11; cell (0, 3) is in no shortlist and only pricing can
+        # add it.
+        n = 12
+        r = np.random.default_rng(12)
+        Y = r.normal(size=(n, 2)) * [1.0, 0.1]
+        Y = Y[np.argsort(Y[:, 0])]
+        b = r.uniform(0.1, 1.0, n) * np.repeat([6.0, 1.0], [3, n - 3])
+        b /= b.sum()
+        far = r.normal(size=(16, 2))
+        far[0] = [20.0, 0.0]
+        weights = np.full(16, 0.5 / 15)
+        weights[0] = 0.5
+        inputs = [(r.normal(size=(T, 2)), r.uniform(0.1, 1.0, T)) for T in (3, 9, 20, 40)]
+        inputs.insert(2, (far, weights))
+        mus = [make_distribution(scale * X, a / a.sum()) for X, a in inputs]
+        batch = pool_batch(mus)
+        model = TransportModel()
+        builds = []
+        build = model._build
+        model._build = lambda *args: builds.append(build(*args))
+        for atoms in (Y, Y + 0.05 * r.normal(size=Y.shape)):  # cold, then warm
+            nu = make_distribution(scale * atoms, b)
+            C = cdist(far, atoms, "sqeuclidean")
+            assert not transport._shortlist(weights, b, C / C.max())[0, 3]
+            flow, costs = solve_pooled(batch, nu, 2.0, model)
+            plans = np.split(flow, batch.starts[1:])
+            assert plans[2][0, 3] > 0
+            for (X, _), mu, plan, cost in zip(inputs, mus, plans, costs.tolist()):
+                optimum = full_lp_optimum(mu.weights, b, cdist(X, atoms, "sqeuclidean"))
+                check_optimal_plan(mu, nu, TransportPlan(plan, cost), optimum * scale**2)
+        assert len(builds) == 1  # the warm solve kept the model
+
     def test_cold_solve_holds_a_subset_of_the_cells(self, rng):
         mu, nu = random_distribution(rng, 128, 8), random_distribution(rng, 128, 8)
         model = TransportModel()
-        model.solve([(mu.weights, nu.weights, cost_matrix(mu, nu, 2.0))])
+        model.solve(mu.weights, nu.weights, cost_matrix(mu, nu, 2.0), np.array([128]))
         assert model._highs.getNumCol() < 128 * 128
 
 
@@ -259,19 +315,6 @@ class TestAssignment:
     @staticmethod
     def no_lp():
         raise AssertionError("assignment pair sent to the LP")
-
-    @staticmethod
-    def recording(monkeypatch):
-        seen = []
-
-        class Recording(TransportModel):
-            def solve(self, problems):
-                seen.extend(problems)
-                return super().solve(problems)
-
-        monkeypatch.setattr(transport, "TransportModel", Recording)
-        monkeypatch.setattr(barycenter, "TransportModel", Recording)
-        return seen
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("T", [2, 8, 64, 128])
@@ -301,7 +344,7 @@ class TestAssignment:
             assert np.all(plan.flow[:, nu.weights == 0] == 0.0)
 
     def test_unequal_counts_or_masses_reach_highs(self, rng, monkeypatch):
-        seen = self.recording(monkeypatch)
+        seen = recording(monkeypatch)
         X, Y = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
         quarter = np.full(4, 0.25)
         nudged = quarter.copy()
@@ -318,7 +361,7 @@ class TestAssignment:
             check_optimal_plan(mu, nu, plan, full_lp_optimum(mu.weights, nu.weights, C))
 
     def test_mixed_batch_matches_pair_solves(self, rng, monkeypatch):
-        seen = self.recording(monkeypatch)
+        seen = recording(monkeypatch)
         nu = make_distribution(rng.normal(size=(6, 3)), np.full(6, 1 / 6))
         uniform = [make_distribution(rng.normal(size=(T, 3)), np.full(T, 1 / T))
                    for T in (6, 4, 6)]
@@ -336,7 +379,7 @@ class TestAssignment:
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_barycenter_of_equal_sizes(self, p, monkeypatch):
-        seen = self.recording(monkeypatch)
+        seen = recording(monkeypatch)
         r = np.random.default_rng(8)
         mus = [make_distribution(r.normal(size=(8, 3)) + i % 3, np.full(8, 1 / 8))
                for i in range(12)]
@@ -430,14 +473,7 @@ class TestBatchContract:
                 price(mus, nu, 0.5)
 
     def test_lp_inputs_in_list_order(self, rng, monkeypatch):
-        seen = []
-
-        class Recording(TransportModel):
-            def solve(self, problems):
-                seen.extend(problems)
-                return super().solve(problems)
-
-        monkeypatch.setattr(transport, "TransportModel", Recording)
+        seen = recording(monkeypatch)
         nu = random_distribution(rng, 3, 2)
         m1, m2, m3 = (random_distribution(rng, T, 2) for T in (2, 3, 4))
         costs = transport_costs([m2, m1, m2, delta([0.0, 0.0]), m3, m1], nu, 2.0)
