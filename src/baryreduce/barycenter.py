@@ -29,34 +29,35 @@ from .core import (
 )
 from .transport import TransportModel, pool_batch, solve_pooled
 
+#: the alternation stops once an outer iteration gains at most this fraction
+_REL_TOL = 1e-7
+#: relative stop rule and iteration cap of the iterative support updates
+_INNER_TOL = 1e-9
+_INNER_MAX_ITERS = 500
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     support_size: int = 4
     p: float = 2.0
     max_outer_iters: int = 200
-    rel_tol: float = 1e-7
     seed: int = 0
-    inner_max_iters: int = 500
-    inner_tol: float = 1e-9
 
     def __post_init__(self):
         if self.support_size < 1:
             raise EmptyInput("support_size must be >= 1")
         if not 1.0 <= self.p < np.inf:
             raise BadExponent(f"exponent p must be finite and >= 1, got {self.p}")
-        if self.rel_tol <= 0 or self.inner_tol <= 0:
-            raise ValueError("tolerances must be positive")
 
 
-def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float,
-                        tol: float = 1e-9, max_iters: int = 500) -> np.ndarray:
+def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
     """Minimize sum_i w_i ||x_i - y||^p over y.
 
     p=2 is the weighted mean in closed form; p=1 runs Weiszfeld iterations
     for the weighted geometric median; other p >= 1 use gradient descent
-    with backtracking line search on the convex objective.  Points of zero
-    weight are dropped first, so they affect neither the result nor the
+    with backtracking line search on the convex objective; both stop at
+    ``_INNER_TOL`` relative or after ``_INNER_MAX_ITERS`` steps.  Points of
+    zero weight are dropped first, so they affect neither the result nor the
     stop rules; callers pass a column's flow rows only.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -73,7 +74,7 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float,
     y = points.T @ weights / total  # weighted mean start
     if p == 1.0:
         radius = float(np.linalg.norm(points - y, axis=1).max())
-        for _ in range(max_iters):
+        for _ in range(_INNER_MAX_ITERS):
             diff = points - y
             dist = np.linalg.norm(diff, axis=1)
             at = dist < 1e-14
@@ -89,7 +90,7 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float,
                 dist = np.maximum(dist, 1e-14)
             inv = weights / dist
             y_next = points.T @ inv / inv.sum()
-            if np.linalg.norm(y_next - y) <= tol * radius:
+            if np.linalg.norm(y_next - y) <= _INNER_TOL * radius:
                 return y_next
             y = y_next
         return y
@@ -99,13 +100,13 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float,
 
     f = objective(y)
     step = np.inf
-    for _ in range(max_iters):
+    for _ in range(_INNER_MAX_ITERS):
         diff = y - points
         dist = np.maximum(np.linalg.norm(diff, axis=1), 1e-14)
         grad = (weights * p * dist ** (p - 2.0)) @ diff
         gnorm = np.linalg.norm(grad)
         scale = float(np.linalg.norm(points - y, axis=1).max()) + 1e-30
-        if gnorm * scale <= tol * f:
+        if gnorm * scale <= _INNER_TOL * f:
             break
         # the cap scales as length^(2-p), like the step itself
         step = min(step * 2.0,
@@ -116,7 +117,7 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float,
             if f_try <= f - 0.25 * step * gnorm**2 or step < 1e-18:
                 break
             step *= 0.5
-        if f - f_try <= tol * f:
+        if f - f_try <= _INNER_TOL * f:
             y, f = y_try, f_try
             break
         y, f = y_try, f_try
@@ -137,9 +138,7 @@ def _atom_costs(points, flow, atoms, p: float, k: int) -> np.ndarray:
     return per_atom
 
 
-def reconstruct_barycenter(sol: Solution, mus, p: float,
-                           inner_tol: float = 1e-9,
-                           inner_max_iters: int = 500) -> DiscreteDistribution:
+def reconstruct_barycenter(sol: Solution, mus, p: float) -> DiscreteDistribution:
     """Rebuild the barycenter in the ambient space of ``mus`` from the flows.
 
     Atom j solves the column-j support-update problem; a column carrying no
@@ -156,14 +155,13 @@ def reconstruct_barycenter(sol: Solution, mus, p: float,
         w = stacked[rows, j]
         if w.sum() <= 0:
             continue  # degenerate: weight-0 atom stays at the origin
-        atoms[j] = update_support_atom(points[rows], w, p, inner_tol, inner_max_iters)
+        atoms[j] = update_support_atom(points[rows], w, p)
     return DiscreteDistribution(atoms, sol.barycenter_weights)
 
 
-def solution_cost(sol: Solution, mus, p: float,
-                  inner_tol: float = 1e-9) -> CostReport:
+def solution_cost(sol: Solution, mus, p: float) -> CostReport:
     """Objective value of a solution after rebuilding its barycenter."""
-    return support_cost(sol, mus, reconstruct_barycenter(sol, mus, p, inner_tol), p)
+    return support_cost(sol, mus, reconstruct_barycenter(sol, mus, p), p)
 
 
 def support_cost(sol: Solution, mus, nu: DiscreteDistribution,
@@ -244,7 +242,7 @@ def solve_barycenter(mus, opts: SolverOptions):
                 f"{prev_obj!r} -> {obj!r}")
         if best is None or obj < best[0]:
             best = (obj, support.copy(), stacked)
-        if prev_obj - obj <= opts.rel_tol * abs(obj):
+        if prev_obj - obj <= _REL_TOL * abs(obj):
             converged = True
             break
         prev_obj = obj
@@ -254,7 +252,7 @@ def solve_barycenter(mus, opts: SolverOptions):
             rows = np.flatnonzero(stacked[:, j])
             w, column = stacked[rows, j], points[rows]
             if w.sum() > 0:
-                y = update_support_atom(column, w, p, opts.inner_tol, opts.inner_max_iters)
+                y = update_support_atom(column, w, p)
                 # The inner solve stops at a tolerance (Weiszfeld converges
                 # slowly to a median at a data point) and rounds, so it can
                 # land above the current atom; keep that atom then, and the

@@ -34,10 +34,8 @@ class SensitivityScores:
 
 @dataclass(frozen=True)
 class WeightedCoreset:
-    indices: np.ndarray         # sampled positions into the original list
-    multiplicities: np.ndarray  # per-distinct-index draw counts
-    weights: np.ndarray         # scaling factor per *draw* (not per index)
-    size: int
+    inputs: np.ndarray  # distinct sampled positions into the original list, ascending
+    lam: np.ndarray     # summed weight of each input's draws (unnormalised)
 
 
 def pilot_barycenter(mus, p: float = 2.0) -> DiscreteDistribution:
@@ -99,39 +97,41 @@ def build_coreset(scores: SensitivityScores, size: int,
                   seed: int = 0) -> WeightedCoreset:
     """Draw ``size`` distributions i.i.d. from the score distribution.
 
-    Draw j landing on index i carries weight 1 / (size * k * q_i), so the
+    Each draw landing on index i carries weight 1 / (size * k * q_i), so the
     weighted objective matches the full average objective in expectation.
+    The coreset keeps the distinct indices drawn and their summed weights
+    lam_i = count_i / (size * k * q_i).
     """
     if size < 1:
         raise BadSize("coreset size must be >= 1")
     k = len(scores.probabilities)
     rng = np.random.default_rng(seed)
     draws = rng.choice(k, size=size, replace=True, p=scores.probabilities)
-    weights = 1.0 / (size * k * scores.probabilities[draws])
-    return WeightedCoreset(draws, np.bincount(draws, minlength=k), weights, size)
+    inputs, counts = np.unique(draws, return_counts=True)
+    return WeightedCoreset(inputs, counts / (size * k * scores.probabilities[inputs]))
 
 
 def coreset_size_bound(n: int, d: int, p: float, eps: float, delta: float,
-                       alpha: float = 2.0, c: float = 1.0) -> tuple[float, int]:
+                       alpha: float = 2.0) -> tuple[float, int]:
     """Worst-case sample size sufficient for a (1 +/- eps) cost estimate.
 
-    Returns the raw value ``c * alpha * 4^(p-1) * n^8 * d^4 * log(1/delta)
+    Returns the raw value ``alpha * 4^(p-1) * n^8 * d^4 * log(1/delta)
     / eps^2`` and its ceiling, so callers can inspect exact parameter
     scaling before rounding.
     """
     if eps <= 0 or not (0 < delta < 1):
         raise BadSize("need eps > 0 and delta in (0, 1)")
-    raw = c * alpha * 4.0 ** (p - 1) * n**8 * d**4 * math.log(1.0 / delta) / eps**2
+    raw = alpha * 4.0 ** (p - 1) * n**8 * d**4 * math.log(1.0 / delta) / eps**2
     return raw, math.ceil(raw)
 
 
 def practical_size_bound(scores: SensitivityScores, pseudo_dim: int,
-                         eps: float, delta: float, c: float = 1.0) -> tuple[float, int]:
+                         eps: float, delta: float) -> tuple[float, int]:
     """Data-dependent variant driven by the realized total sensitivity."""
     if eps <= 0 or not (0 < delta < 1):
         raise BadSize("need eps > 0 and delta in (0, 1)")
     S = scores.total
-    raw = c * (S / eps**2) * (pseudo_dim * math.log(S) + math.log(1.0 / delta))
+    raw = (S / eps**2) * (pseudo_dim * math.log(S) + math.log(1.0 / delta))
     return raw, max(1, math.ceil(raw))
 
 
@@ -140,12 +140,12 @@ def evaluate_coreset(coreset: WeightedCoreset, costs: np.ndarray):
 
     ``costs`` holds W_p(mu_i, nu)**p of every input against one query ``nu``
     (see :func:`transport_costs`).  Returns a dict with the full objective,
-    the coreset estimate, the relative error (absolute difference when the
-    full objective is zero, flagged by ``zero_cost``), and the number of
-    distinct inputs touched.
+    the coreset estimate ``lam @ costs[inputs]`` and the relative error
+    (absolute difference when the full objective is zero, flagged by
+    ``zero_cost``).
     """
     full = costs.mean()
-    est = coreset.weights @ costs[coreset.indices]
+    est = coreset.lam @ costs[coreset.inputs]
     if full > 0:
         rel = abs(est - full) / full
         zero = False
@@ -153,5 +153,4 @@ def evaluate_coreset(coreset: WeightedCoreset, costs: np.ndarray):
         rel = abs(est - full)
         zero = True
     return {"full_cost": float(full), "coreset_cost": float(est),
-            "rel_error": float(rel), "zero_cost": zero,
-            "distinct": int((coreset.multiplicities > 0).sum())}
+            "rel_error": float(rel), "zero_cost": zero}

@@ -30,15 +30,11 @@ from .barycenter import (
     support_cost,
 )
 
-#: multiplier applied to every dimension formula before rounding up
-DEFAULT_C_JL = 1.0
-
 _POLICIES = ("p2", "kirszbraun", "optimal")
 
 
 def jl_dimension(n: int, eps: float, delta: float, p: float,
-                 policy: str = "optimal", k: int | None = None,
-                 c: float = DEFAULT_C_JL) -> int:
+                 policy: str = "optimal", k: int | None = None) -> int:
     """Target dimension for the chosen distortion policy.
 
     ``p2``          ln(nk/delta) / eps^2          (exponent 2 only)
@@ -46,7 +42,8 @@ def jl_dimension(n: int, eps: float, delta: float, p: float,
     ``optimal``     p^4 ln(n/(eps delta)) / eps^2
 
     ``k`` (number of input distributions) is required for the first two.
-    Returns ``ceil(c * f)`` and is always at least 1.
+    Returns ``ceil(f)``, at least 1; an ``f`` that is not finite raises
+    :class:`BadParams`.
     """
     if policy not in _POLICIES:
         raise BadParams(f"unknown policy {policy!r}; expected one of {_POLICIES}")
@@ -56,19 +53,22 @@ def jl_dimension(n: int, eps: float, delta: float, p: float,
         raise BadParams("n must be at least 2")
     if not 1 <= p < math.inf:
         raise BadParams(f"exponent must be finite and >= 1, got {p}")
-    if policy == "p2":
-        if p != 2:
-            raise BadParams("policy 'p2' only applies to exponent 2")
-        if k is None:
-            raise BadParams("policy 'p2' needs the number of distributions k")
-        f = math.log(n * k / delta) / eps**2
-    elif policy == "kirszbraun":
-        if k is None:
-            raise BadParams("policy 'kirszbraun' needs the number of distributions k")
-        f = p**2 * math.log(n * k / delta) / eps**2
-    else:
-        f = p**4 * math.log(n / (eps * delta)) / eps**2
-    return max(1, math.ceil(c * f))
+    if policy == "p2" and p != 2:
+        raise BadParams("policy 'p2' only applies to exponent 2")
+    if policy != "optimal" and k is None:
+        raise BadParams(f"policy {policy!r} needs the number of distributions k")
+    try:
+        if policy == "p2":
+            f = math.log(n * k / delta) / eps**2
+        elif policy == "kirszbraun":
+            f = p**2 * math.log(n * k / delta) / eps**2
+        else:
+            f = p**4 * math.log(n / (eps * delta)) / eps**2
+    except (OverflowError, ZeroDivisionError):  # p**4 overflows, eps**2 underflows
+        f = math.inf
+    if not math.isfinite(f):
+        raise BadParams(f"dimension not finite at eps={eps}, delta={delta}, p={p}")
+    return max(1, math.ceil(f))
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def reduce_solve_reconstruct(mus, pmap: ProjectionMap,
     t1 = time.perf_counter()
     nu_low, sol, rep = solve_barycenter(low, opts)
     t2 = time.perf_counter()
-    nu_high = reconstruct_barycenter(sol, mus, opts.p, opts.inner_tol, opts.inner_max_iters)
+    nu_high = reconstruct_barycenter(sol, mus, opts.p)
     cost_high = support_cost(sol, mus, nu_high, opts.p).total_cost
     t3 = time.perf_counter()
     return ReductionResult(nu_low, nu_high, sol, rep.total_cost, cost_high,
@@ -182,27 +182,26 @@ MAP_MAKERS = {"gaussian": make_gaussian_map, "srht": make_srht_map}
 
 
 def cost_ratio_sweep(mus, m_values, opts: SolverOptions, map_kind: str = "gaussian",
-                     trials: int = 5, master_seed: int = 0,
-                     reference_cost: float | None = None):
+                     trials: int = 5, master_seed: int = 0):
     """Quality/runtime profile of the reduction over target dimensions.
 
     For each ``m`` runs ``trials`` independent maps (seeds mixed from the
     master seed so cells are reproducible in isolation) and records the
-    ratio of the lifted cost to a full-dimensional reference.  Returns a
-    list of per-``m`` dicts with the ratios, lifted costs and wall times.
+    ratio of the lifted cost to the full-dimensional one, which must not be
+    0.  Returns per-``m`` dicts with the ratios, lifted costs and wall times.
     """
     if map_kind not in MAP_MAKERS:
         raise BadParams(f"unknown map kind {map_kind!r}")
     if any(m < 1 for m in m_values):  # before m seeds a map
         raise BadParams("dimensions must be positive")
     d = mus[0].dim
-    if reference_cost is None:
-        t0 = time.perf_counter()
-        _, _, rep = solve_barycenter(mus, opts)
-        reference_time = time.perf_counter() - t0
-        reference_cost = rep.total_cost
-    else:
-        reference_time = None
+    t0 = time.perf_counter()
+    _, _, rep = solve_barycenter(mus, opts)
+    reference_time = time.perf_counter() - t0
+    reference_cost = rep.total_cost
+    if reference_cost == 0:
+        raise BadParams("full-dimensional cost is 0, so no cost ratio is defined")
+
     def run_cell(m, trial):
         seed = int(np.random.SeedSequence([master_seed, m, trial])
                    .generate_state(1)[0])

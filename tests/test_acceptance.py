@@ -230,7 +230,7 @@ def test_09_sampling_estimate_is_unbiased():
     n_seeds = 100000
     for seed in range(n_seeds):
         core = build_coreset(scores, 3, seed=seed)
-        totals += cost[:, core.indices] @ core.weights
+        totals += cost[:, core.inputs] @ core.lam
     means = totals / n_seeds
     for q, m, f in zip(queries, means, full):
         assert abs(m - f) <= 0.01 * f, (q, m, f)

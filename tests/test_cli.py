@@ -301,6 +301,27 @@ def test_sweep_dimension_below_one_is_a_usage_error(two_deltas, capsys, m):
     assert_one_error_line(code, capsys)
 
 
+@pytest.mark.parametrize("extra", [
+    ["--eps", "1e-200"], ["--eps", "1e-160"], ["--delta", "1e-320"], ["--p", "1e80"],
+], ids=["eps-squared-zero", "eps-squared-subnormal", "delta-tiny", "p-huge"])
+def test_non_finite_dimension_is_a_usage_error(tmp_path, capsys, extra):
+    f = tmp_path / "pairs.csv"  # two 2-atom inputs in R^2
+    f.write_text("0,0.5,0.0,0.0\n0,0.5,1.0,0.0\n1,0.5,0.0,1.0\n1,0.5,1.0,1.0\n")
+    assert_one_error_line(main(["reduce", "--input", str(f), *extra]), capsys)
+
+
+@pytest.mark.parametrize("rows, extra", [
+    ("0,0.5,0.0\n0,0.5,1.0\n", []),  # one input, fitted exactly by 4 atoms
+    (NEAR, ["--p", "1e80"]),          # every cost underflows to 0
+], ids=["one-input", "p-huge"])
+def test_sweep_zero_reference_cost_is_a_usage_error(tmp_path, capsys, rows, extra):
+    f = tmp_path / "zero.csv"
+    f.write_text(rows)
+    code = main(["sweep", "--input", str(f), "--m-values", "1", "--trials", "1",
+                 "--support-size", "4", *extra])
+    assert_one_error_line(code, capsys)
+
+
 def test_weight_sum_error_prints_a_plain_float(tmp_path, capsys):
     f = tmp_path / "short.csv"
     f.write_text("0,0.5,0.0\n0,0.4,1.0\n")

@@ -34,7 +34,9 @@ class TestSensitivityScores:
         np.testing.assert_array_equal(sc.probabilities, 0.25)
         assert sc.total == 1.0 and sc.mean_score == 0.25
         core = build_coreset(sc, 8, seed=3)
-        np.testing.assert_allclose(core.weights, 1.0 / 8, rtol=1e-15)
+        # every draw weighs 1/8, so each input's lam is a whole number of 1/8ths
+        np.testing.assert_allclose(core.lam, np.round(core.lam * 8) / 8, rtol=1e-15)
+        assert core.lam.sum() == pytest.approx(1.0, rel=1e-15)
 
     def test_outlier_instance_closed_form(self):
         k = 1000
@@ -107,16 +109,17 @@ class TestBuildCoreset:
         q = np.full(4, 0.25)
         sc = SensitivityScores(q * 4, 4.0, q, 1.0, False)
         core = build_coreset(sc, 2, seed=0)
-        np.testing.assert_allclose(core.weights, 0.5)
+        # every draw weighs 0.5, so each input's lam is a whole number of halves
+        np.testing.assert_allclose(core.lam, np.round(core.lam * 2) / 2)
+        assert core.lam.sum() == pytest.approx(1.0)
 
     def test_concentrated(self):
         q = np.array([1.0, 0.0, 0.0])
         # tiny floor keeps rng.choice happy about exact normalization
         sc = SensitivityScores(q, 1.0, q, 1.0, False)
         core = build_coreset(sc, 1, seed=0)
-        assert list(core.indices) == [0]
-        assert core.multiplicities.tolist() == [1, 0, 0]  # one count per input
-        np.testing.assert_allclose(core.weights, [1.0 / 3.0])
+        assert core.inputs.tolist() == [0]  # the inputs never drawn are absent
+        np.testing.assert_allclose(core.lam, [1.0 / 3.0])
 
     def test_bad_size(self):
         q = np.full(2, 0.5)
@@ -129,13 +132,24 @@ class TestBuildCoreset:
         sc = SensitivityScores(q, 1.0, q, 1.0, False)
         a = build_coreset(sc, 10, seed=3)
         b = build_coreset(sc, 10, seed=3)
-        np.testing.assert_array_equal(a.indices, b.indices)
-        uniq, counts = np.unique(a.indices, return_counts=True)
-        expected = np.zeros(4, dtype=np.int64)  # per-input draw counts
-        expected[uniq] = counts
-        assert a.multiplicities.dtype == np.int64
-        np.testing.assert_array_equal(a.multiplicities, expected)
-        assert a.multiplicities.sum() == 10
+        np.testing.assert_array_equal(a.inputs, b.inputs)
+        np.testing.assert_array_equal(a.lam, b.lam)
+        assert a.inputs.dtype == np.int64
+        assert np.all(np.diff(a.inputs) > 0)  # distinct, ascending
+        counts = a.lam * 10 * 4 * q[a.inputs]  # per-input draw counts
+        np.testing.assert_allclose(counts, np.round(counts), rtol=1e-12)
+        assert np.round(counts).sum() == 10
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_inputs_and_lam_sum_the_draws(self, seed):
+        q = np.array([0.05, 0.3, 0.1, 0.25, 0.2, 0.1])
+        sc = SensitivityScores(q, 1.0, q, 1.0, False)
+        core = build_coreset(sc, 25, seed=seed)
+        draws = np.random.default_rng(seed).choice(6, 25, p=q)
+        np.testing.assert_array_equal(core.inputs, np.unique(draws))
+        c = np.random.default_rng(seed + 1).uniform(0.5, 2.0, size=6)
+        per_draw = sum(c[i] / (25 * 6 * q[i]) for i in draws)
+        assert core.lam @ c[core.inputs] == pytest.approx(per_draw, rel=1e-12)
 
 
 class TestSizeBounds:
@@ -171,7 +185,7 @@ class TestEvaluate:
         # index once — search a seed that draws a permutation
         for seed in range(200):
             core = build_coreset(sc, 3, seed=seed)
-            if sorted(core.indices) == [0, 1, 2]:
+            if core.inputs.tolist() == [0, 1, 2]:
                 break
         out = evaluate_coreset(core, transport_costs(mus, delta([5.0]), 2.0))
         assert out["rel_error"] == pytest.approx(0.0, abs=1e-12)
@@ -183,7 +197,7 @@ class TestEvaluate:
         sc = SensitivityScores(q, 1.0, q, 1.0, False)
         for seed in range(100):
             core = build_coreset(sc, 20, seed=seed)
-            if core.multiplicities[-1] == 0:
+            if k - 1 not in core.inputs:
                 break
         out = evaluate_coreset(core, transport_costs(mus, delta([0.0]), 2.0))
         assert out["full_cost"] == pytest.approx(k)

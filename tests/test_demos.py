@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["01_barycenter_basics.py", "03_coreset_sampling.py"])
+@pytest.mark.parametrize("script", ["01_barycenter_basics.py", "02_dimension_reduction.py",
+                                    "03_coreset_sampling.py"])
 def test_demo_runs(script):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}

@@ -7,7 +7,6 @@ from scipy.linalg import hadamard
 from baryreduce.core import BadParams, DimensionMismatch, make_distribution
 from baryreduce.barycenter import (
     SolverOptions,
-    reconstruct_barycenter,
     solution_cost,
     solve_barycenter,
 )
@@ -36,7 +35,7 @@ class TestJlDimension:
         assert opt <= kir
 
     def test_eps_quadratic_scaling(self):
-        big = jl_dimension(64, 0.2, 0.1, 2.0, "kirszbraun", k=4, c=1.0)
+        big = jl_dimension(64, 0.2, 0.1, 2.0, "kirszbraun", k=4)
         # halving eps quadruples the pre-ceiling value; compare raw formula
         f = 4 * math.log(64 * 4 / 0.1)
         assert big == math.ceil(f / 0.2**2)
@@ -64,6 +63,19 @@ class TestJlDimension:
     def test_exponent_finite_and_at_least_one(self, p):
         with pytest.raises(BadParams, match="exponent"):
             jl_dimension(16, 0.5, 0.1, p, "optimal")
+
+    @pytest.mark.parametrize("policy, eps, delta, p", [
+        ("optimal", 1e-200, 0.1, 2.0),    # eps**2 underflows to 0
+        ("optimal", 1e-160, 0.1, 2.0),    # eps**2 is subnormal, the quotient inf
+        ("optimal", 0.25, 1e-320, 2.0),   # n / (eps delta) overflows
+        ("optimal", 0.25, 0.1, 1e80),     # p**4 overflows
+        ("kirszbraun", 0.25, 0.1, 1e160),  # p**2 overflows
+        ("p2", 1e-200, 0.1, 2.0),
+        ("p2", 0.25, 1e-320, 2.0),
+    ])
+    def test_formula_not_finite(self, policy, eps, delta, p):
+        with pytest.raises(BadParams, match="not finite"):
+            jl_dimension(4, eps, delta, p, policy, k=2)
 
 
 class TestSrhtMatrix:
@@ -190,16 +202,6 @@ class TestPipeline:
         res = reduce_solve_reconstruct(mus, make_gaussian_map(12, 6, 2), opts)
         assert validate_solution(res.solution, mus)
         assert res.cost_high == solution_cost(res.solution, mus, opts.p).total_cost
-
-    def test_lift_uses_the_inner_options(self, rng):
-        # one Weiszfeld step at p=1 stops short of the geometric medians
-        mus = self._family(rng, k=4, T=5)
-        opts = SolverOptions(support_size=3, p=1.0, seed=2, inner_max_iters=1)
-        res = reduce_solve_reconstruct(mus, make_gaussian_map(12, 4, 3), opts)
-        capped = reconstruct_barycenter(res.solution, mus, 1.0, inner_max_iters=1)
-        np.testing.assert_array_equal(res.nu_high.atoms, capped.atoms)
-        full = reconstruct_barycenter(res.solution, mus, 1.0)
-        assert not np.allclose(res.nu_high.atoms, full.atoms)
 
     def test_n1_unique_solution_insensitive_to_map(self):
         mus = [make_distribution([[0.0]], [1.0]), make_distribution([[2.0]], [1.0])]
