@@ -8,8 +8,10 @@ from .core import (
     CostReport,
     DiscreteDistribution,
     NumericalFailure,
+    PooledBatch,
     Solution,
     make_distribution,
+    pool_batch,
     validate_solution,
 )
 from .transport import (

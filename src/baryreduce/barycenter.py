@@ -21,13 +21,14 @@ from .core import (
     EmptyInput,
     InvalidSolution,
     NumericalFailure,
+    PooledBatch,
     Solution,
     ZeroWeight,
     make_distribution,
-    pooled_atoms,
+    pool_batch,
     solution_violations,
 )
-from .transport import TransportModel, pool_batch, solve_pooled
+from .transport import TransportModel, solve_pooled
 
 #: the alternation stops once an outer iteration gains at most this fraction
 _REL_TOL = 1e-7
@@ -124,10 +125,6 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float) -> np
     return y
 
 
-def _column_points(sol: Solution, mus):
-    return pooled_atoms(mus)[0], np.concatenate(sol.plans)  # (sum T_i, n) flows
-
-
 def _atom_costs(points, flow, atoms, p: float, k: int) -> np.ndarray:
     """Per-atom objective terms of the pooled ``flow`` from ``points`` to ``atoms``."""
     per_atom = np.zeros(len(atoms))
@@ -138,59 +135,60 @@ def _atom_costs(points, flow, atoms, p: float, k: int) -> np.ndarray:
     return per_atom
 
 
-def reconstruct_barycenter(sol: Solution, mus, p: float) -> DiscreteDistribution:
-    """Rebuild the barycenter in the ambient space of ``mus`` from the flows.
+def _check(sol: Solution, batch: PooledBatch) -> None:
+    bad = solution_violations(sol, batch)
+    if bad:
+        raise InvalidSolution("; ".join(bad))
+
+
+def reconstruct_barycenter(sol: Solution, batch: PooledBatch, p: float) -> DiscreteDistribution:
+    """Rebuild the barycenter in the ambient space of ``batch`` from the flows.
 
     Atom j solves the column-j support-update problem; a column carrying no
     mass degenerates to a zero-weight atom at the origin.
     """
-    bad = solution_violations(sol, mus)
-    if bad:
-        raise InvalidSolution("; ".join(bad))
-    points, stacked = _column_points(sol, mus)
-    d = points.shape[1]
-    atoms = np.zeros((sol.n_atoms, d))
+    _check(sol, batch)
+    flow = sol.flow
+    atoms = np.zeros((sol.n_atoms, batch.points.shape[1]))
     for j in range(sol.n_atoms):
-        rows = np.flatnonzero(stacked[:, j])
-        w = stacked[rows, j]
+        rows = np.flatnonzero(flow[:, j])
+        w = flow[rows, j]
         if w.sum() <= 0:
             continue  # degenerate: weight-0 atom stays at the origin
-        atoms[j] = update_support_atom(points[rows], w, p)
+        atoms[j] = update_support_atom(batch.points[rows], w, p)
     return DiscreteDistribution(atoms, sol.barycenter_weights)
 
 
-def solution_cost(sol: Solution, mus, p: float) -> CostReport:
+def solution_cost(sol: Solution, batch: PooledBatch, p: float) -> CostReport:
     """Objective value of a solution after rebuilding its barycenter."""
-    return support_cost(sol, mus, reconstruct_barycenter(sol, mus, p), p)
+    return support_cost(sol, batch, reconstruct_barycenter(sol, batch, p), p)
 
 
-def support_cost(sol: Solution, mus, nu: DiscreteDistribution,
+def support_cost(sol: Solution, batch: PooledBatch, nu: DiscreteDistribution,
                  p: float) -> CostReport:
     """Objective value of a solution's plans priced against the atoms of ``nu``."""
-    per_atom = _atom_costs(*_column_points(sol, mus), nu.atoms, p, len(mus))
+    per_atom = _atom_costs(batch.points, sol.flow, nu.atoms, p, len(batch.starts))
     return CostReport(float(per_atom.sum()), per_atom, 0, True)
 
 
-def pairwise_cost_p2(sol: Solution, mus) -> float:
+def pairwise_cost_p2(sol: Solution, batch: PooledBatch) -> float:
     """p=2 objective from pairwise squared distances only (no barycenter).
 
     Evaluates, per column j, the double sum of w(x) w(y) ||x - y||^2 over
     the column's weighted points, scaled by 1/(2 k b_j), then averages the
     columns.  Must agree with :func:`solution_cost` at p=2.
     """
-    bad = solution_violations(sol, mus)
-    if bad:
-        raise InvalidSolution("; ".join(bad))
+    _check(sol, batch)
     b = sol.barycenter_weights
     if np.any(b <= 0):
         raise ZeroWeight("pairwise form requires every barycenter weight > 0")
-    points, stacked = _column_points(sol, mus)
-    k = len(mus)
+    flow = sol.flow
+    k = len(batch.starts)
     total = 0.0
     for j in range(sol.n_atoms):
-        rows = np.flatnonzero(stacked[:, j])  # only rows with flow enter the sum
-        w = stacked[rows, j]
-        sub = points[rows]
+        rows = np.flatnonzero(flow[:, j])  # only rows with flow enter the sum
+        w = flow[rows, j]
+        sub = batch.points[rows]
         total += (w @ cdist(sub, sub, "sqeuclidean") @ w) / (2.0 * k * b[j])
     return total / k
 
@@ -263,7 +261,7 @@ def solve_barycenter(mus, opts: SolverOptions):
 
     obj, support, flow = best
     nu = DiscreteDistribution(support, b)
-    sol = Solution(tuple(np.split(flow, batch.starts[1:])), b)
+    sol = Solution(flow, batch.starts, b)
     per_atom = _atom_costs(points, flow, support, p, k)
     report = CostReport(float(obj), per_atom, iters, converged, trace)
     return nu, sol, report

@@ -15,7 +15,14 @@ import sys
 
 import numpy as np
 
-from .core import BadParams, BaryError, EmptyInput, NumericalFailure, make_distribution
+from .core import (
+    BadParams,
+    BaryError,
+    EmptyInput,
+    NumericalFailure,
+    make_distribution,
+    pool_batch,
+)
 from .barycenter import SolverOptions, solve_barycenter
 from .coreset import (
     build_coreset,
@@ -39,7 +46,7 @@ from .projection import (
     jl_dimension,
     reduce_solve_reconstruct,
 )
-from .transport import pool_batch, solve_pooled
+from .transport import solve_pooled
 
 EXIT_OK = 0
 EXIT_FAILURE = 1

@@ -1,9 +1,11 @@
 """Shared domain types: weighted point sets, flow-based solutions, cost reports.
 
 A discrete distribution is a finite set of atoms in R^d with nonnegative
-weights summing to one.  A solution assigns, for every input distribution,
-a flow matrix from its atoms to a common set of barycenter atoms; the
-barycenter itself is recoverable from those flows alone.
+weights summing to one.  A batch of k distributions is pooled once into one
+array of all their atoms, input after input (:class:`PooledBatch`); this
+module alone decides that row layout.  A solution holds, on the same rows,
+one flow array from every pooled atom to a common set of barycenter atoms;
+the barycenter itself is recoverable from those flows alone.
 """
 
 from __future__ import annotations
@@ -72,14 +74,6 @@ class NotMultipleOfN(BaryError):
     pass
 
 
-class BadMagic(BaryError):
-    pass
-
-
-class TruncatedFile(BaryError):
-    pass
-
-
 class CountMismatch(BaryError):
     pass
 
@@ -123,19 +117,43 @@ class DiscreteDistribution:
 
 
 @dataclass(frozen=True)
-class Solution:
-    """Per-distribution flows onto n shared barycenter atoms.
+class PooledBatch:
+    """The atoms of k distributions pooled into one array, in input order.
 
-    ``plans[i]`` has shape (T_i, n); entry [t, j] is the mass of atom t of
-    distribution i sent to barycenter atom j.  ``barycenter_weights`` is the
-    common column-sum vector b of length n.
+    Rows ``starts[i]`` up to ``starts[i + 1]`` of ``points`` are input i's
+    atoms and ``origins[r]`` is the input of row r; ``weights`` are the
+    rows' weights as given, ``mass`` the same with atoms lighter than
+    ``ZERO_MASS`` zeroed and each input renormalized, and ``massive[i]``
+    counts input i's atoms with mass.
     """
 
-    plans: tuple
+    points: np.ndarray
+    weights: np.ndarray
+    origins: np.ndarray
+    starts: np.ndarray
+    mass: np.ndarray
+    massive: np.ndarray
+
+
+@dataclass(frozen=True)
+class Solution:
+    """Pooled flows of k distributions onto n shared barycenter atoms.
+
+    ``flow`` has shape (N, n) on the rows of the inputs' :class:`PooledBatch`:
+    rows ``starts[i]`` up to ``starts[i + 1]`` are input i's plan, and entry
+    [r, j] is the mass of pooled atom r sent to barycenter atom j.
+    ``barycenter_weights`` is the common column-sum vector b of length n.
+    """
+
+    flow: np.ndarray
+    starts: np.ndarray
     barycenter_weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "plans", tuple(_frozen(p) for p in self.plans))
+        starts = np.array(self.starts, dtype=np.intp)
+        starts.setflags(write=False)
+        object.__setattr__(self, "flow", _frozen(self.flow))
+        object.__setattr__(self, "starts", starts)
         object.__setattr__(
             self, "barycenter_weights", _frozen(self.barycenter_weights)
         )
@@ -146,7 +164,7 @@ class Solution:
 
     @property
     def n_distributions(self) -> int:
-        return len(self.plans)
+        return len(self.starts)
 
 
 @dataclass
@@ -186,10 +204,9 @@ def make_distribution(atoms, weights) -> DiscreteDistribution:
     return DiscreteDistribution(pts, w / total)
 
 
-def pooled_atoms(distributions):
-    """Concatenate the atoms of all distributions, tagging each with the
-    index of its source distribution.  Weights are not renormalized, so the
-    pooled weight totals the number of distributions."""
+def pool_batch(distributions) -> PooledBatch:
+    """Pool the atoms of ``distributions`` (see :class:`PooledBatch`).
+    Weights are not renormalized, so ``weights`` totals the number of inputs."""
     if not distributions:
         raise EmptyInput("no distributions to pool")
     atoms = [mu.atoms for mu in distributions]
@@ -203,31 +220,40 @@ def pooled_atoms(distributions):
         ) from None
     weights = np.concatenate([mu.weights for mu in distributions])
     sizes = np.fromiter(map(len, atoms), np.intp, len(atoms))
+    starts = np.cumsum(sizes) - sizes
     origins = np.repeat(np.arange(len(atoms)), sizes)
-    return points, weights, origins
+    mass = np.where(weights > ZERO_MASS, weights, 0.0)
+    mass /= np.add.reduceat(mass, starts)[origins]
+    massive = np.add.reduceat(mass > 0, starts, dtype=np.intp)
+    return PooledBatch(points, weights, origins, starts, mass, massive)
 
 
-def solution_violations(sol: Solution, distributions, tol: float = WEIGHT_TOL):
-    """List every constraint of the solution that fails against the inputs."""
+def solution_violations(sol: Solution, batch: PooledBatch, tol: float = WEIGHT_TOL):
+    """List every constraint of the solution that fails against the pooled
+    inputs of ``batch``, checking all plans at once."""
+    k = len(batch.starts)
+    if sol.n_distributions != k:
+        return [f"{sol.n_distributions} plans for {k} distributions"]
+    flow, b, starts = sol.flow, sol.barycenter_weights, batch.starts
     out = []
-    if sol.n_distributions != len(distributions):
-        out.append(
-            f"{sol.n_distributions} plans for {len(distributions)} distributions"
-        )
-        return out
-    b = sol.barycenter_weights
-    for i, (plan, mu) in enumerate(zip(sol.plans, distributions)):
-        if plan.shape != (mu.size, b.shape[0]):
-            out.append(f"plan {i} has shape {plan.shape}")
-            continue
-        if np.any(plan < -tol):
-            out.append(f"plan {i} has negative entries")
-        row_err = np.max(np.abs(plan.sum(axis=1) - mu.weights))
-        if row_err > tol:
-            out.append(f"plan {i} row sums off by {row_err:.3e}")
-        col_err = np.max(np.abs(plan.sum(axis=0) - b))
-        if col_err > tol:
-            out.append(f"plan {i} column sums off by {col_err:.3e}")
+    if flow.shape != (len(batch.points), b.shape[0]):
+        out.append(f"flow has shape {flow.shape}, expected {(len(batch.points), b.shape[0])}")
+    ends = np.append(starts[1:], len(batch.points))
+    sol_ends = np.append(sol.starts[1:], len(flow))
+    for i in np.flatnonzero((sol.starts != starts) | (sol_ends != ends)).tolist():
+        out.append(f"plan {i} has rows {sol.starts[i]}:{sol_ends[i]}, "
+                   f"expected {starts[i]}:{ends[i]}")
+    if not out:
+        negative = np.minimum.reduceat(flow.min(axis=1, initial=0.0), starts) < -tol
+        row_err = np.maximum.reduceat(np.abs(flow.sum(axis=1) - batch.weights), starts)
+        col_err = np.abs(np.add.reduceat(flow, starts) - b).max(axis=1, initial=0.0)
+        for i in np.flatnonzero(negative | (row_err > tol) | (col_err > tol)).tolist():
+            if negative[i]:
+                out.append(f"plan {i} has negative entries")
+            if row_err[i] > tol:
+                out.append(f"plan {i} row sums off by {row_err[i]:.3e}")
+            if col_err[i] > tol:
+                out.append(f"plan {i} column sums off by {col_err[i]:.3e}")
     if abs(b.sum() - 1.0) > tol:
         out.append(f"barycenter weights sum to {float(b.sum())!r}")
     if np.any(b < -tol):
@@ -235,7 +261,7 @@ def solution_violations(sol: Solution, distributions, tol: float = WEIGHT_TOL):
     return out
 
 
-def validate_solution(sol: Solution, distributions, tol: float = WEIGHT_TOL) -> bool:
-    """True iff every flow matrix is a feasible coupling between its
-    distribution and the common barycenter weights, at tolerance ``tol``."""
-    return not solution_violations(sol, distributions, tol)
+def validate_solution(sol: Solution, batch: PooledBatch, tol: float = WEIGHT_TOL) -> bool:
+    """True iff every plan is a feasible coupling between its input in
+    ``batch`` and the common barycenter weights, at tolerance ``tol``."""
+    return not solution_violations(sol, batch, tol)

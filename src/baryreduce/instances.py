@@ -2,14 +2,13 @@
 
 Includes the hard instances used to probe when projection can fail (near-tied
 point pairs, scaled simplex matchings, graded level sets), a one-outlier
-family for importance sampling, IDX/CSV loaders, and the reformulation of the
+family for importance sampling, a CSV loader, and the reformulation of the
 exponent-2 objective as a low-rank Frobenius approximation.
 """
 
 from __future__ import annotations
 
 import csv as _csv
-import struct
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -19,7 +18,6 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .core import (
-    BadMagic,
     BadParams,
     BadWeights,
     CountMismatch,
@@ -27,7 +25,6 @@ from .core import (
     NotMultipleOfN,
     ParseError,
     RaggedRows,
-    TruncatedFile,
     make_distribution,
 )
 from .barycenter import solution_cost
@@ -252,60 +249,7 @@ def empirical_matching_distortion(A, B, pmap=None, p: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# IDX / CSV ingestion
-
-_IDX_IMAGES_MAGIC = 0x00000803
-_IDX_LABELS_MAGIC = 0x00000801
-
-
-def load_idx_images(path) -> np.ndarray:
-    """Read a big-endian IDX image file into rows scaled to [0, 1]."""
-    with open(path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) < 16:
-            raise TruncatedFile(f"{path}: header needs 16 bytes, got {len(head)}")
-        magic, n, rows, cols = struct.unpack(">IIII", head)
-        if magic != _IDX_IMAGES_MAGIC:
-            raise BadMagic(f"{path}: magic {magic:#010x}, expected 0x00000803")
-        body = fh.read(n * rows * cols)
-        if len(body) < n * rows * cols:
-            raise TruncatedFile(
-                f"{path}: expected {n * rows * cols} pixels, got {len(body)}"
-            )
-    data = np.frombuffer(body, dtype=np.uint8).astype(np.float64) / 255.0
-    return data.reshape(n, rows * cols)
-
-
-def load_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) < 8:
-            raise TruncatedFile(f"{path}: header needs 8 bytes, got {len(head)}")
-        magic, n = struct.unpack(">II", head)
-        if magic != _IDX_LABELS_MAGIC:
-            raise BadMagic(f"{path}: magic {magic:#010x}, expected 0x00000801")
-        body = fh.read(n)
-        if len(body) < n:
-            raise TruncatedFile(f"{path}: expected {n} labels, got {len(body)}")
-    return np.frombuffer(body, dtype=np.uint8).astype(np.int64)
-
-
-def write_idx_images(path, images: np.ndarray, rows: int, cols: int) -> None:
-    """Inverse of :func:`load_idx_images`; values in [0,1] scaled to bytes."""
-    images = np.asarray(images)
-    if images.shape[1] != rows * cols:
-        raise CountMismatch("row length does not equal rows*cols")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", _IDX_IMAGES_MAGIC, len(images), rows, cols))
-        fh.write(np.rint(images * 255.0).astype(np.uint8).tobytes())
-
-
-def write_idx_labels(path, labels) -> None:
-    labels = np.asarray(labels)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", _IDX_LABELS_MAGIC, len(labels)))
-        fh.write(labels.astype(np.uint8).tobytes())
-
+# CSV ingestion
 
 def group_by_label(points, labels, subsample: int | None = None, seed: int = 0):
     """One uniform distribution per distinct label, optionally subsampled."""
@@ -440,41 +384,35 @@ def load_csv_distributions(path):
 # low-rank reformulation of the exponent-2 objective
 
 
-def verify_low_rank_equivalence(mus, sol, N: int):
+def verify_low_rank_equivalence(batch, sol, N: int):
     """Check the exponent-2 objective against its Frobenius-norm form.
 
-    Requires every plan entry to be a multiple of 1/N.  Each atom is
-    duplicated once per 1/N unit of flow into a matrix B with one row per
-    mass unit; the cluster-indicator projector X with entries
+    Requires every flow entry to be a multiple of 1/N.  Each pooled atom of
+    ``batch`` is duplicated once per 1/N unit of flow into a matrix B with
+    one row per mass unit; the cluster-indicator projector X with entries
     1/sqrt(cluster size) then satisfies
 
         (1/N) * ||B - X X^T B||_F^2  =  k * average transport cost.
 
     Returns ``(frobenius_cost, barycenter_cost, match)``.
     """
-    rows = []
-    assign = []
-    for i, (mu, plan) in enumerate(zip(mus, sol.plans)):
-        counts = plan * N
-        rounded = np.rint(counts)
-        if np.max(np.abs(counts - rounded)) > 1e-9 * N:
-            raise NotMultipleOfN(
-                f"plan {i} entries are not multiples of 1/{N}"
-            )
-        for a in range(plan.shape[0]):
-            for j in range(plan.shape[1]):
-                c = int(rounded[a, j])
-                if c:
-                    rows.extend([mu.atoms[a]] * c)
-                    assign.extend([j] * c)
-    B = np.array(rows)
-    assign = np.array(assign)
+    counts = sol.flow * N
+    rounded = np.rint(counts)
+    off = np.abs(counts - rounded).max(axis=1) > 1e-9 * N
+    if off.any():
+        raise NotMultipleOfN(
+            f"plan {batch.origins[np.argmax(off)]} entries are not multiples of 1/{N}"
+        )
+    bary = len(batch.starts) * solution_cost(sol, batch, 2.0).total_cost
+    # one row per unit of every cell, cells in pooled row-major order
+    n = rounded.shape[1]
+    cells = np.repeat(np.arange(rounded.size), rounded.ravel().astype(np.intp))
+    B, assign = batch.points[cells // n], cells % n
     clusters = np.unique(assign)
     X = np.zeros((len(B), len(clusters)))
     for col, j in enumerate(clusters):
         members = assign == j
         X[members, col] = 1.0 / np.sqrt(members.sum())
     frob = np.sum((B - X @ (X.T @ B)) ** 2) / N
-    bary = len(mus) * solution_cost(sol, mus, 2.0).total_cost
     match = abs(frob - bary) <= 1e-9 * (1.0 + abs(bary))
     return float(frob), float(bary), match

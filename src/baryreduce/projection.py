@@ -20,8 +20,9 @@ from .core import (
     BadParams,
     DimensionMismatch,
     DiscreteDistribution,
+    PooledBatch,
     make_distribution,
-    pooled_atoms,
+    pool_batch,
 )
 from .barycenter import (
     SolverOptions,
@@ -131,17 +132,16 @@ def identity_map(d: int) -> ProjectionMap:
     return ProjectionMap("identity", d, d, 0)
 
 
-def project_instance(mus, pmap: ProjectionMap):
-    """Push every distribution through the map, keeping its weights.
+def project_instance(batch: PooledBatch, pmap: ProjectionMap):
+    """Push every pooled input through the map, keeping its weights.
 
-    The map runs once on the pooled atoms, and the result is split back per
-    distribution: one matrix product in place of one per input.
+    The map runs once on the pooled atoms, one matrix product in place of
+    one per input, and each input's rows become one distribution.
     """
-    if not mus:
-        return []
-    points, _, _ = pooled_atoms(mus)
-    low = np.split(pmap(points), np.cumsum([mu.size for mu in mus[:-1]]))
-    return [make_distribution(a, mu.weights.copy()) for a, mu in zip(low, mus)]
+    low = pmap(batch.points)
+    ends = [*batch.starts[1:].tolist(), len(low)]
+    return [make_distribution(low[s:e], batch.weights[s:e])
+            for s, e in zip(batch.starts.tolist(), ends)]
 
 
 @dataclass(frozen=True)
@@ -164,15 +164,17 @@ def reduce_solve_reconstruct(mus, pmap: ProjectionMap,
     The reconstructed barycenter reuses the low-dimensional transport plans
     unchanged: each atom is re-fitted in the original space against the
     mass its column received.  ``cost_low`` is the solver's objective in
-    R^m; ``cost_high`` re-prices the same plans in R^d.
+    R^m; ``cost_high`` re-prices the same plans in R^d.  The inputs are
+    pooled once, for the projection, the lift and the pricing.
     """
     t0 = time.perf_counter()
-    low = project_instance(mus, pmap)
+    batch = pool_batch(mus)
+    low = project_instance(batch, pmap)
     t1 = time.perf_counter()
     nu_low, sol, rep = solve_barycenter(low, opts)
     t2 = time.perf_counter()
-    nu_high = reconstruct_barycenter(sol, mus, opts.p)
-    cost_high = support_cost(sol, mus, nu_high, opts.p).total_cost
+    nu_high = reconstruct_barycenter(sol, batch, opts.p)
+    cost_high = support_cost(sol, batch, nu_high, opts.p).total_cost
     t3 = time.perf_counter()
     return ReductionResult(nu_low, nu_high, sol, rep.total_cost, cost_high,
                            pmap, t1 - t0, t2 - t1, t3 - t2)

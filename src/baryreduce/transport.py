@@ -51,8 +51,9 @@ from .core import (
     DimensionMismatch,
     DiscreteDistribution,
     NumericalFailure,
+    PooledBatch,
     ZERO_MASS,
-    pooled_atoms,
+    pool_batch,
 )
 
 # Presolve about doubles the time of these LPs (measured, T=30-128).  The
@@ -225,34 +226,6 @@ class TransportModel:
         x = np.zeros(costs.size)
         x[self._held] = np.maximum(np.array(solution.col_value), 0.0)
         return x.reshape(R, n)
-
-
-@dataclass(frozen=True)
-class PooledBatch:
-    """The inputs of a batch pooled once, for repeated :func:`solve_pooled` calls.
-
-    Rows ``starts[i]`` up to ``starts[i + 1]`` of ``points`` are input i's
-    atoms; ``weights`` are their weights as given, ``mass`` the same with
-    atoms lighter than ``ZERO_MASS`` zeroed and each input renormalized, and
-    ``massive[i]`` counts input i's atoms with mass.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-    origins: np.ndarray
-    starts: np.ndarray
-    mass: np.ndarray
-    massive: np.ndarray
-
-
-def pool_batch(mus) -> PooledBatch:
-    """Pool the atoms of ``mus`` (see :class:`PooledBatch`)."""
-    points, weights, origins = pooled_atoms(mus)
-    starts = np.searchsorted(origins, np.arange(len(mus)))  # first row of each input
-    mass = np.where(weights > ZERO_MASS, weights, 0.0)
-    mass /= np.add.reduceat(mass, starts)[origins]
-    massive = np.add.reduceat(mass > 0, starts, dtype=np.intp)
-    return PooledBatch(points, weights, origins, starts, mass, massive)
 
 
 def solve_pooled(batch: PooledBatch, nu: DiscreteDistribution, p: float,

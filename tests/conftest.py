@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from baryreduce import barycenter
-from baryreduce.core import make_distribution
+from baryreduce.core import Solution, make_distribution
 
 
 @pytest.fixture
@@ -22,6 +22,12 @@ def random_distribution(rng, T, d, rational=False):
         w = rng.random(T)
         w = w / w.sum()
     return make_distribution(atoms, w)
+
+
+def solution_of(plans, b):
+    """The pooled :class:`Solution` of per-input ``plans``, stacked in order."""
+    sizes = [len(plan) for plan in plans]
+    return Solution(np.concatenate(plans), np.cumsum(sizes) - sizes, b)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from baryreduce.core import Solution, make_distribution, validate_solution
+from baryreduce.core import make_distribution, pool_batch, validate_solution
 from baryreduce.transport import solve_ot, transport_costs
 from baryreduce.barycenter import (
     SolverOptions,
@@ -37,14 +37,10 @@ from baryreduce.instances import (
     group_by_label,
     lb_merge_cost,
     lb_projected_merge,
-    load_idx_images,
-    load_idx_labels,
     verify_low_rank_equivalence,
-    write_idx_images,
-    write_idx_labels,
 )
-from baryreduce.core import BadMagic, CountMismatch, TruncatedFile
 from baryreduce.projection import cost_ratio_sweep
+from conftest import solution_of
 from oracle import solve_ot_oracle
 
 
@@ -66,7 +62,7 @@ def _random_valid_solution(rng, mus, n):
                     and np.abs(M.sum(axis=0) - b).max() < 1e-13):
                 break
         plans.append(M)
-    return Solution(tuple(plans), b)
+    return solution_of(plans, b)
 
 
 def test_01_exact_solver_matches_enumeration_oracle():
@@ -90,10 +86,10 @@ def test_02_pairwise_distance_form_equals_reconstruction_cost():
         d = int(rng.integers(1, 9))
         mus = [_random_rational(rng, int(rng.integers(1, 5)), d)
                for _ in range(k)]
-        sol = _random_valid_solution(rng, mus, n)
-        assert validate_solution(sol, mus)
-        a = pairwise_cost_p2(sol, mus)
-        b = solution_cost(sol, mus, 2.0).total_cost
+        sol, batch = _random_valid_solution(rng, mus, n), pool_batch(mus)
+        assert validate_solution(sol, batch)
+        a = pairwise_cost_p2(sol, batch)
+        b = solution_cost(sol, batch, 2.0).total_cost
         assert abs(a - b) <= 1e-9 * (1 + b), f"trial {trial}"
 
 
@@ -112,10 +108,11 @@ def test_03_distance_preserving_map_bounds_every_solution_cost():
             pmap = cand
             break
     assert pmap is not None, "no distance-preserving map found in 50 seeds"
-    low = project_instance(mus, pmap)
+    batch = pool_batch(mus)
+    low = pool_batch(project_instance(batch, pmap))
     for trial in range(100):
         sol = _random_valid_solution(rng, mus, 4)
-        full = pairwise_cost_p2(sol, mus)
+        full = pairwise_cost_p2(sol, batch)
         proj = pairwise_cost_p2(sol, low)
         r = proj / full
         assert (1 - eps) ** 2 <= r <= (1 + eps) ** 2, f"trial {trial}: {r}"
@@ -258,34 +255,7 @@ def test_10_quadratic_objective_equals_frobenius_form():
             plans.append(flow)
             w = flow.sum(axis=1)
             mus.append(make_distribution(rng.normal(size=(T, d)), w))
-        sol = Solution(tuple(plans), col_units / N)
-        assert validate_solution(sol, mus)
-        frob, bary, match = verify_low_rank_equivalence(mus, sol, N)
+        sol, batch = solution_of(plans, col_units / N), pool_batch(mus)
+        assert validate_solution(sol, batch)
+        frob, bary, match = verify_low_rank_equivalence(batch, sol, N)
         assert match, f"trial {trial}: {frob} vs {bary}"
-
-
-def test_11_idx_round_trip_and_malformed_files(tmp_path):
-    rng = np.random.default_rng(11)
-    imgs = rng.integers(0, 256, size=(5, 6)).astype(np.float64) / 255.0
-    labels = rng.integers(0, 10, size=5)
-    ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
-    write_idx_images(ip, imgs, 2, 3)
-    write_idx_labels(lp, labels)
-    np.testing.assert_array_equal(load_idx_images(ip), imgs)
-    np.testing.assert_array_equal(load_idx_labels(lp), labels)
-
-    bad_magic = tmp_path / "m.idx"
-    bad_magic.write_bytes(bytes([0, 0, 8, 2] + [0] * 12))
-    with pytest.raises(BadMagic):
-        load_idx_images(bad_magic)
-
-    truncated = tmp_path / "t.idx"
-    truncated.write_bytes(
-        bytes([0, 0, 8, 3, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 1, 0xFF]))
-    with pytest.raises(TruncatedFile):
-        load_idx_images(truncated)
-
-    short_labels = tmp_path / "s.idx"
-    write_idx_labels(short_labels, labels[:3])
-    with pytest.raises(CountMismatch):
-        group_by_label(load_idx_images(ip), load_idx_labels(short_labels))

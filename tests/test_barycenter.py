@@ -9,9 +9,9 @@ from baryreduce.core import (
     EmptyInput,
     InvalidSolution,
     NumericalFailure,
-    Solution,
     ZeroWeight,
     make_distribution,
+    pool_batch,
     validate_solution,
 )
 from baryreduce.barycenter import (
@@ -22,8 +22,8 @@ from baryreduce.barycenter import (
     solve_barycenter,
     update_support_atom,
 )
-from baryreduce.transport import TransportModel, pool_batch, solve_pooled
-from conftest import random_distribution
+from baryreduce.transport import TransportModel, solve_pooled
+from conftest import random_distribution, solution_of
 
 
 def delta(x):
@@ -44,7 +44,7 @@ def random_valid_solution(rng, mus, n):
             M *= (mu.weights / M.sum(axis=1))[:, None]
             M *= b / M.sum(axis=0)
         plans.append(M)
-    return Solution(tuple(plans), b)
+    return solution_of(plans, b)
 
 
 class TestUpdateSupportAtom:
@@ -111,57 +111,58 @@ class TestUpdateSupportAtom:
 class TestReconstruct:
     def test_two_deltas_midpoint(self):
         mus = [delta([0.0]), delta([2.0])]
-        sol = Solution((np.array([[1.0]]), np.array([[1.0]])), np.array([1.0]))
-        nu = reconstruct_barycenter(sol, mus, 2.0)
+        sol = solution_of((np.array([[1.0]]), np.array([[1.0]])), np.array([1.0]))
+        nu = reconstruct_barycenter(sol, pool_batch(mus), 2.0)
         np.testing.assert_allclose(nu.atoms, [[1.0]])
 
     def test_identity_plan_reproduces_input(self):
         mu = make_distribution([[0.0], [2.0]], [0.5, 0.5])
-        sol = Solution((np.eye(2) * 0.5,), np.array([0.5, 0.5]))
-        nu = reconstruct_barycenter(sol, [mu], 2.0)
+        sol = solution_of((np.eye(2) * 0.5,), np.array([0.5, 0.5]))
+        nu = reconstruct_barycenter(sol, pool_batch([mu]), 2.0)
         np.testing.assert_allclose(nu.atoms, mu.atoms)
 
     def test_invalid_solution_rejected(self):
         mus = [delta([0.0]), delta([2.0])]
-        sol = Solution((np.array([[0.5]]), np.array([[1.0]])), np.array([1.0]))
+        sol = solution_of((np.array([[0.5]]), np.array([[1.0]])), np.array([1.0]))
         with pytest.raises(InvalidSolution):
-            reconstruct_barycenter(sol, mus, 2.0)
+            reconstruct_barycenter(sol, pool_batch(mus), 2.0)
 
 
 class TestSolutionCost:
     def test_midpoint_cost(self):
         mus = [delta([0.0]), delta([2.0])]
-        sol = Solution((np.array([[1.0]]), np.array([[1.0]])), np.array([1.0]))
-        assert solution_cost(sol, mus, 2.0).total_cost == pytest.approx(1.0)
+        sol = solution_of((np.array([[1.0]]), np.array([[1.0]])), np.array([1.0]))
+        assert solution_cost(sol, pool_batch(mus), 2.0).total_cost == pytest.approx(1.0)
 
     def test_identity_cost_zero(self):
         mu = make_distribution([[0.0], [2.0]], [0.5, 0.5])
-        sol = Solution((np.eye(2) * 0.5,), np.array([0.5, 0.5]))
-        assert solution_cost(sol, [mu], 2.0).total_cost == pytest.approx(0.0, abs=1e-12)
+        sol = solution_of((np.eye(2) * 0.5,), np.array([0.5, 0.5]))
+        assert solution_cost(sol, pool_batch([mu]), 2.0).total_cost == pytest.approx(0.0, abs=1e-12)
 
     def test_p1_median_cost(self):
         mus = [delta([0.0]), delta([3.0])]
-        sol = Solution((np.array([[1.0]]), np.array([[1.0]])), np.array([1.0]))
-        assert solution_cost(sol, mus, 1.0).total_cost == pytest.approx(1.5)
+        sol = solution_of((np.array([[1.0]]), np.array([[1.0]])), np.array([1.0]))
+        assert solution_cost(sol, pool_batch(mus), 1.0).total_cost == pytest.approx(1.5)
 
 
 class TestPairwiseIdentity:
     def test_two_deltas(self):
         mus = [delta([0.0]), delta([2.0])]
-        sol = Solution((np.array([[1.0]]), np.array([[1.0]])), np.array([1.0]))
-        assert pairwise_cost_p2(sol, mus) == pytest.approx(1.0)
+        sol = solution_of((np.array([[1.0]]), np.array([[1.0]])), np.array([1.0]))
+        assert pairwise_cost_p2(sol, pool_batch(mus)) == pytest.approx(1.0)
 
     def test_singleton_columns_zero(self):
         mu = make_distribution([[0.0], [2.0]], [0.5, 0.5])
-        sol = Solution((np.eye(2) * 0.5,), np.array([0.5, 0.5]))
-        assert pairwise_cost_p2(sol, [mu]) == pytest.approx(0.0, abs=1e-12)
+        sol = solution_of((np.eye(2) * 0.5,), np.array([0.5, 0.5]))
+        assert pairwise_cost_p2(sol, pool_batch([mu])) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_solution_cost(self, rng):
         mus = random_family(rng)
         sol = random_valid_solution(rng, mus, 3)
-        assert validate_solution(sol, mus)
-        a = pairwise_cost_p2(sol, mus)
-        b = solution_cost(sol, mus, 2.0).total_cost
+        batch = pool_batch(mus)
+        assert validate_solution(sol, batch)
+        a = pairwise_cost_p2(sol, batch)
+        b = solution_cost(sol, batch, 2.0).total_cost
         assert abs(a - b) <= 1e-9 * (1 + b)
 
     def test_memory_bounded_by_column_support(self):
@@ -172,15 +173,15 @@ class TestPairwiseIdentity:
         mu = make_distribution(rng.random((N, 5)), np.full(N, 1.0 / N))
         plan = np.zeros((N, n))
         plan[np.arange(N), np.arange(N) % n] = 1.0 / N
-        sol = Solution((plan,), np.full(n, 1.0 / n))
+        sol, batch = solution_of((plan,), np.full(n, 1.0 / n)), pool_batch([mu])
         tracemalloc.start()
         try:
-            value = pairwise_cost_p2(sol, [mu])
+            value = pairwise_cost_p2(sol, batch)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
-        assert value == pytest.approx(solution_cost(sol, [mu], 2.0).total_cost,
+        assert value == pytest.approx(solution_cost(sol, batch, 2.0).total_cost,
                                       rel=1e-12, abs=0.0)
 
 
@@ -212,7 +213,7 @@ class TestSolveBarycenter:
     def test_returns_valid_solution(self, rng):
         mus = random_family(rng)
         _, sol, _ = solve_barycenter(mus, SolverOptions(support_size=2, p=2.0))
-        assert validate_solution(sol, mus)
+        assert validate_solution(sol, pool_batch(mus))
 
     def test_support_above_pool_is_allowed(self):
         mus = [delta([0.0]), delta([2.0])]

@@ -10,7 +10,7 @@ import pytest
 
 from baryreduce import cli
 from baryreduce.cli import main
-from baryreduce.core import make_distribution
+from baryreduce.core import make_distribution, pool_batch
 from baryreduce.coreset import (
     build_coreset,
     evaluate_coreset,
@@ -19,7 +19,7 @@ from baryreduce.coreset import (
 )
 from baryreduce.instances import gen_coreset_synthetic, load_csv_distributions
 from baryreduce.projection import jl_dimension
-from baryreduce.transport import pool_batch, transport_costs
+from baryreduce.transport import transport_costs
 
 try:
     from importlib import resources

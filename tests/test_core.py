@@ -8,10 +8,11 @@ from baryreduce.core import (
     EmptyInput,
     Solution,
     make_distribution,
-    pooled_atoms,
+    pool_batch,
     solution_violations,
     validate_solution,
 )
+from conftest import solution_of
 
 
 def test_make_distribution_basic():
@@ -52,67 +53,136 @@ def test_empty_inputs_rejected():
         make_distribution(np.zeros((0, 2)), np.zeros(0))
 
 
-def test_pooled_atoms_concatenates_with_origins():
+def test_pool_batch_concatenates_with_origins():
     mu1 = make_distribution([[0.0], [1.0]], [0.5, 0.5])
     mu2 = make_distribution([[2.0]], [1.0])
-    pts, w, origins = pooled_atoms([mu1, mu2])
-    assert pts.shape == (3, 1)
-    assert list(origins) == [0, 0, 1]
-    np.testing.assert_allclose(w, [0.5, 0.5, 1.0])
+    batch = pool_batch([mu1, mu2])
+    assert batch.points.shape == (3, 1)
+    assert list(batch.origins) == [0, 0, 1]
+    assert list(batch.starts) == [0, 2]
+    np.testing.assert_allclose(batch.weights, [0.5, 0.5, 1.0])
 
 
 def _valid_solution():
     mu1 = make_distribution([[0.0]], [1.0])
     mu2 = make_distribution([[2.0]], [1.0])
-    sol = Solution((np.array([[1.0]]), np.array([[1.0]])), np.array([1.0]))
-    return sol, [mu1, mu2]
+    sol = solution_of((np.array([[1.0]]), np.array([[1.0]])), np.array([1.0]))
+    return sol, pool_batch([mu1, mu2])
 
 
 def test_valid_solution_passes():
-    sol, mus = _valid_solution()
-    assert validate_solution(sol, mus)
-    assert solution_violations(sol, mus) == []
+    sol, batch = _valid_solution()
+    assert validate_solution(sol, batch)
+    assert solution_violations(sol, batch) == []
 
 
 def test_bad_row_sum_detected():
-    _, mus = _valid_solution()
-    sol = Solution((np.array([[0.5]]), np.array([[1.0]])), np.array([1.0]))
-    bad = solution_violations(sol, mus)
-    assert bad and not validate_solution(sol, mus)
+    _, batch = _valid_solution()
+    sol = solution_of((np.array([[0.5]]), np.array([[1.0]])), np.array([1.0]))
+    bad = solution_violations(sol, batch)
+    assert bad and not validate_solution(sol, batch)
 
 
 def test_bad_column_sum_detected():
-    mus = [make_distribution([[0.0], [1.0]], [0.5, 0.5])] * 2
+    batch = pool_batch([make_distribution([[0.0], [1.0]], [0.5, 0.5])] * 2)
     plans = (
         np.array([[0.5, 0.0], [0.0, 0.5]]),
         np.array([[0.25, 0.25], [0.25, 0.25]]),
     )
-    sol = Solution(plans, np.array([0.5, 0.5]))
+    sol = solution_of(plans, np.array([0.5, 0.5]))
     # second plan's column sums match b, first plan's do too: valid
-    assert validate_solution(sol, mus)
-    sol_bad = Solution(plans, np.array([0.4, 0.6]))
-    assert not validate_solution(sol_bad, mus)
+    assert validate_solution(sol, batch)
+    sol_bad = solution_of(plans, np.array([0.4, 0.6]))
+    assert not validate_solution(sol_bad, batch)
 
 
 def test_negative_flow_detected():
-    _, mus = _valid_solution()
-    sol = Solution((np.array([[1.0]]), np.array([[1.0]])), np.array([1.0]))
-    tampered = Solution(
+    _, batch = _valid_solution()
+    sol = solution_of((np.array([[1.0]]), np.array([[1.0]])), np.array([1.0]))
+    tampered = solution_of(
         (np.array([[2.0]]), np.array([[1.0]])), np.array([1.0])
     )
-    assert validate_solution(sol, mus)
-    assert not validate_solution(tampered, mus)
+    assert validate_solution(sol, batch)
+    assert not validate_solution(tampered, batch)
 
 
 def test_weight_sums_print_as_plain_floats():
     with pytest.raises(BadWeights, match=r"^weights sum to 1\.1, not 1$"):
         make_distribution([[0.0], [1.0]], [0.5, 0.6])
-    _, mus = _valid_solution()
-    sol = Solution((np.array([[0.5]]), np.array([[0.5]])), np.array([0.5]))
-    assert "barycenter weights sum to 0.5" in solution_violations(sol, mus)
+    _, batch = _valid_solution()
+    sol = solution_of((np.array([[0.5]]), np.array([[0.5]])), np.array([0.5]))
+    assert "barycenter weights sum to 0.5" in solution_violations(sol, batch)
 
 
 def test_solution_counts():
     sol, _ = _valid_solution()
     assert sol.n_atoms == 1
     assert sol.n_distributions == 2
+
+
+class TestPooledValidation:
+    """Three inputs of 1, 2 and 3 atoms against b = (0.5, 0.5); plan i is
+    the product coupling, and one input at a time is broken."""
+
+    B = np.array([0.5, 0.5])
+
+    def _case(self):
+        mus = [make_distribution(np.arange(t, dtype=float)[:, None], np.full(t, 1.0 / t))
+               for t in (1, 2, 3)]
+        return [np.outer(mu.weights, self.B) for mu in mus], pool_batch(mus)
+
+    def _violations(self, i, break_plan):
+        plans, batch = self._case()
+        plans[i] = break_plan(plans[i].copy())
+        return solution_violations(solution_of(plans, self.B), batch)
+
+    def test_intact_case_is_valid(self):
+        plans, batch = self._case()
+        assert solution_violations(solution_of(plans, self.B), batch) == []
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_negative_entry_names_its_input(self, i):
+        def shift(plan):  # -0.1 moved within its row and column sums
+            plan[0] += [-0.6, 0.6]
+            if len(plan) > 1:
+                plan[1] += [0.6, -0.6]
+            return plan
+        bad = self._violations(i, shift)
+        assert f"plan {i} has negative entries" in bad
+        assert all(msg.startswith(f"plan {i} ") for msg in bad)
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_row_sum_names_its_input(self, i):
+        def swap_rows(plan):  # row 0 gains 0.1; a longer plan keeps its column sums
+            plan[0, 0] += 0.1
+            if len(plan) > 1:
+                plan[-1, 0] -= 0.1
+            return plan
+        bad = self._violations(i, swap_rows)
+        if i == 0:
+            assert bad == ["plan 0 row sums off by 1.000e-01",
+                           "plan 0 column sums off by 1.000e-01"]
+        else:
+            assert bad == [f"plan {i} row sums off by 1.000e-01"]
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_column_sum_names_its_input(self, i):
+        def swap_columns(plan):  # row sums stay, column 0 gains 0.1
+            plan[0] += [0.1, -0.1]
+            return plan
+        assert self._violations(i, swap_columns) == [f"plan {i} column sums off by 1.000e-01"]
+
+    def test_mismatched_starts_are_violations(self):
+        plans, batch = self._case()
+        sol = Solution(np.concatenate(plans), [0, 2, 3], self.B)
+        assert solution_violations(sol, batch) == [
+            "plan 0 has rows 0:2, expected 0:1", "plan 1 has rows 2:3, expected 1:3"]
+        sol = Solution(np.concatenate(plans), [0, 1], self.B)
+        assert solution_violations(sol, batch) == ["2 plans for 3 distributions"]
+
+    @pytest.mark.parametrize("shape", [(5, 2), (7, 2), (6, 3), (6,)])
+    def test_mismatched_flow_shape_is_a_violation(self, shape):
+        _, batch = self._case()
+        bad = solution_violations(Solution(np.zeros(shape), batch.starts, self.B), batch)
+        assert bad[0] == f"flow has shape {shape}, expected (6, 2)"
+        assert not validate_solution(Solution(np.zeros(shape), batch.starts, self.B), batch)

@@ -5,15 +5,13 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from baryreduce.core import (
-    BadMagic,
     BadParams,
     BadWeights,
     CountMismatch,
     NotMultipleOfN,
     ParseError,
     RaggedRows,
-    Solution,
-    TruncatedFile,
+    pool_batch,
     make_distribution,
 )
 from baryreduce import core, instances
@@ -30,14 +28,11 @@ from baryreduce.instances import (
     lb_pairs,
     lb_projected_merge,
     load_csv_distributions,
-    load_idx_images,
-    load_idx_labels,
     verify_low_rank_equivalence,
-    write_idx_images,
-    write_idx_labels,
 )
 from baryreduce.projection import identity_map, make_gaussian_map
 from baryreduce.transport import solve_ot
+from conftest import solution_of
 
 
 class TestLbBarycenter:
@@ -203,43 +198,11 @@ class TestMatching:
             empirical_matching_distortion(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
-class TestIdx:
-    def test_round_trip(self, tmp_path, rng):
-        imgs = rng.integers(0, 256, size=(7, 12)).astype(np.float64) / 255.0
-        labels = rng.integers(0, 10, size=7)
-        ip, lp = tmp_path / "imgs.idx", tmp_path / "labels.idx"
-        write_idx_images(ip, imgs, 3, 4)
-        write_idx_labels(lp, labels)
-        np.testing.assert_array_equal(load_idx_images(ip), imgs)
-        np.testing.assert_array_equal(load_idx_labels(lp), labels)
-
-    def test_minimal_file(self, tmp_path):
-        f = tmp_path / "one.idx"
-        f.write_bytes(bytes([0, 0, 8, 3, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0xFF]))
-        np.testing.assert_allclose(load_idx_images(f), [[1.0]])
-
-    def test_bad_magic(self, tmp_path):
-        f = tmp_path / "bad.idx"
-        f.write_bytes(bytes([0, 0, 8, 2] + [0] * 12))
-        with pytest.raises(BadMagic):
-            load_idx_images(f)
-
-    def test_truncated_body(self, tmp_path):
-        f = tmp_path / "short.idx"
-        f.write_bytes(bytes([0, 0, 8, 3, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 1, 0xFF]))
-        with pytest.raises(TruncatedFile):
-            load_idx_images(f)
-
-    def test_label_count_vs_images(self, tmp_path, rng):
-        ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
-        write_idx_images(ip, np.zeros((3, 4)), 2, 2)
-        write_idx_labels(lp, [1, 2])
-        imgs, labels = load_idx_images(ip), load_idx_labels(lp)
-        with pytest.raises(CountMismatch):
-            group_by_label(imgs, labels)
-
-
 class TestGroupByLabel:
+    def test_label_count_mismatch(self):
+        with pytest.raises(CountMismatch, match="^3 points vs 2 labels$"):
+            group_by_label(np.zeros((3, 4)), [1, 2])
+
     def test_basic(self):
         pts = np.array([[0.0], [1.0], [2.0]])
         out = group_by_label(pts, [0, 0, 1])
@@ -358,24 +321,34 @@ class TestLowRank:
     def test_two_point_mean_identity(self):
         mus = [make_distribution([[0.0, 0.0]], [1.0]),
                make_distribution([[2.0, 0.0]], [1.0])]
-        sol = Solution((np.array([[1.0]]), np.array([[1.0]])), np.array([1.0]))
-        frob, bary, match = verify_low_rank_equivalence(mus, sol, 1)
+        sol = solution_of((np.array([[1.0]]), np.array([[1.0]])), np.array([1.0]))
+        frob, bary, match = verify_low_rank_equivalence(pool_batch(mus), sol, 1)
         assert match
         assert frob == pytest.approx(2.0)  # both points 1 away from the mean
 
     def test_identity_plan_zero(self):
         mu = make_distribution([[0.0], [1.0]], [0.5, 0.5])
-        sol = Solution((np.eye(2) * 0.5,), np.array([0.5, 0.5]))
-        frob, bary, match = verify_low_rank_equivalence([mu], sol, 2)
+        sol = solution_of((np.eye(2) * 0.5,), np.array([0.5, 0.5]))
+        frob, bary, match = verify_low_rank_equivalence(pool_batch([mu]), sol, 2)
         assert match and frob == pytest.approx(0.0, abs=1e-12)
 
     def test_not_multiple_rejected(self):
-        mus = [make_distribution([[0.0]], [1.0]), make_distribution([[2.0]], [1.0])]
-        sol = Solution((np.array([[1.0]]), np.array([[1.0]])), np.array([1.0]))
-        bad = Solution((np.array([[0.3, 0.7], [0.0, 0.0]]),), np.array([0.3, 0.7]))
-        mu = make_distribution([[0.0], [1.0]], [0.3, 0.7])
-        with pytest.raises(NotMultipleOfN):
-            verify_low_rank_equivalence([mu], bad, 2)
+        mus = [make_distribution([[0.0]], [1.0]),
+               make_distribution([[0.0], [1.0]], [0.25, 0.75])]
+        bad = solution_of((np.array([[0.5, 0.5]]), np.array([[0.25, 0.0], [0.25, 0.5]])),
+                          np.array([0.5, 0.5]))
+        with pytest.raises(NotMultipleOfN, match="^plan 1 entries are not multiples of 1/2$"):
+            verify_low_rank_equivalence(pool_batch(mus), bad, 2)
+
+    def test_two_inputs_share_columns(self):
+        mus = [make_distribution([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5]),
+               make_distribution([[0.0, 3.0]], [1.0])]
+        sol = solution_of((np.array([[0.25, 0.25], [0.25, 0.25]]), np.array([[0.5, 0.5]])),
+                          np.array([0.5, 0.5]))
+        frob, bary, match = verify_low_rank_equivalence(pool_batch(mus), sol, 4)
+        # each column holds (0,0), (1,0) and (0,3) twice, around (1/4, 3/2)
+        per_column = 2.3125 + 2.8125 + 2 * 2.3125
+        assert match and frob == pytest.approx(2 * per_column / 4)
 
 
 class TestBlobs:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
-from baryreduce.core import BadParams, DimensionMismatch, make_distribution
+from baryreduce.core import BadParams, DimensionMismatch, make_distribution, pool_batch
 from baryreduce.barycenter import (
     SolverOptions,
     solution_cost,
@@ -19,6 +19,7 @@ from baryreduce.projection import (
     project_instance,
     reduce_solve_reconstruct,
 )
+from baryreduce import barycenter, projection
 from baryreduce.core import validate_solution
 from conftest import random_distribution
 
@@ -167,7 +168,7 @@ class TestPipeline:
 
     def test_project_instance_keeps_weights(self, rng):
         mus = self._family(rng)
-        low = project_instance(mus, make_gaussian_map(12, 5, seed=1))
+        low = project_instance(pool_batch(mus), make_gaussian_map(12, 5, seed=1))
         for a, b in zip(mus, low):
             np.testing.assert_array_equal(a.weights, b.weights)
             assert b.dim == 5
@@ -180,7 +181,7 @@ class TestPipeline:
     def test_project_instance_maps_each_input(self, rng, make_map):
         mus = [random_distribution(rng, T, 12) for T in (1, 4, 7)]
         pmap = make_map(12)
-        low = project_instance(mus, pmap)
+        low = project_instance(pool_batch(mus), pmap)
         assert len(low) == len(mus)
         for mu, lo in zip(mus, low):
             want = pmap(mu.atoms)
@@ -200,8 +201,25 @@ class TestPipeline:
         mus = self._family(rng)
         opts = SolverOptions(support_size=2, p=2.0, seed=4)
         res = reduce_solve_reconstruct(mus, make_gaussian_map(12, 6, 2), opts)
-        assert validate_solution(res.solution, mus)
-        assert res.cost_high == solution_cost(res.solution, mus, opts.p).total_cost
+        batch = pool_batch(mus)
+        assert validate_solution(res.solution, batch)
+        assert res.cost_high == solution_cost(res.solution, batch, opts.p).total_cost
+
+    def test_reduce_pools_its_inputs_once(self, rng, monkeypatch):
+        # one pool in R^d for the projection, the lift and the pricing, and
+        # one in R^m for the solve
+        pooled = []
+
+        def counted(module):
+            pool = module.pool_batch
+            monkeypatch.setattr(module, "pool_batch",
+                                lambda mus: pooled.append(module.__name__) or pool(mus))
+
+        counted(projection)
+        counted(barycenter)
+        reduce_solve_reconstruct(self._family(rng), make_gaussian_map(12, 6, 2),
+                                 SolverOptions(support_size=2, p=2.0, seed=4))
+        assert pooled == ["baryreduce.projection", "baryreduce.barycenter"]
 
     def test_n1_unique_solution_insensitive_to_map(self):
         mus = [make_distribution([[0.0]], [1.0]), make_distribution([[2.0]], [1.0])]

@@ -12,6 +12,7 @@ from baryreduce.core import (
     DimensionMismatch,
     NumericalFailure,
     make_distribution,
+    pool_batch,
     validate_solution,
 )
 from baryreduce import barycenter, transport
@@ -20,7 +21,6 @@ from baryreduce.transport import (
     TransportPlan,
     barycenter_objective,
     cost_matrix,
-    pool_batch,
     solve_ot,
     solve_pooled,
     transport_costs,
@@ -167,7 +167,7 @@ class TestSolveOt:
 
     def test_non_finite_costs_raise(self, rng, monkeypatch):
         mu, nu = random_distribution(rng, 3, 2), random_distribution(rng, 2, 2)
-        batch = transport.pool_batch([mu])
+        batch = pool_batch([mu])
         for bad in (np.inf, np.nan):
             def spoiled(*args, **kwargs):
                 D = cdist(*args, **kwargs)
@@ -386,7 +386,7 @@ class TestAssignment:
         nu, sol, report = solve_barycenter(mus, SolverOptions(support_size=8, p=p, seed=1))
         assert not seen  # every block is an assignment
         assert all(b <= a for a, b in zip(report.trace, report.trace[1:]))
-        assert validate_solution(sol, mus)
+        assert validate_solution(sol, pool_batch(mus))
         full = np.mean([full_lp_optimum(mu.weights, nu.weights, cdist(mu.atoms, nu.atoms) ** p)
                         for mu in mus])
         assert report.total_cost == pytest.approx(full, rel=1e-9, abs=0.0)
