@@ -8,7 +8,6 @@ from .core import (
     CostReport,
     DiscreteDistribution,
     NumericalFailure,
-    PooledBatch,
     Solution,
     make_distribution,
     pool_batch,

@@ -51,11 +51,39 @@ class SolverOptions:
             raise BadExponent(f"exponent p must be finite and >= 1, got {self.p}")
 
 
+def _weiszfeld_step(points, weights, y):
+    """``(y_next, done)``: the next Weiszfeld iterate for the weighted
+    geometric median, or the median itself with ``done`` set.
+
+    At a data point of weight eta the Weiszfeld map is undefined, and the
+    step is the modified one of Vardi and Zhang (PNAS 2000) over the other
+    points: with r = |sum w_i (x_i - y) / |x_i - y||, the point is the
+    median if r <= eta, and otherwise the step goes to
+    (1 - eta/r) T(y) + (eta/r) y, which lowers the objective.
+    """
+    diff = points - y
+    dist = np.linalg.norm(diff, axis=1)
+    at = dist < 1e-14
+    if not at.any():
+        inv = weights / dist
+        return points.T @ inv / inv.sum(), False
+    rest = ~at
+    if not rest.any():
+        return points[np.argmax(at)], True
+    inv = weights[rest] / dist[rest]
+    eta, r = weights[at].sum(), np.linalg.norm(inv @ diff[rest])
+    if r <= eta:
+        return points[np.argmax(at)], True
+    return (1.0 - eta / r) * (points[rest].T @ inv / inv.sum()) + eta / r * y, False
+
+
 def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
     """Minimize sum_i w_i ||x_i - y||^p over y.
 
-    p=2 is the weighted mean in closed form; p=1 runs Weiszfeld iterations
-    for the weighted geometric median; other p >= 1 use gradient descent
+    p=2 is the weighted mean in closed form; p=1 is the weighted median on
+    a line and otherwise runs Weiszfeld iterations for the weighted
+    geometric median (see :func:`_weiszfeld_step`), returning a median at a
+    data point exactly; other p >= 1 use gradient descent
     with backtracking line search on the convex objective; both stop at
     ``_INNER_TOL`` relative or after ``_INNER_MAX_ITERS`` steps.  Points of
     zero weight are dropped first, so they affect neither the result nor the
@@ -72,29 +100,25 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float) -> np
     if p == 2.0:
         return points.T @ weights / total
 
+    if p == 1.0 and points.shape[1] == 1:  # on a line: the weighted median
+        order = np.argsort(points[:, 0], kind="stable")
+        cum = np.cumsum(weights[order])
+        return points[order[np.searchsorted(cum, cum[-1] / 2)]]
     y = points.T @ weights / total  # weighted mean start
     if p == 1.0:
         radius = float(np.linalg.norm(points - y, axis=1).max())
         for _ in range(_INNER_MAX_ITERS):
-            diff = points - y
-            dist = np.linalg.norm(diff, axis=1)
-            at = dist < 1e-14
-            if at.any():
-                # candidate optimum at a data point: subgradient check
-                j = int(np.argmax(at))
-                rest = ~at
-                if not rest.any():
-                    return points[j]
-                g = (weights[rest, None] * diff[rest] / dist[rest, None]).sum(axis=0)
-                if np.linalg.norm(g) <= weights[at].sum() + 1e-12:
-                    return points[j]
-                dist = np.maximum(dist, 1e-14)
-            inv = weights / dist
-            y_next = points.T @ inv / inv.sum()
-            if np.linalg.norm(y_next - y) <= _INNER_TOL * radius:
+            y_next, done = _weiszfeld_step(points, weights, y)
+            if done:
                 return y_next
-            y = y_next
-        return y
+            step, y = np.linalg.norm(y_next - y), y_next
+            if step <= _INNER_TOL * radius:
+                break
+        # Weiszfeld creeps towards a median at a data point, linearly at
+        # best: the nearest data point is the exact median if it passes the test
+        x = points[np.argmin(np.linalg.norm(points - y, axis=1))]
+        x, done = _weiszfeld_step(points, weights, x)
+        return x if done else y
 
     def objective(z):
         return float(weights @ np.linalg.norm(points - z, axis=1) ** p)

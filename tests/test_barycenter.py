@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from baryreduce import barycenter
 from baryreduce.core import (
@@ -106,6 +107,73 @@ class TestUpdateSupportAtom:
             f0 = (w * np.linalg.norm(pts - y, axis=1) ** 2).sum()
             f1 = (w * np.linalg.norm(pts - (y + u), axis=1) ** 2).sum()
             assert f1 >= f0 - 1e-12
+
+
+def _median_point_sets(rng, d, trials):
+    """Weighted point sets in R^d whose weighted mean, the start of the p=1
+    update, is their first point, of a weight from light to heavy."""
+    for _ in range(trials):
+        x = rng.normal(size=(int(rng.integers(2, 9)), d))
+        w = rng.random(len(x) + 1) + 0.01
+        w[0] = rng.choice([1e-3, 0.1, 1.0, 10.0])
+        yield np.vstack([x.T @ w[1:] / w[1:].sum(), x]), w
+
+
+def _median_objective(pts, w, y):
+    return float(w @ np.linalg.norm(pts - y, axis=1))
+
+
+class TestMedianFromDataPoint:
+    def test_line_repro(self):
+        # the weighted mean 0 is the light point; the median is the heavy 1
+        y = update_support_atom([[0.0], [1.0], [-2.0]], [0.01, 1.0, 0.5], 1.0)
+        assert y.tolist() == [1.0]
+
+    def test_plane_repro(self):
+        # the weighted mean (0, 0) is the light point; (1, 0) passes the test
+        pts = [[0.0, 0.0], [1.0, 0.0], [-2.0, 1.0], [0.0, -1.0]]
+        y = update_support_atom(pts, [0.01, 1.0, 0.5, 0.5], 1.0)
+        assert y.tolist() == [1.0, 0.0]
+
+    def test_exact_weighted_median_on_a_line(self):
+        rng = np.random.default_rng(15)
+        for pts, w in _median_point_sets(rng, 1, 300):
+            order = np.argsort(pts[:, 0])
+            cum = np.cumsum(w[order])
+            median = pts[order[np.searchsorted(cum, cum[-1] / 2)]]
+            assert update_support_atom(pts, w, 1.0).tolist() == median.tolist()
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_first_order_certificate(self, d):
+        # a returned data point must pass the Vardi-Zhang test r <= eta;
+        # any other point must cost no more than an independent optimum:
+        # the cheapest data point, or a trust-region Newton solve
+        rng = np.random.default_rng(d)
+        for pts, w in _median_point_sets(rng, d, 100):
+            y = update_support_atom(pts, w, 1.0)
+            diff = pts - y
+            dist = np.linalg.norm(diff, axis=1)
+            at = dist == 0
+            if at.any():
+                r = np.linalg.norm((w[~at] / dist[~at]) @ diff[~at])
+                assert r <= w[at].sum()
+                continue
+
+            def grad(z):
+                dz = z - pts
+                return (w / np.linalg.norm(dz, axis=1)) @ dz
+
+            def hess(z):
+                dz = z - pts
+                dist = np.linalg.norm(dz, axis=1)
+                u = dz / dist[:, None]
+                return ((w / dist).sum() * np.eye(d) - (u.T * (w / dist)) @ u)
+
+            newton = minimize(lambda z: _median_objective(pts, w, z), pts.mean(axis=0),
+                              jac=grad, hess=hess, method="trust-exact",
+                              options={"gtol": 1e-13})
+            best = min(newton.fun, *(_median_objective(pts, w, x) for x in pts))
+            assert _median_objective(pts, w, y) <= best * (1 + 1e-8)
 
 
 class TestReconstruct:

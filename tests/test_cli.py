@@ -322,6 +322,21 @@ def test_sweep_zero_reference_cost_is_a_usage_error(tmp_path, capsys, rows, extr
     assert_one_error_line(code, capsys)
 
 
+@pytest.mark.parametrize("command", [["barycenter"], ["reduce", "--dim", "1"]])
+@pytest.mark.parametrize("seed", range(6))
+def test_p1_median_at_a_data_point(tmp_path, capsys, command, seed):
+    # one input whose weighted mean is its light atom at 0; one atom at
+    # p=1 is the weighted median, the heavy atom at 1, at cost 1
+    f = tmp_path / "median.csv"
+    f.write_text("0,0.006622516556291391,0.0\n0,0.6622516556291391,1.0\n"
+                 "0,0.33112582781456956,-2.0\n")
+    code, out = run([*command, "--input", str(f), "--support-size", "1", "--p", "1",
+                     "--seed", str(seed), "--no-timing"], capsys)
+    assert code == 0
+    assert out["support"] == [[1.0]]
+    assert out.get("cost", out.get("cost_high")) == 1.0
+
+
 def test_weight_sum_error_prints_a_plain_float(tmp_path, capsys):
     f = tmp_path / "short.csv"
     f.write_text("0,0.5,0.0\n0,0.4,1.0\n")

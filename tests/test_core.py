@@ -53,7 +53,7 @@ def test_empty_inputs_rejected():
         make_distribution(np.zeros((0, 2)), np.zeros(0))
 
 
-def test_pool_batch_concatenates_with_origins():
+def test_pooled_atoms_concatenates_with_origins():
     mu1 = make_distribution([[0.0], [1.0]], [0.5, 0.5])
     mu2 = make_distribution([[2.0]], [1.0])
     batch = pool_batch([mu1, mu2])
@@ -179,6 +179,31 @@ class TestPooledValidation:
             "plan 0 has rows 0:2, expected 0:1", "plan 1 has rows 2:3, expected 1:3"]
         sol = Solution(np.concatenate(plans), [0, 1], self.B)
         assert solution_violations(sol, batch) == ["2 plans for 3 distributions"]
+
+    def test_matches_per_plan_reference(self, rng):
+        # the per-plan loop that the pooled check replaced, on random breaks
+        def reference(plans, mus, b, tol=1e-9):
+            out = []
+            for i, (plan, mu) in enumerate(zip(plans, mus)):
+                if np.any(plan < -tol):
+                    out.append(f"plan {i} has negative entries")
+                row_err = np.max(np.abs(plan.sum(axis=1) - mu.weights))
+                if row_err > tol:
+                    out.append(f"plan {i} row sums off by {row_err:.3e}")
+                col_err = np.max(np.abs(plan.sum(axis=0) - b))
+                if col_err > tol:
+                    out.append(f"plan {i} column sums off by {col_err:.3e}")
+            return out
+
+        for _ in range(50):
+            mus = [make_distribution(rng.normal(size=(t, 2)), rng.dirichlet(np.ones(t)))
+                   for t in rng.integers(1, 6, size=4)]
+            b = rng.dirichlet(np.ones(3))
+            plans = [np.outer(mu.weights, b) for mu in mus]
+            for i in rng.choice(4, size=2, replace=False):
+                plans[i] += rng.choice([0.0, 1e-3, -1e-3], size=plans[i].shape)
+            assert (solution_violations(solution_of(plans, b), pool_batch(mus))
+                    == reference(plans, mus, b))
 
     @pytest.mark.parametrize("shape", [(5, 2), (7, 2), (6, 3), (6,)])
     def test_mismatched_flow_shape_is_a_violation(self, shape):

@@ -340,6 +340,33 @@ class TestLowRank:
         with pytest.raises(NotMultipleOfN, match="^plan 1 entries are not multiples of 1/2$"):
             verify_low_rank_equivalence(pool_batch(mus), bad, 2)
 
+    def test_matches_per_cell_reference(self):
+        # the triple loop the pooled np.repeat replaced: equal rows in the
+        # same order give the same sum, bit for bit
+        rng = np.random.default_rng(7)
+        N, n = 6, 3
+        mus, plans = [], []
+        for T in (1, 3, 2):
+            plan = np.zeros((T, n))
+            np.add.at(plan, (rng.integers(0, T, N), np.arange(N) % n), 1.0 / N)
+            plans.append(plan)
+            mus.append(make_distribution(rng.normal(size=(T, 4)), plan.sum(axis=1)))
+        rows, assign = [], []
+        for mu, plan in zip(mus, plans):
+            for a in range(plan.shape[0]):
+                for j in range(n):
+                    c = int(np.rint(plan[a, j] * N))
+                    rows.extend([mu.atoms[a]] * c)
+                    assign.extend([j] * c)
+        B, assign = np.array(rows), np.array(assign)
+        X = np.zeros((len(B), n))
+        for j in range(n):
+            X[assign == j, j] = 1.0 / np.sqrt((assign == j).sum())
+        want = np.sum((B - X @ (X.T @ B)) ** 2) / N
+        frob, _, match = verify_low_rank_equivalence(
+            pool_batch(mus), solution_of(plans, np.full(n, 1.0 / n)), N)
+        assert match and frob == want
+
     def test_two_inputs_share_columns(self):
         mus = [make_distribution([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5]),
                make_distribution([[0.0, 3.0]], [1.0])]
