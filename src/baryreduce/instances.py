@@ -251,6 +251,7 @@ def empirical_matching_distortion(A, B, pmap=None, p: float = 1.0,
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
+
 def group_by_label(points, labels, subsample: int | None = None, seed: int = 0):
     """One uniform distribution per distinct label, optionally subsampled."""
     points = np.asarray(points, dtype=np.float64)
