@@ -24,7 +24,6 @@ from .core import (
     PooledBatch,
     Solution,
     ZeroWeight,
-    make_distribution,
     pool_batch,
     solution_violations,
 )

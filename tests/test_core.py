@@ -4,7 +4,6 @@ import pytest
 from baryreduce.core import (
     BadPoints,
     BadWeights,
-    DiscreteDistribution,
     EmptyInput,
     Solution,
     make_distribution,
