@@ -27,7 +27,7 @@ from .core import (
     pool_batch,
     solution_violations,
 )
-from .transport import TransportModel, solve_pooled
+from .transport import TransportModel, _distances, pooled_costs, solve_pooled
 
 #: the alternation stops once an outer iteration gains at most this fraction
 _REL_TOL = 1e-7
@@ -148,14 +148,28 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float) -> np
     return y
 
 
-def _atom_costs(points, flow, atoms, p: float, k: int) -> np.ndarray:
-    """Per-atom objective terms of the pooled ``flow`` from ``points`` to ``atoms``."""
-    per_atom = np.zeros(len(atoms))
-    for j in range(len(atoms)):
-        rows = np.flatnonzero(flow[:, j])  # only rows with flow cost anything
-        dist = np.linalg.norm(points[rows] - atoms[j], axis=1)
-        per_atom[j] = (flow[rows, j] @ dist**p) / k
-    return per_atom
+def _column(flow: np.ndarray, j: int):
+    """``(rows, w)``: the rows of ``flow`` that send mass to atom j, and that mass."""
+    rows = np.flatnonzero(flow[:, j])  # a basic plan leaves most rows without flow
+    return rows, flow[rows, j]
+
+
+def _support_step(points: np.ndarray, flow: np.ndarray, support: np.ndarray,
+                  p: float) -> None:
+    """Re-fit each atom of ``support``, in place, on its column of ``flow``.
+
+    The inner solve stops at a tolerance (Weiszfeld converges slowly to a
+    median at a data point) and rounds, so its fit can land above the atom;
+    the atom moves only when the fit lowers its column's cost.  A column
+    without mass keeps its atom."""
+    for j in range(len(support)):
+        rows, w = _column(flow, j)
+        if w.sum() > 0:
+            column = points[rows]
+            y = update_support_atom(column, w, p)
+            new, old = w @ cdist(column, np.stack([y, support[j]])) ** p
+            if new < old:
+                support[j] = y
 
 
 def _check(sol: Solution, batch: PooledBatch) -> None:
@@ -165,33 +179,26 @@ def _check(sol: Solution, batch: PooledBatch) -> None:
 
 
 def reconstruct_barycenter(sol: Solution, batch: PooledBatch, p: float) -> DiscreteDistribution:
-    """Rebuild the barycenter in the ambient space of ``batch`` from the flows.
-
-    Atom j solves the column-j support-update problem; a column carrying no
-    mass degenerates to a zero-weight atom at the origin.
-    """
+    """Rebuild the barycenter in the ambient space of ``batch`` from the flows:
+    one support step of the solver, from atoms at the origin.  A column
+    carrying no mass degenerates to a zero-weight atom at the origin."""
     _check(sol, batch)
-    flow = sol.flow
     atoms = np.zeros((sol.n_atoms, batch.points.shape[1]))
-    for j in range(sol.n_atoms):
-        rows = np.flatnonzero(flow[:, j])
-        w = flow[rows, j]
-        if w.sum() <= 0:
-            continue  # degenerate: weight-0 atom stays at the origin
-        atoms[j] = update_support_atom(batch.points[rows], w, p)
+    _support_step(batch.points, sol.flow, atoms, p)
     return DiscreteDistribution(atoms, sol.barycenter_weights)
 
 
-def solution_cost(sol: Solution, batch: PooledBatch, p: float) -> CostReport:
+def solution_cost(sol: Solution, batch: PooledBatch, p: float) -> float:
     """Objective value of a solution after rebuilding its barycenter."""
     return support_cost(sol, batch, reconstruct_barycenter(sol, batch, p), p)
 
 
 def support_cost(sol: Solution, batch: PooledBatch, nu: DiscreteDistribution,
-                 p: float) -> CostReport:
-    """Objective value of a solution's plans priced against the atoms of ``nu``."""
-    per_atom = _atom_costs(batch.points, sol.flow, nu.atoms, p, len(batch.starts))
-    return CostReport(float(per_atom.sum()), per_atom, 0, True)
+                 p: float) -> float:
+    """Objective value of a solution's plans priced against the atoms of
+    ``nu``, by the rule that prices the solver's own plans."""
+    costs = pooled_costs(sol.flow, _distances(batch.points, nu.atoms, p), batch.starts)
+    return sum(costs.tolist()) / len(batch.starts)
 
 
 def pairwise_cost_p2(sol: Solution, batch: PooledBatch) -> float:
@@ -205,12 +212,10 @@ def pairwise_cost_p2(sol: Solution, batch: PooledBatch) -> float:
     b = sol.barycenter_weights
     if np.any(b <= 0):
         raise ZeroWeight("pairwise form requires every barycenter weight > 0")
-    flow = sol.flow
     k = len(batch.starts)
     total = 0.0
     for j in range(sol.n_atoms):
-        rows = np.flatnonzero(flow[:, j])  # only rows with flow enter the sum
-        w = flow[rows, j]
+        rows, w = _column(sol.flow, j)
         sub = batch.points[rows]
         total += (w @ cdist(sub, sub, "sqeuclidean") @ w) / (2.0 * k * b[j])
     return total / k
@@ -241,8 +246,7 @@ def solve_barycenter(mus, opts: SolverOptions):
     p = opts.p
     rng = np.random.default_rng(opts.seed)
     batch = pool_batch(mus)  # every outer iteration solves these inputs
-    points = batch.points
-    support = _init_support(points, batch.weights, n, rng)
+    support = _init_support(batch.points, batch.weights, n, rng)
     b = np.full(n, 1.0 / n)
 
     model = TransportModel()  # successive iterations start from its last basis
@@ -250,16 +254,14 @@ def solve_barycenter(mus, opts: SolverOptions):
     trace = []
     prev_obj = np.inf
     converged = False
-    iters = 0
-    for it in range(opts.max_outer_iters):
-        iters = it + 1
+    for _ in range(opts.max_outer_iters):
         nu = DiscreteDistribution(support.copy(), b)
         stacked, costs = solve_pooled(batch, nu, p, model)  # (sum T_i, n) flows
-        obj = sum(costs.tolist()) / k
+        obj = sum(costs.tolist()) / k  # as support_cost prices it
         trace.append(obj)
         if obj > prev_obj + 1e-9 * abs(prev_obj):
             raise NumericalFailure(
-                f"alternation objective increased at outer iteration {iters}: "
+                f"alternation objective increased at outer iteration {len(trace)}: "
                 f"{prev_obj!r} -> {obj!r}")
         if best is None or obj < best[0]:
             best = (obj, support.copy(), stacked)
@@ -267,24 +269,8 @@ def solve_barycenter(mus, opts: SolverOptions):
             converged = True
             break
         prev_obj = obj
-
-        for j in range(n):
-            # a basic plan leaves most rows of a column without flow
-            rows = np.flatnonzero(stacked[:, j])
-            w, column = stacked[rows, j], points[rows]
-            if w.sum() > 0:
-                y = update_support_atom(column, w, p)
-                # The inner solve stops at a tolerance (Weiszfeld converges
-                # slowly to a median at a data point) and rounds, so it can
-                # land above the current atom; keep that atom then, and the
-                # plans' cost cannot rise between outer iterations.
-                new, old = w @ cdist(column, np.stack([y, support[j]])) ** p
-                if new < old:
-                    support[j] = y
+        _support_step(batch.points, stacked, support, p)
 
     obj, support, flow = best
-    nu = DiscreteDistribution(support, b)
-    sol = Solution(flow, batch.starts, b)
-    per_atom = _atom_costs(points, flow, support, p, k)
-    report = CostReport(float(obj), per_atom, iters, converged, trace)
-    return nu, sol, report
+    return (DiscreteDistribution(support, b), Solution(flow, batch.starts, b),
+            CostReport(float(obj), len(trace), converged, trace))

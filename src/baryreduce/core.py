@@ -170,7 +170,6 @@ class Solution:
 @dataclass
 class CostReport:
     total_cost: float
-    per_atom_costs: np.ndarray
     iterations: int
     converged: bool
     trace: list = field(default_factory=list)
@@ -244,16 +243,23 @@ def solution_violations(sol: Solution, batch: PooledBatch, tol: float = WEIGHT_T
         out.append(f"plan {i} has rows {sol.starts[i]}:{sol_ends[i]}, "
                    f"expected {starts[i]}:{ends[i]}")
     if not out:
+        # comparisons are false on NaN, so non-finite entries get a check of their own
+        nonfinite = np.logical_or.reduceat(~np.isfinite(flow).all(axis=1), starts)
         negative = np.minimum.reduceat(flow.min(axis=1, initial=0.0), starts) < -tol
         row_err = np.maximum.reduceat(np.abs(flow.sum(axis=1) - batch.weights), starts)
         col_err = np.abs(np.add.reduceat(flow, starts) - b).max(axis=1, initial=0.0)
-        for i in np.flatnonzero(negative | (row_err > tol) | (col_err > tol)).tolist():
+        bad = nonfinite | negative | (row_err > tol) | (col_err > tol)
+        for i in np.flatnonzero(bad).tolist():
+            if nonfinite[i]:
+                out.append(f"plan {i} has non-finite entries")
             if negative[i]:
                 out.append(f"plan {i} has negative entries")
             if row_err[i] > tol:
                 out.append(f"plan {i} row sums off by {row_err[i]:.3e}")
             if col_err[i] > tol:
                 out.append(f"plan {i} column sums off by {col_err[i]:.3e}")
+    if not np.isfinite(b).all():
+        out.append("barycenter weights are not finite")
     if abs(b.sum() - 1.0) > tol:
         out.append(f"barycenter weights sum to {float(b.sum())!r}")
     if np.any(b < -tol):

@@ -404,7 +404,7 @@ def verify_low_rank_equivalence(batch, sol, N: int):
         raise NotMultipleOfN(
             f"plan {batch.origins[np.argmax(off)]} entries are not multiples of 1/{N}"
         )
-    bary = len(batch.starts) * solution_cost(sol, batch, 2.0).total_cost
+    bary = len(batch.starts) * solution_cost(sol, batch, 2.0)
     # one row per unit of every cell, cells in pooled row-major order
     n = rounded.shape[1]
     cells = np.repeat(np.arange(rounded.size), rounded.ravel().astype(np.intp))

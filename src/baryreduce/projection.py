@@ -174,7 +174,7 @@ def reduce_solve_reconstruct(mus, pmap: ProjectionMap,
     nu_low, sol, rep = solve_barycenter(low, opts)
     t2 = time.perf_counter()
     nu_high = reconstruct_barycenter(sol, batch, opts.p)
-    cost_high = support_cost(sol, batch, nu_high, opts.p).total_cost
+    cost_high = support_cost(sol, batch, nu_high, opts.p)
     t3 = time.perf_counter()
     return ReductionResult(nu_low, nu_high, sol, rep.total_cost, cost_high,
                            pmap, t1 - t0, t2 - t1, t3 - t2)

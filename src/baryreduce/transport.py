@@ -279,8 +279,14 @@ def solve_pooled(batch: PooledBatch, nu: DiscreteDistribution, p: float,
             to_lp = np.repeat(~square, sizes)
             flow[np.ix_(rows[to_lp], cols)] = model.solve(
                 a_rows[to_lp], b_cols, C_lp[to_lp], sizes[~square])
-    costs = np.add.reduceat((flow * C).sum(axis=1), batch.starts)
-    return flow, costs
+    return flow, pooled_costs(flow, C, batch.starts)
+
+
+def pooled_costs(flow: np.ndarray, C: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-input prices of a pooled (N, n) ``flow`` under the cost matrix
+    ``C`` of its rows, summed from each of ``starts`` to the next.  A cell
+    without flow adds exactly 0, even where its cost is not finite."""
+    return np.add.reduceat((flow * np.where(flow != 0, C, 0.0)).sum(axis=1), starts)
 
 
 def solve_ot(mu: DiscreteDistribution, nu: DiscreteDistribution, p: float) -> TransportPlan:

@@ -89,7 +89,7 @@ def test_02_pairwise_distance_form_equals_reconstruction_cost():
         sol, batch = _random_valid_solution(rng, mus, n), pool_batch(mus)
         assert validate_solution(sol, batch)
         a = pairwise_cost_p2(sol, batch)
-        b = solution_cost(sol, batch, 2.0).total_cost
+        b = solution_cost(sol, batch, 2.0)
         assert abs(a - b) <= 1e-9 * (1 + b), f"trial {trial}"
 
 

@@ -21,6 +21,7 @@ from baryreduce.barycenter import (
     reconstruct_barycenter,
     solution_cost,
     solve_barycenter,
+    support_cost,
     update_support_atom,
 )
 from baryreduce.transport import TransportModel, solve_pooled
@@ -200,17 +201,35 @@ class TestSolutionCost:
     def test_midpoint_cost(self):
         mus = [delta([0.0]), delta([2.0])]
         sol = solution_of((np.array([[1.0]]), np.array([[1.0]])), np.array([1.0]))
-        assert solution_cost(sol, pool_batch(mus), 2.0).total_cost == pytest.approx(1.0)
+        assert solution_cost(sol, pool_batch(mus), 2.0) == pytest.approx(1.0)
 
     def test_identity_cost_zero(self):
         mu = make_distribution([[0.0], [2.0]], [0.5, 0.5])
         sol = solution_of((np.eye(2) * 0.5,), np.array([0.5, 0.5]))
-        assert solution_cost(sol, pool_batch([mu]), 2.0).total_cost == pytest.approx(0.0, abs=1e-12)
+        assert solution_cost(sol, pool_batch([mu]), 2.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_p1_median_cost(self):
         mus = [delta([0.0]), delta([3.0])]
         sol = solution_of((np.array([[1.0]]), np.array([[1.0]])), np.array([1.0]))
-        assert solution_cost(sol, pool_batch(mus), 1.0).total_cost == pytest.approx(1.5)
+        assert solution_cost(sol, pool_batch(mus), 1.0) == pytest.approx(1.5)
+
+
+class TestSupportCost:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_prices_the_solver_output_as_the_solver_does(self, rng, p):
+        mus = random_family(rng, k=4, T=5, d=3)
+        nu, sol, rep = solve_barycenter(mus, SolverOptions(support_size=3, p=p, seed=2))
+        assert support_cost(sol, pool_batch(mus), nu, p) == rep.total_cost
+
+    def test_cell_without_flow_adds_zero_where_its_cost_overflows(self):
+        # the off-diagonal cells cost (1e200)^2 = inf but carry no flow
+        mu = make_distribution([[0.0], [1e200]], [0.5, 0.5])
+        b = np.array([0.5, 0.5])
+        sol, batch = solution_of((np.eye(2) * 0.5, np.eye(2) * 0.5), b), pool_batch([mu, mu])
+        assert validate_solution(sol, batch)
+        nu = make_distribution([[0.0], [1e200]], b)
+        assert support_cost(sol, batch, nu, 2.0) == 0.0
+        assert solution_cost(sol, batch, 2.0) == 0.0
 
 
 class TestPairwiseIdentity:
@@ -230,7 +249,7 @@ class TestPairwiseIdentity:
         batch = pool_batch(mus)
         assert validate_solution(sol, batch)
         a = pairwise_cost_p2(sol, batch)
-        b = solution_cost(sol, batch, 2.0).total_cost
+        b = solution_cost(sol, batch, 2.0)
         assert abs(a - b) <= 1e-9 * (1 + b)
 
     def test_memory_bounded_by_column_support(self):
@@ -249,7 +268,7 @@ class TestPairwiseIdentity:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
-        assert value == pytest.approx(solution_cost(sol, batch, 2.0).total_cost,
+        assert value == pytest.approx(solution_cost(sol, batch, 2.0),
                                       rel=1e-12, abs=0.0)
 
 

@@ -171,6 +171,21 @@ class TestPooledValidation:
             return plan
         assert self._violations(i, swap_columns) == [f"plan {i} column sums off by 1.000e-01"]
 
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_nan_entry_names_its_input(self, i):
+        def poison(plan):
+            plan[-1, 0] = np.nan
+            return plan
+        assert self._violations(i, poison) == [f"plan {i} has non-finite entries"]
+
+    def test_nan_barycenter_weight_is_a_violation(self):
+        plans, batch = self._case()
+        bad = solution_violations(solution_of(plans, np.array([0.5, np.nan])), batch)
+        assert bad == ["barycenter weights are not finite"]
+        mu = make_distribution([[0.0]], [1.0])
+        sol = Solution(np.full((1, 2), np.nan), [0], [np.nan, 1.0])
+        assert not validate_solution(sol, pool_batch([mu]))
+
     def test_mismatched_starts_are_violations(self):
         plans, batch = self._case()
         sol = Solution(np.concatenate(plans), [0, 2, 3], self.B)

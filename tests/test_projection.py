@@ -9,6 +9,7 @@ from baryreduce.barycenter import (
     SolverOptions,
     solution_cost,
     solve_barycenter,
+    support_cost,
 )
 from baryreduce.projection import (
     cost_ratio_sweep,
@@ -203,7 +204,16 @@ class TestPipeline:
         res = reduce_solve_reconstruct(mus, make_gaussian_map(12, 6, 2), opts)
         batch = pool_batch(mus)
         assert validate_solution(res.solution, batch)
-        assert res.cost_high == solution_cost(res.solution, batch, opts.p).total_cost
+        assert res.cost_high == solution_cost(res.solution, batch, opts.p)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_cost_low_is_the_pricing_of_the_projected_plans(self, rng, p):
+        mus = self._family(rng)
+        opts = SolverOptions(support_size=2, p=p, seed=4)
+        pmap = make_gaussian_map(12, 6, 2)
+        res = reduce_solve_reconstruct(mus, pmap, opts)
+        low = pool_batch(project_instance(pool_batch(mus), pmap))
+        assert res.cost_low == support_cost(res.solution, low, res.nu_low, p)
 
     def test_reduce_pools_its_inputs_once(self, rng, monkeypatch):
         # one pool in R^d for the projection, the lift and the pricing, and
