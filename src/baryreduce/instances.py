@@ -9,6 +9,8 @@ exponent-2 objective as a low-rank Frobenius approximation.
 from __future__ import annotations
 
 import csv as _csv
+from array import array
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -286,41 +288,57 @@ def _csv_records(fh, path):
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
 
+def _is_header(line):
+    """Whether a CSV line has a non-numeric field after its first."""
+    try:
+        for field in line.split(",")[1:]:
+            float(field)
+    except ValueError:
+        return True
+    return False
+
+
 def _csv_rows_bulk(path):
     """Keys and numeric block of a CSV file, parsed by one ``np.loadtxt`` call.
 
-    Raises ``ValueError`` for any file the row reader might read differently
-    or reject: non-UTF-8 bytes, quotes, NUL characters, rows without
-    coordinates, ragged or non-numeric rows.  Universal newlines split lines
-    where the ``csv`` module ends records.
+    The file's lines stream into ``np.loadtxt`` one at a time, each with its
+    key split off, so the text is never held whole.  Raises ``ValueError``
+    for any file the row reader might read differently or reject: non-UTF-8
+    bytes, quotes, NUL characters, rows without coordinates, ragged or
+    non-numeric rows.  Universal newlines split lines where the ``csv``
+    module ends records.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    if '"' in text or "\0" in text:
-        raise ValueError("quoted fields or NUL characters")
-    lines = text.split("\n")
-    try:
-        for field in lines[0].split(",")[1:]:
-            float(field)
-    except ValueError:
-        lines = lines[1:]  # header
-    rows = [line.partition(",") for line in lines if line.strip()]
-    if not rows:
-        return [], None
-    block = np.loadtxt([rest for _, _, rest in rows], delimiter=",",
-                       comments=None, ndmin=2)
+    keys = []
+
+    def rests(lines):
+        for lineno, line in enumerate(lines, start=1):
+            if '"' in line or "\0" in line:
+                raise ValueError("quoted fields or NUL characters")
+            if line.strip() and not (lineno == 1 and _is_header(line)):
+                key, _, rest = line.partition(",")
+                keys.append(key.strip())
+                yield rest
+
+    with open(path, encoding="utf-8-sig") as fh:
+        rows = rests(fh)
+        first = next(rows, None)
+        if first is None:  # loadtxt warns on a stream without rows
+            return [], None
+        block = np.loadtxt(chain([first], rows), delimiter=",", comments=None,
+                           ndmin=2)
     # loadtxt skips empty lines, so a row with no field after its key goes missing
-    if block.shape[0] != len(rows) or block.shape[1] < 2:
+    if block.shape[0] != len(keys) or block.shape[1] < 2:
         raise ValueError("rows without coordinates")
-    return [key.strip() for key, _, _ in rows], block
+    return keys, block
 
 
 def _csv_rows_checked(path):
     """Keys and numeric block of a CSV file, read row by row; the error for a
-    malformed row names its line."""
-    keys, rows = [], []
+    malformed row names its line.  The floats of all rows go into one flat
+    ``array('d')``, which the block views without a copy."""
+    keys, flat = [], array("d")
     dim = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, row in enumerate(_csv_records(fh, path), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -339,8 +357,10 @@ def _csv_rows_checked(path):
                     f"{path}:{lineno}: {len(values) - 1} coords, expected {dim}"
                 )
             keys.append(row[0].strip())
-            rows.append(values)
-    return keys, np.array(rows)
+            flat.extend(values)
+    if not keys:
+        return [], None
+    return keys, np.frombuffer(flat).reshape(len(keys), dim + 1)
 
 
 def load_csv_distributions(path):
@@ -348,11 +368,13 @@ def load_csv_distributions(path):
 
     An optional non-numeric first row is treated as a header.  Weights of
     each group must sum to 1 within 1e-6 (then renormalized exactly).
-    Groups come in the order their ids first appear.  The numeric block is
-    parsed in one numpy call; a file that call cannot take is read again row
-    by row, which finds the line at fault.  Coordinates and weights are
-    checked for the whole block at once; the first group at fault, in
-    order, raises what :func:`make_distribution` would.
+    Groups come in the order their ids first appear.  A leading UTF-8
+    byte-order mark is dropped.  The file streams line by line into one
+    numpy call, so a load holds about its numeric block, never the text; a
+    file that call cannot take is read again row by row, which finds the
+    line at fault.  Coordinates and weights are checked for the whole block
+    at once; the first group at fault, in order, raises what
+    :func:`make_distribution` would.
     """
     try:
         keys, block = _csv_rows_bulk(path)

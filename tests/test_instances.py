@@ -1,4 +1,6 @@
+import csv
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +301,78 @@ class TestCsv:
         f = tmp_path / "d.csv"
         f.write_bytes(self.LAYOUT.replace(old, new).encode())
         self._check_layout(load_csv_distributions(f))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["\n \r\n\t\n", "dist,w,x\n", '"dist",w,x\n'],
+                             ids=["blank_lines", "header_only", "quoted_header_only"])
+    def test_no_rows(self, tmp_path, text):
+        # numpy warns when loadtxt is handed a stream without rows; the empty
+        # file is test_empty_file
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        assert load_csv_distributions(f) == []
+
+    BOM = "\ufeff0,0.5,1.0,2.0\n0,0.5,3.0,1.0\n1,1.0,2.0,2.0\n"
+
+    @pytest.mark.parametrize("text", [BOM, BOM.replace("\n1,", '\n"1",')],
+                             ids=["plain", "quoted"])
+    def test_leading_byte_order_mark(self, tmp_path, text):
+        f = tmp_path / "d.csv"
+        f.write_bytes(text.encode())
+        a, b = load_csv_distributions(f)
+        np.testing.assert_array_equal(a.atoms, [[1.0, 2.0], [3.0, 1.0]])
+        np.testing.assert_array_equal(a.weights, [0.5, 0.5])
+        np.testing.assert_array_equal(b.atoms, [[2.0, 2.0]])
+
+    @staticmethod
+    def _write_repr_csv(path, keys, block, quoted=False):
+        # floats as repr, as bench/workloads.py::write_csv writes them;
+        # quoted, the keys are in quotes
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC if quoted
+                                else csv.QUOTE_MINIMAL)
+            for key, row in zip(keys, block.tolist()):
+                writer.writerow([str(key), *row])
+
+    def test_readers_agree(self, tmp_path):
+        rng = np.random.default_rng(11)
+        block = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-30, 30, (40, 7))
+        keys = [f"k{i}" for i in rng.integers(0, 5, 40)]
+        random_csv = tmp_path / "random.csv"
+        self._write_repr_csv(random_csv, keys, block)
+        layout_csv = tmp_path / "layout.csv"
+        layout_csv.write_bytes(self.LAYOUT.encode())
+        for f in (layout_csv, random_csv):
+            bulk_keys, bulk = instances._csv_rows_bulk(f)
+            row_keys, rows = instances._csv_rows_checked(f)
+            assert bulk_keys == row_keys
+            assert bulk.dtype == rows.dtype and bulk.shape == rows.shape
+            assert bulk.tobytes() == rows.tobytes()
+        assert bulk_keys == keys and bulk.tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    def test_memory_bounded_by_numeric_block(self, tmp_path, monkeypatch, quoted):
+        # 300 rows of 784 coordinates in 10 groups: the block is 1.8 MiB,
+        # the text 2.5 times that
+        n, d = 300, 784
+        rng = np.random.default_rng(7)
+        block = np.column_stack([np.full(n, 10 / n), rng.standard_normal((n, d))])
+        f = tmp_path / "d.csv"
+        self._write_repr_csv(f, np.arange(n) % 10, block, quoted)
+        calls = []
+        row_reader = instances._csv_rows_checked
+        monkeypatch.setattr(instances, "_csv_rows_checked",
+                            lambda path: calls.append(path) or row_reader(path))
+        tracemalloc.start()
+        try:
+            out = load_csv_distributions(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == quoted
+        assert peak < 3 * block.nbytes
+        assert len(out) == 10
+        np.testing.assert_array_equal(out[3].atoms, block[3::10, 1:])
 
     @pytest.mark.parametrize("text, error, line", [
         ("0,0.5,1,2\n0,0.5,3,4\n\n1,1.0,5,6\n1,1.0,7\n", RaggedRows, 5),
