@@ -155,13 +155,15 @@ def _column(flow: np.ndarray, j: int):
 
 
 def _support_step(points: np.ndarray, flow: np.ndarray, support: np.ndarray,
-                  p: float) -> None:
-    """Re-fit each atom of ``support``, in place, on its column of ``flow``.
+                  p: float) -> bool:
+    """Re-fit each atom of ``support``, in place, on its column of ``flow``;
+    returns whether any atom moved.
 
     The inner solve stops at a tolerance (Weiszfeld converges slowly to a
     median at a data point) and rounds, so its fit can land above the atom;
     the atom moves only when the fit lowers its column's cost.  A column
     without mass keeps its atom."""
+    moved = False
     for j in range(len(support)):
         rows, w = _column(flow, j)
         if w.sum() > 0:
@@ -169,7 +171,8 @@ def _support_step(points: np.ndarray, flow: np.ndarray, support: np.ndarray,
             y = update_support_atom(column, w, p)
             new, old = w @ cdist(column, np.stack([y, support[j]])) ** p
             if new < old:
-                support[j] = y
+                support[j], moved = y, True
+    return moved
 
 
 def _check(sol: Solution, batch: PooledBatch) -> None:
@@ -237,7 +240,8 @@ def solve_barycenter(mus, opts: SolverOptions):
     objective after each transport step.  The barycenter weights are fixed
     at 1/n, so the trace is non-increasing: an atom moves only when that
     lowers its column's cost, and a rise beyond rounding (1e-9 relative)
-    raises :class:`NumericalFailure`.
+    raises :class:`NumericalFailure`.  It has converged once an outer
+    iteration gains at most ``_REL_TOL`` or a support step moves no atom.
     """
     if not mus:
         raise EmptyInput("need at least one input distribution")
@@ -265,11 +269,11 @@ def solve_barycenter(mus, opts: SolverOptions):
                 f"{prev_obj!r} -> {obj!r}")
         if best is None or obj < best[0]:
             best = (obj, support.copy(), stacked)
-        if prev_obj - obj <= _REL_TOL * abs(obj):
+        if (prev_obj - obj <= _REL_TOL * abs(obj)
+                or not _support_step(batch.points, stacked, support, p)):
             converged = True
             break
         prev_obj = obj
-        _support_step(batch.points, stacked, support, p)
 
     obj, support, flow = best
     return (DiscreteDistribution(support, b), Solution(flow, batch.starts, b),

@@ -9,7 +9,6 @@ exponent-2 objective as a low-rank Frobenius approximation.
 from __future__ import annotations
 
 import csv as _csv
-from array import array
 from itertools import chain
 
 import numpy as np
@@ -22,6 +21,7 @@ from scipy.spatial.distance import cdist
 from .core import (
     BadParams,
     BadWeights,
+    BaryError,
     CountMismatch,
     DiscreteDistribution,
     NotMultipleOfN,
@@ -270,97 +270,94 @@ def group_by_label(points, labels, subsample: int | None = None, seed: int = 0):
     return out
 
 
-def _text_lines(fh, path):
-    """The lines of a text file, with a decoding failure as a ``ParseError``."""
+def _fields(path, lineno, line):
+    """The fields of line ``lineno`` of a CSV file.  A line holding a quote is
+    split by the ``csv`` module, and its quoted fields must close on that line."""
+    if '"' not in line:
+        return line.split(",")
     try:
-        yield from fh
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-def _csv_records(fh, path):
-    """The rows of a CSV file, with a reader error as a ``ParseError`` that
-    names the line."""
-    reader = _csv.reader(_text_lines(fh, path))
-    try:
-        yield from reader
+        fields = next(_csv.reader([line if line.endswith("\n") else line + "\n"]))
     except _csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+        raise ParseError(f"{path}:{lineno}: {exc}") from None
+    if fields[-1].endswith("\n"):  # the csv module keeps an open field's newline
+        raise ParseError(f"{path}:{lineno}: quoted field spans lines")
+    return fields
 
 
-def _is_header(line):
-    """Whether a CSV line has a non-numeric field after its first."""
+def _non_numeric(values):
+    """Whether some field of ``values`` is not a float."""
     try:
-        for field in line.split(",")[1:]:
-            float(field)
+        list(map(float, values))
     except ValueError:
         return True
     return False
 
 
-def _csv_rows_bulk(path):
+def _row_error(path, lineno, line, width):
+    """The error for the data row on line ``lineno`` that ``np.loadtxt``
+    refused or would skip: a non-numeric field, no coordinates, or a field
+    count unlike the first row's ``width`` (fields after the key)."""
+    values = _fields(path, lineno, line)[1:]
+    if not _non_numeric(values):
+        if len(values) < 2:
+            return ParseError(f"{path}:{lineno}: need dist_id, w, coords")
+        if len(values) != width:
+            return RaggedRows(
+                f"{path}:{lineno}: {len(values) - 1} coords, expected {width - 1}")
+    # loadtxt refuses some fields float() takes, such as 1_000
+    return ParseError(f"{path}:{lineno}: non-numeric field")
+
+
+def _csv_rows(path):
     """Keys and numeric block of a CSV file, parsed by one ``np.loadtxt`` call.
 
     The file's lines stream into ``np.loadtxt`` one at a time, each with its
-    key split off, so the text is never held whole.  Raises ``ValueError``
-    for any file the row reader might read differently or reject: non-UTF-8
-    bytes, quotes, NUL characters, rows without coordinates, ragged or
-    non-numeric rows.  Universal newlines split lines where the ``csv``
-    module ends records.
+    key split off, so the text is never held whole.  A first line with a
+    non-numeric field after its key is a header; blank lines are skipped.
+    ``np.loadtxt`` pulls one line at a time, so the row it refuses is the
+    last line handed to it, and only that line is read again to name the
+    error.  Universal newlines end the lines.
     """
-    keys = []
+    keys, last = [], [0, ""]  # the number and text of the last line handed on
 
     def rests(lines):
         for lineno, line in enumerate(lines, start=1):
-            if '"' in line or "\0" in line:
-                raise ValueError("quoted fields or NUL characters")
-            if line.strip() and not (lineno == 1 and _is_header(line)):
+            if lineno == 1 and _non_numeric(_fields(path, 1, line)[1:]):
+                continue  # a header
+            if '"' in line:
+                key, *values = _fields(path, lineno, line)
+                if not values and not key.strip():
+                    continue  # a blank line in quotes
+                rest = ",".join(values)
+                if rest.count(",") >= len(values):  # no value, or one holding a comma
+                    raise _row_error(path, lineno, line, None)
+            elif line.isspace():
+                continue
+            else:
                 key, _, rest = line.partition(",")
-                keys.append(key.strip())
-                yield rest
+            if rest in ("", "\n"):  # loadtxt skips an empty row
+                raise _row_error(path, lineno, line, None)
+            last[:] = lineno, line
+            keys.append(key.strip())
+            yield rest
 
     with open(path, encoding="utf-8-sig") as fh:
-        rows = rests(fh)
-        first = next(rows, None)
-        if first is None:  # loadtxt warns on a stream without rows
-            return [], None
-        block = np.loadtxt(chain([first], rows), delimiter=",", comments=None,
-                           ndmin=2)
-    # loadtxt skips empty lines, so a row with no field after its key goes missing
-    if block.shape[0] != len(keys) or block.shape[1] < 2:
-        raise ValueError("rows without coordinates")
+        try:
+            rows = rests(fh)
+            first = next(rows, None)
+            if first is None:  # loadtxt warns on a stream without rows
+                return [], None
+            width = first.count(",") + 1
+            if width < 2:  # no coordinates in the first row
+                raise _row_error(path, *last, width)
+            block = np.loadtxt(chain([first], rows), delimiter=",", comments=None, ndmin=2)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except BaryError:
+            raise
+        except ValueError:  # loadtxt refused the last line handed to it
+            raise _row_error(path, *last, width) from None
     return keys, block
-
-
-def _csv_rows_checked(path):
-    """Keys and numeric block of a CSV file, read row by row; the error for a
-    malformed row names its line.  The floats of all rows go into one flat
-    ``array('d')``, which the block views without a copy."""
-    keys, flat = [], array("d")
-    dim = None
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for lineno, row in enumerate(_csv_records(fh, path), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header
-                raise ParseError(f"{path}:{lineno}: non-numeric field")
-            if len(row) < 3:
-                raise ParseError(f"{path}:{lineno}: need dist_id, w, coords")
-            if dim is None:
-                dim = len(values) - 1
-            elif len(values) - 1 != dim:
-                raise RaggedRows(
-                    f"{path}:{lineno}: {len(values) - 1} coords, expected {dim}"
-                )
-            keys.append(row[0].strip())
-            flat.extend(values)
-    if not keys:
-        return [], None
-    return keys, np.frombuffer(flat).reshape(len(keys), dim + 1)
 
 
 def load_csv_distributions(path):
@@ -371,15 +368,12 @@ def load_csv_distributions(path):
     Groups come in the order their ids first appear.  A leading UTF-8
     byte-order mark is dropped.  The file streams line by line into one
     numpy call, so a load holds about its numeric block, never the text; a
-    file that call cannot take is read again row by row, which finds the
-    line at fault.  Coordinates and weights are checked for the whole block
-    at once; the first group at fault, in order, raises what
+    line holding a quote is split by the ``csv`` module, and a malformed row
+    is named by its line.  Coordinates and weights are checked for the whole
+    block at once; the first group at fault, in order, raises what
     :func:`make_distribution` would.
     """
-    try:
-        keys, block = _csv_rows_bulk(path)
-    except ValueError:  # UnicodeDecodeError included
-        keys, block = _csv_rows_checked(path)
+    keys, block = _csv_rows(path)
     if not keys:
         return []
     first_seen: dict[str, int] = {}

@@ -317,6 +317,7 @@ def barycenter_objective(nu: DiscreteDistribution, mus, p: float, lambdas=None) 
         lam = np.full(k, 1.0 / k)
     else:
         lam = np.asarray(lambdas, dtype=np.float64)
-        if lam.shape != (k,) or np.any(lam < 0) or abs(lam.sum() - 1.0) > 1e-9:
+        # a NaN weight fails both comparisons
+        if lam.shape != (k,) or not (lam >= 0).all() or not abs(lam.sum() - 1.0) <= 1e-9:
             raise BadLambdas("lambdas must be nonnegative and sum to 1")
     return float(lam @ transport_costs(mus, nu, p))

@@ -285,6 +285,18 @@ class TestSolveBarycenter:
         assert rep.total_cost == pytest.approx(1.0)
         np.testing.assert_allclose(nu.atoms, [[1.0]], atol=1e-9)
 
+    def test_stops_when_no_atom_moves(self, monkeypatch):
+        # the mean of the two deltas is the atom's second place and its last:
+        # a third transport step would price the same support again
+        solve, calls = barycenter.solve_pooled, []
+        monkeypatch.setattr(barycenter, "solve_pooled",
+                            lambda *args: calls.append(1) or solve(*args))
+        mus = [delta([0.0]), delta([2.0])]
+        nu, _, rep = solve_barycenter(mus, SolverOptions(support_size=1, p=2.0))
+        assert rep.converged and rep.iterations == len(calls) == 2
+        assert rep.trace == [2.0, 1.0]
+        assert nu.atoms.tolist() == [[1.0]]
+
     def test_monotone_trace(self, rng):
         mus = random_family(rng, k=4, T=5, d=3)
         _, _, rep = solve_barycenter(mus, SolverOptions(support_size=3, p=2.0))

@@ -1,16 +1,21 @@
+import csv
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baryreduce import cli
 from baryreduce.cli import main
-from baryreduce.core import make_distribution, pool_batch
+from baryreduce.core import BaryError, ParseError, RaggedRows, make_distribution, pool_batch
 from baryreduce.coreset import (
     build_coreset,
     evaluate_coreset,
@@ -263,6 +268,41 @@ def test_unusable_input_file_is_a_usage_error(tmp_path, capsys, command, content
     f = tmp_path / "in.csv"
     f.write_bytes(content)
     assert_one_error_line(main([*command, "--input", str(f)]), capsys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=st.text(st.sampled_from('0123456789.e-," afinx\r\n\0'), max_size=60))
+def test_arbitrary_csv_text_loads_or_names_its_line(tmp_path_factory, text):
+    f = tmp_path_factory.mktemp("fuzz") / "in.csv"
+    f.write_bytes(text.encode())
+    try:
+        load_csv_distributions(f)
+    except (ParseError, RaggedRows) as exc:
+        where = re.match(f"{re.escape(str(f))}:([0-9]+): ", str(exc))
+        assert where and 1 <= int(where[1]) <= len(text.splitlines()), str(exc)
+    except BaryError:
+        pass
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["barycenter", "--input", str(f), "--no-timing"])
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert lines == [] if code == 0 else len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["barycenter"], ["reduce", "--dim", "2"]])
+def test_quoted_and_plain_inputs_give_the_same_run(tmp_path, capsys, command):
+    rng = np.random.default_rng(8)
+    rows = [[str(i), 0.25, *x] for i in range(5) for x in rng.normal(size=(4, 3)).tolist()]
+    stdout = []
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_NONNUMERIC):
+        f = tmp_path / f"in{quoting}.csv"
+        with open(f, "w", newline="") as fh:
+            csv.writer(fh, quoting=quoting).writerows(rows)
+        assert main([*command, "--input", str(f), "--no-timing"]) == 0
+        stdout.append(capsys.readouterr().out)
+    assert stdout[0] == stdout[1]
+    assert '"' not in (tmp_path / f"in{csv.QUOTE_MINIMAL}.csv").read_text()
 
 
 @pytest.mark.parametrize("command", [

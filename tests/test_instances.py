@@ -284,14 +284,9 @@ class TestCsv:
         np.testing.assert_array_equal(a.weights, [0.25, 0.75])
         np.testing.assert_array_equal(b.atoms, [[float(" 2.5 "), float("-7")]])
 
-    def test_header_crlf_blank_lines_and_groups(self, tmp_path, monkeypatch):
+    def test_header_crlf_blank_lines_and_groups(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_bytes(self.LAYOUT.encode())
-
-        def row_reader(path):
-            raise AssertionError("a plain file went to the row reader")
-
-        monkeypatch.setattr(instances, "_csv_rows_checked", row_reader)
         self._check_layout(load_csv_distributions(f))
 
     @pytest.mark.parametrize("old, new", [(" a ,0.75", '"a",0.75'),
@@ -335,23 +330,20 @@ class TestCsv:
                 writer.writerow([str(key), *row])
 
     def test_readers_agree(self, tmp_path):
+        # plain and quoted text read back the written keys and block bit for bit
         rng = np.random.default_rng(11)
         block = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-30, 30, (40, 7))
         keys = [f"k{i}" for i in rng.integers(0, 5, 40)]
-        random_csv = tmp_path / "random.csv"
-        self._write_repr_csv(random_csv, keys, block)
-        layout_csv = tmp_path / "layout.csv"
-        layout_csv.write_bytes(self.LAYOUT.encode())
-        for f in (layout_csv, random_csv):
-            bulk_keys, bulk = instances._csv_rows_bulk(f)
-            row_keys, rows = instances._csv_rows_checked(f)
-            assert bulk_keys == row_keys
-            assert bulk.dtype == rows.dtype and bulk.shape == rows.shape
-            assert bulk.tobytes() == rows.tobytes()
-        assert bulk_keys == keys and bulk.tobytes() == block.tobytes()
+        for quoted in (False, True):
+            f = tmp_path / f"random{quoted}.csv"
+            self._write_repr_csv(f, keys, block, quoted)
+            read_keys, read = instances._csv_rows(f)
+            assert read_keys == keys
+            assert read.dtype == block.dtype and read.shape == block.shape
+            assert read.tobytes() == block.tobytes()
 
     @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
-    def test_memory_bounded_by_numeric_block(self, tmp_path, monkeypatch, quoted):
+    def test_memory_bounded_by_numeric_block(self, tmp_path, quoted):
         # 300 rows of 784 coordinates in 10 groups: the block is 1.8 MiB,
         # the text 2.5 times that
         n, d = 300, 784
@@ -359,17 +351,12 @@ class TestCsv:
         block = np.column_stack([np.full(n, 10 / n), rng.standard_normal((n, d))])
         f = tmp_path / "d.csv"
         self._write_repr_csv(f, np.arange(n) % 10, block, quoted)
-        calls = []
-        row_reader = instances._csv_rows_checked
-        monkeypatch.setattr(instances, "_csv_rows_checked",
-                            lambda path: calls.append(path) or row_reader(path))
         tracemalloc.start()
         try:
             out = load_csv_distributions(f)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(calls) == quoted
         assert peak < 3 * block.nbytes
         assert len(out) == 10
         np.testing.assert_array_equal(out[3].atoms, block[3::10, 1:])
@@ -388,6 +375,24 @@ class TestCsv:
         f = tmp_path / "d.csv"
         f.write_text(text)
         with pytest.raises(error, match=f"^{re.escape(str(f))}:{line}: "):
+            load_csv_distributions(f)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ('"a\nb",0.5,1\n"a\nb",0.5,2\n0,abc,3\n', ParseError, "1: quoted field spans lines"),
+        ('0,0.5,1\n0,0.5,"2', ParseError, "2: quoted field spans lines"),
+        ("0,0.5,1\n0,0.5,1_000\n", ParseError, "2: non-numeric field"),
+        ('0,0.5,1\n0,"0.5,1",2\n', ParseError, "2: non-numeric field"),
+        ('"a",0.5,1\n\n"a",0.5,x\n', ParseError, "3: non-numeric field"),
+        ('"a",0.5,1\n"a",0.5,2,3\n', RaggedRows, "2: 2 coords, expected 1"),
+        ('0,0.5,1\n"' + "k" * 200_000 + '",0.5,2\n', ParseError, "2: field larger than"),
+    ], ids=["spans_lines", "open_at_end", "underscore", "comma_in_value",
+            "quoted_non_numeric", "quoted_ragged", "over_field_limit"])
+    def test_quoted_and_numeric_errors_name_the_line(self, tmp_path, text, error, message):
+        # a quoted field ends on its line, and a value must parse as np.loadtxt
+        # parses it: float() alone would take 1_000
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(error, match=f"^{re.escape(f'{f}:{message}')}"):
             load_csv_distributions(f)
 
 

@@ -1,9 +1,12 @@
-"""Checks on the source tree itself: no unused imports, and the benchmark's
-span names still name public functions of the package."""
+"""Checks on the source tree itself: no unused imports, runtime imports only
+from numpy, scipy and the standard library, and the benchmark's span names
+still name public functions of the package."""
 
 import ast
 import importlib
 import inspect
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,32 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules that ``source`` imports absolutely."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_runtime_imports_are_numpy_scipy_or_stdlib():
+    allowed = {*sys.stdlib_module_names, "numpy", "scipy", "baryreduce"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert imported_modules(path.read_text()) <= allowed, path.name
+    assert imported_modules("import a.b\nfrom c.d import e\nfrom . import f\n") == {"a", "c"}
+
+
+def test_runtime_dependencies_are_numpy_and_scipy():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert sorted(re.match(r"[A-Za-z0-9_.-]+", dep)[0].lower() for dep in deps) == [
+        "numpy", "scipy"]
 
 
 def _span_names() -> list:

@@ -9,6 +9,7 @@ from baryreduce.barycenter import SolverOptions, solve_barycenter
 from baryreduce.core import (
     WEIGHT_TOL,
     BadExponent,
+    BadLambdas,
     DimensionMismatch,
     NumericalFailure,
     make_distribution,
@@ -615,4 +616,12 @@ class TestObjective:
         mus = [delta([0.0]), delta([2.0])]
         val = barycenter_objective(delta([0.0]), mus, 2.0, lambdas=[0.0, 1.0])
         assert val == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("lambdas", [[np.nan, 1.0], [np.nan, np.nan], [np.inf, 1.0],
+                                         [-0.5, 1.5], [0.5, 0.6], [1.0]],
+                             ids=["nan", "all_nan", "inf", "negative", "sum", "shape"])
+    def test_bad_lambdas(self, lambdas):
+        mus = [delta([0.0]), delta([2.0])]
+        with pytest.raises(BadLambdas):
+            barycenter_objective(delta([1.0]), mus, 2.0, lambdas)
 
