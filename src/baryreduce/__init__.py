@@ -38,13 +38,11 @@ from .projection import (
     reduce_solve_reconstruct,
 )
 from .coreset import (
-    SensitivityScores,
     WeightedCoreset,
     build_coreset,
     coreset_size_bound,
     evaluate_coreset,
     sensitivity_upper_bounds,
-    uniform_scores,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,6 @@ from .coreset import (
     evaluate_coreset,
     pilot_barycenter,
     scores_from_costs,
-    uniform_scores,
 )
 from .instances import (
     coreset_synthetic_family,
@@ -116,18 +115,18 @@ def _resolve_map(args, mus):
         m = jl_dimension(n_pooled, args.eps, args.delta, args.p,
                          policy=args.policy, k=len(mus))
     if m >= d:  # a map never raises the dimension
-        return identity_map(d), d
-    return MAP_MAKERS[args.map](d, m, args.seed), m
+        return identity_map(d)
+    return MAP_MAKERS[args.map](d, m, args.seed)
 
 
 def cmd_reduce(args) -> int:
     mus = _load(args.input)
-    pmap, m = _resolve_map(args, mus)
+    pmap = _resolve_map(args, mus)
     res = reduce_solve_reconstruct(mus, pmap, _solver_options(args))
     _emit({
         "cost_low": res.cost_low,
         "cost_high": res.cost_high,
-        "m": m,
+        "m": pmap.m,
         "map": pmap.kind,
         "support": res.nu_high.atoms.tolist(),
         "weights": res.nu_high.weights.tolist(),
@@ -157,11 +156,11 @@ def cmd_coreset(args) -> int:
     pilot = distinct[0] if args.input is None else pilot_barycenter(distinct, args.p)
     scores = scores_from_costs(costs_to(pilot), p=args.p)
     k = len(slot)
+    q = {"uniform": np.full(k, 1.0 / k), "sensitivity": scores / scores.sum()}
     rows = []
     for size in args.sizes:
         for method in ("uniform", "sensitivity"):
-            sc = uniform_scores(k) if method == "uniform" else scores
-            core = build_coreset(sc, size, seed=args.seed)
+            core = build_coreset(q[method], size, seed=args.seed)
             for x, query_costs in zip(args.queries, costs):
                 ev = evaluate_coreset(core, query_costs)
                 rows.append({

@@ -227,9 +227,9 @@ def pool_batch(distributions) -> PooledBatch:
     return PooledBatch(points, weights, origins, starts, mass, massive)
 
 
-def solution_violations(sol: Solution, batch: PooledBatch, tol: float = WEIGHT_TOL):
+def solution_violations(sol: Solution, batch: PooledBatch):
     """List every constraint of the solution that fails against the pooled
-    inputs of ``batch``, checking all plans at once."""
+    inputs of ``batch``, checking all plans at once, at tolerance ``WEIGHT_TOL``."""
     k = len(batch.starts)
     if sol.n_distributions != k:
         return [f"{sol.n_distributions} plans for {k} distributions"]
@@ -245,29 +245,29 @@ def solution_violations(sol: Solution, batch: PooledBatch, tol: float = WEIGHT_T
     if not out:
         # comparisons are false on NaN, so non-finite entries get a check of their own
         nonfinite = np.logical_or.reduceat(~np.isfinite(flow).all(axis=1), starts)
-        negative = np.minimum.reduceat(flow.min(axis=1, initial=0.0), starts) < -tol
+        negative = np.minimum.reduceat(flow.min(axis=1, initial=0.0), starts) < -WEIGHT_TOL
         row_err = np.maximum.reduceat(np.abs(flow.sum(axis=1) - batch.weights), starts)
         col_err = np.abs(np.add.reduceat(flow, starts) - b).max(axis=1, initial=0.0)
-        bad = nonfinite | negative | (row_err > tol) | (col_err > tol)
+        bad = nonfinite | negative | (row_err > WEIGHT_TOL) | (col_err > WEIGHT_TOL)
         for i in np.flatnonzero(bad).tolist():
             if nonfinite[i]:
                 out.append(f"plan {i} has non-finite entries")
             if negative[i]:
                 out.append(f"plan {i} has negative entries")
-            if row_err[i] > tol:
+            if row_err[i] > WEIGHT_TOL:
                 out.append(f"plan {i} row sums off by {row_err[i]:.3e}")
-            if col_err[i] > tol:
+            if col_err[i] > WEIGHT_TOL:
                 out.append(f"plan {i} column sums off by {col_err[i]:.3e}")
     if not np.isfinite(b).all():
         out.append("barycenter weights are not finite")
-    if abs(b.sum() - 1.0) > tol:
+    if abs(b.sum() - 1.0) > WEIGHT_TOL:
         out.append(f"barycenter weights sum to {float(b.sum())!r}")
-    if np.any(b < -tol):
+    if np.any(b < -WEIGHT_TOL):
         out.append("negative barycenter weights")
     return out
 
 
-def validate_solution(sol: Solution, batch: PooledBatch, tol: float = WEIGHT_TOL) -> bool:
+def validate_solution(sol: Solution, batch: PooledBatch) -> bool:
     """True iff every plan is a feasible coupling between its input in
-    ``batch`` and the common barycenter weights, at tolerance ``tol``."""
-    return not solution_violations(sol, batch, tol)
+    ``batch`` and the common barycenter weights, at tolerance ``WEIGHT_TOL``."""
+    return not solution_violations(sol, batch)

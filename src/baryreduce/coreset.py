@@ -12,24 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BadSize, DiscreteDistribution, EmptyInput, NumericalFailure
+from .core import BadSize, BadWeights, DiscreteDistribution, EmptyInput, NumericalFailure
 from .barycenter import SolverOptions, solve_barycenter
 from .transport import transport_costs
-
-
-@dataclass(frozen=True)
-class SensitivityScores:
-    scores: np.ndarray          # per-distribution upper bounds s(mu_i)
-    total: float                # sum of the bounds
-    probabilities: np.ndarray   # q_i = s_i / total
-    pilot_cost: float           # average pilot transport cost
-    degenerate: bool            # True when the pilot cost vanished
-    alpha: float = 2.0          # assumed approximation factor of the pilot
-    p: float = 2.0
-
-    @property
-    def mean_score(self) -> float:
-        return self.total / len(self.scores)
 
 
 @dataclass(frozen=True)
@@ -45,8 +30,8 @@ def pilot_barycenter(mus, p: float = 2.0) -> DiscreteDistribution:
 
 
 def scores_from_costs(costs: np.ndarray, p: float = 2.0,
-                      alpha: float = 2.0) -> SensitivityScores:
-    """Per-distribution importance bounds from the costs W(mu_i, pilot)^p.
+                      alpha: float = 2.0) -> np.ndarray:
+    """Per-distribution importance bounds s_i from the costs W(mu_i, pilot)^p.
 
     With ``avg`` the mean cost, the bound for distribution i is
 
@@ -63,19 +48,16 @@ def scores_from_costs(costs: np.ndarray, p: float = 2.0,
         additive = alpha * four + four
         if avg <= 0:
             scores = np.full(len(costs), additive)
-            degenerate = True
         else:
             scores = alpha * np.float64(2.0) ** (p - 1) * costs / avg + additive
-            degenerate = False
-        total = float(scores.sum())
+        total = scores.sum()
     if not np.isfinite([avg, total]).all():  # a NaN or inf score makes total so
         raise NumericalFailure(f"sensitivity scores are not finite at p={p!r}")
-    return SensitivityScores(scores, total, scores / total, float(avg),
-                             degenerate, alpha, p)
+    return scores
 
 
 def sensitivity_upper_bounds(mus, p: float = 2.0, alpha: float = 2.0,
-                             pilot: DiscreteDistribution | None = None) -> SensitivityScores:
+                             pilot: DiscreteDistribution | None = None) -> np.ndarray:
     """:func:`scores_from_costs` of every input's cost to ``pilot``, by
     default :func:`pilot_barycenter` of the inputs."""
     if not mus:
@@ -85,30 +67,27 @@ def sensitivity_upper_bounds(mus, p: float = 2.0, alpha: float = 2.0,
     return scores_from_costs(transport_costs(mus, pilot, p), p, alpha)
 
 
-def uniform_scores(k: int) -> SensitivityScores:
-    """Scores under which :func:`build_coreset` draws every one of ``k``
-    inputs with probability 1/k, i.e. plain uniform subsampling.  No pilot
-    is involved; the scores have the shape a vanished pilot cost gives."""
-    flat = np.full(k, 1.0 / k)
-    return SensitivityScores(flat, 1.0, flat, 0.0, True)
-
-
-def build_coreset(scores: SensitivityScores, size: int,
+def build_coreset(probabilities: np.ndarray, size: int,
                   seed: int = 0) -> WeightedCoreset:
-    """Draw ``size`` distributions i.i.d. from the score distribution.
+    """Draw ``size`` of the k inputs i.i.d. with probabilities q.
 
-    Each draw landing on index i carries weight 1 / (size * k * q_i), so the
-    weighted objective matches the full average objective in expectation.
-    The coreset keeps the distinct indices drawn and their summed weights
-    lam_i = count_i / (size * k * q_i).
+    q is ``scores / scores.sum()`` for sensitivity sampling and
+    ``np.full(k, 1 / k)`` for uniform sampling.  Each draw landing on index i
+    carries weight 1 / (size * k * q_i), so the weighted objective matches
+    the full average objective in expectation.  The coreset keeps the
+    distinct indices drawn and their summed weights
+    lam_i = count_i / (size * k * q_i).  A q that is empty, negative, NaN or
+    does not sum to 1 raises :class:`BadWeights`.
     """
     if size < 1:
         raise BadSize("coreset size must be >= 1")
-    k = len(scores.probabilities)
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(k, size=size, replace=True, p=scores.probabilities)
+    k = len(probabilities)
+    try:
+        draws = np.random.default_rng(seed).choice(k, size=size, p=probabilities)
+    except ValueError as exc:
+        raise BadWeights(f"sampling probabilities: {exc}") from None
     inputs, counts = np.unique(draws, return_counts=True)
-    return WeightedCoreset(inputs, counts / (size * k * scores.probabilities[inputs]))
+    return WeightedCoreset(inputs, counts / (size * k * probabilities[inputs]))
 
 
 def coreset_size_bound(n: int, d: int, p: float, eps: float, delta: float,
@@ -125,12 +104,12 @@ def coreset_size_bound(n: int, d: int, p: float, eps: float, delta: float,
     return raw, math.ceil(raw)
 
 
-def practical_size_bound(scores: SensitivityScores, pseudo_dim: int,
+def practical_size_bound(scores: np.ndarray, pseudo_dim: int,
                          eps: float, delta: float) -> tuple[float, int]:
     """Data-dependent variant driven by the realized total sensitivity."""
     if eps <= 0 or not (0 < delta < 1):
         raise BadSize("need eps > 0 and delta in (0, 1)")
-    S = scores.total
+    S = scores.sum()
     raw = (S / eps**2) * (pseudo_dim * math.log(S) + math.log(1.0 / delta))
     return raw, max(1, math.ceil(raw))
 

@@ -193,18 +193,21 @@ def gen_blob_classes(n_classes: int = 10, per_class: int = 50, dim: int = 64,
 # matchings
 
 
-def _matching_cost(X: np.ndarray, Y: np.ndarray, p: float,
-                   sparse_threshold: int = 2048):
+#: largest matching solved by dense Hungarian assignment
+SPARSE_THRESHOLD = 2048
+
+
+def _matching_cost(X: np.ndarray, Y: np.ndarray, p: float):
     """Min-cost perfect matching between equal-size point sets.
 
-    Dense Hungarian assignment up to ``sparse_threshold`` points.  Above
+    Dense Hungarian assignment up to ``SPARSE_THRESHOLD`` points.  Above
     that, restrict to k-nearest-neighbor candidate edges and solve the
     sparse assignment, doubling k until a perfect matching exists; the
     result is then an upper bound that is empirically within a fraction of
     a percent of optimal.  Returns ``(cost, row_to_col)``.
     """
     n = len(X)
-    if n <= sparse_threshold:
+    if n <= SPARSE_THRESHOLD:
         D = cdist(X, Y) ** p
         r, c = linear_sum_assignment(D)
         return float(D[r, c].sum()), c
@@ -254,18 +257,15 @@ def empirical_matching_distortion(A, B, pmap=None, p: float = 1.0,
 # CSV ingestion
 
 
-def group_by_label(points, labels, subsample: int | None = None, seed: int = 0):
-    """One uniform distribution per distinct label, optionally subsampled."""
+def group_by_label(points, labels):
+    """One uniform distribution per distinct label."""
     points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
     if len(points) != len(labels):
         raise CountMismatch(f"{len(points)} points vs {len(labels)} labels")
-    rng = np.random.default_rng(seed)
     out = []
     for lab in np.unique(labels):
         cls = points[labels == lab]
-        if subsample is not None and subsample < len(cls):
-            cls = cls[rng.choice(len(cls), size=subsample, replace=False)]
         out.append(make_distribution(cls, np.full(len(cls), 1.0 / len(cls))))
     return out
 

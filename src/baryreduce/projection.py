@@ -79,7 +79,6 @@ class ProjectionMap:
     kind: str
     d: int
     m: int
-    seed: int
     matrix: np.ndarray | None = None  # (m, d); None for the identity
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -99,7 +98,7 @@ def make_gaussian_map(d: int, m: int, seed: int = 0) -> ProjectionMap:
         raise BadParams("dimensions must be positive")
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((m, d)) / math.sqrt(m)
-    return ProjectionMap("gaussian", d, m, seed, matrix=mat)
+    return ProjectionMap("gaussian", d, m, matrix=mat)
 
 
 def make_srht_map(d: int, m: int, seed: int = 0) -> ProjectionMap:
@@ -125,11 +124,11 @@ def make_srht_map(d: int, m: int, seed: int = 0) -> ProjectionMap:
         parity ^= both >> bit
     # sqrt(d_pad / m) / sqrt(d_pad): the rescaling times the orthonormal factor
     mat = signs[:d, None] * (1.0 - 2.0 * (parity & 1)) / math.sqrt(m)
-    return ProjectionMap("srht", d, m, seed, matrix=mat.T)
+    return ProjectionMap("srht", d, m, matrix=mat.T)
 
 
 def identity_map(d: int) -> ProjectionMap:
-    return ProjectionMap("identity", d, d, 0)
+    return ProjectionMap("identity", d, d)
 
 
 def project_instance(batch: PooledBatch, pmap: ProjectionMap):
@@ -151,7 +150,6 @@ class ReductionResult:
     solution: object
     cost_low: float
     cost_high: float
-    map_: ProjectionMap
     time_project: float
     time_solve: float
     time_reconstruct: float
@@ -177,7 +175,7 @@ def reduce_solve_reconstruct(mus, pmap: ProjectionMap,
     cost_high = support_cost(sol, batch, nu_high, opts.p)
     t3 = time.perf_counter()
     return ReductionResult(nu_low, nu_high, sol, rep.total_cost, cost_high,
-                           pmap, t1 - t0, t2 - t1, t3 - t2)
+                           t1 - t0, t2 - t1, t3 - t2)
 
 
 MAP_MAKERS = {"gaussian": make_gaussian_map, "srht": make_srht_map}

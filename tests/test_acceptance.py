@@ -26,7 +26,6 @@ from baryreduce.coreset import (
     build_coreset,
     evaluate_coreset,
     sensitivity_upper_bounds,
-    uniform_scores,
 )
 from baryreduce.instances import (
     empirical_matching_distortion,
@@ -186,7 +185,7 @@ def test_08_importance_sampling_error_table():
     k = 50000
     mus = gen_coreset_synthetic(k)
     scores = sensitivity_upper_bounds(mus, p=2.0, alpha=1.0, pilot=mus[0])
-    uniform = uniform_scores(k)
+    importance, uniform = scores / scores.sum(), np.full(k, 1 / k)
     costs = {x: transport_costs(mus, make_distribution([[float(x)]], [1.0]), 2.0)
              for x in (0, 10, 100)}
     for x, c in costs.items():
@@ -194,12 +193,12 @@ def test_08_importance_sampling_error_table():
         assert c.mean() == pytest.approx(((k - 1) * x**2 + (k - x) ** 2) / k,
                                          rel=1e-12, abs=0.0)
 
-    def errors(sc, size, seed):
-        core = build_coreset(sc, size, seed=seed)
+    def errors(q, size, seed):
+        core = build_coreset(q, size, seed=seed)
         return {x: evaluate_coreset(core, c)["rel_error"] for x, c in costs.items()}
 
     seeds = range(50, 60)
-    sens = [errors(scores, 10, s) for s in seeds]
+    sens = [errors(importance, 10, s) for s in seeds]
     unif = [errors(uniform, 1000, s) for s in seeds]
 
     # (a) a 10-sample importance coreset reaches 0.01% at x in {10, 100}
@@ -220,13 +219,14 @@ def test_09_sampling_estimate_is_unbiased():
     atoms = [0.0, 1.0, 2.0, 3.0, 10.0]
     mus = [make_distribution([[a]], [1.0]) for a in atoms]
     scores = sensitivity_upper_bounds(mus, p=2.0, alpha=1.0)
+    probabilities = scores / scores.sum()
     queries = [0.5, 4.0, 8.0]
     cost = np.array([[ (a - q) ** 2 for a in atoms] for q in queries])
     full = cost.mean(axis=1)
     totals = np.zeros(3)
     n_seeds = 100000
     for seed in range(n_seeds):
-        core = build_coreset(scores, 3, seed=seed)
+        core = build_coreset(probabilities, 3, seed=seed)
         totals += cost[:, core.inputs] @ core.lam
     means = totals / n_seeds
     for q, m, f in zip(queries, means, full):

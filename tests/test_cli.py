@@ -20,7 +20,6 @@ from baryreduce.coreset import (
     build_coreset,
     evaluate_coreset,
     sensitivity_upper_bounds,
-    uniform_scores,
 )
 from baryreduce.instances import gen_coreset_synthetic, load_csv_distributions
 from baryreduce.projection import jl_dimension
@@ -197,12 +196,13 @@ class TestCoresetCmd:
         d = mus[0].dim
         costs = [transport_costs(mus, make_distribution(np.full((1, d), x), [1.0]), p)
                  for x in queries]
-        scores = {"uniform": uniform_scores(len(mus)),
-                  "sensitivity": sensitivity_upper_bounds(mus, p, pilot=pilot)}
+        scores = sensitivity_upper_bounds(mus, p, pilot=pilot)
+        q = {"uniform": np.full(len(mus), 1 / len(mus)),
+             "sensitivity": scores / scores.sum()}
         rows = []
         for size in sizes:
-            for method, sc in scores.items():
-                core = build_coreset(sc, size, seed=seed)
+            for method, probabilities in q.items():
+                core = build_coreset(probabilities, size, seed=seed)
                 for x, query_costs in zip(queries, costs):
                     ev = evaluate_coreset(core, query_costs)
                     rows.append({"method": method, "size": size, "query": x,

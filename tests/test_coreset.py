@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from baryreduce.core import BadSize, NumericalFailure, make_distribution
+from baryreduce.core import BadSize, BadWeights, NumericalFailure, make_distribution
 from baryreduce.coreset import (
-    SensitivityScores,
     build_coreset,
     coreset_size_bound,
     evaluate_coreset,
@@ -11,7 +10,6 @@ from baryreduce.coreset import (
     practical_size_bound,
     scores_from_costs,
     sensitivity_upper_bounds,
-    uniform_scores,
 )
 from baryreduce.transport import transport_costs, wasserstein_p
 from baryreduce.instances import gen_coreset_synthetic
@@ -24,42 +22,33 @@ def delta(x):
 class TestSensitivityScores:
     def test_degenerate_uniform(self):
         mu = delta([0.0])
-        sc = sensitivity_upper_bounds([mu] * 5, p=2.0, alpha=1.0, pilot=mu)
-        assert sc.degenerate
-        np.testing.assert_allclose(sc.scores, 8.0)
-        np.testing.assert_allclose(sc.probabilities, 0.2)
-
-    def test_uniform_scores(self):
-        sc = uniform_scores(4)
-        np.testing.assert_array_equal(sc.probabilities, 0.25)
-        assert sc.total == 1.0 and sc.mean_score == 0.25
-        core = build_coreset(sc, 8, seed=3)
-        # every draw weighs 1/8, so each input's lam is a whole number of 1/8ths
-        np.testing.assert_allclose(core.lam, np.round(core.lam * 8) / 8, rtol=1e-15)
-        assert core.lam.sum() == pytest.approx(1.0, rel=1e-15)
+        scores = sensitivity_upper_bounds([mu] * 5, p=2.0, alpha=1.0, pilot=mu)
+        np.testing.assert_allclose(scores, 8.0)
+        np.testing.assert_allclose(scores / scores.sum(), 0.2)
 
     def test_outlier_instance_closed_form(self):
         k = 1000
         mus = gen_coreset_synthetic(k)
-        sc = sensitivity_upper_bounds(mus, p=2.0, alpha=1.0, pilot=mus[0])
+        scores = sensitivity_upper_bounds(mus, p=2.0, alpha=1.0, pilot=mus[0])
         # avg W^2 = k^2/k = k; outlier score 2k+8, others 8
-        assert sc.pilot_cost == pytest.approx(k)
-        assert sc.scores[-1] == pytest.approx(2 * k + 8)
-        assert sc.scores[0] == pytest.approx(8.0)
-        assert sc.probabilities[-1] == pytest.approx(
+        assert scores[-1] == pytest.approx(2 * k + 8)
+        assert scores[0] == pytest.approx(8.0)
+        assert scores[-1] / scores.sum() == pytest.approx(
             (2 * k + 8) / (8 * (k - 1) + 2 * k + 8))
 
     def test_p1_formula(self):
         mus = [delta([0.0]), delta([2.0])]
-        sc = sensitivity_upper_bounds(mus, p=1.0, alpha=1.0, pilot=delta([0.0]))
+        scores = sensitivity_upper_bounds(mus, p=1.0, alpha=1.0, pilot=delta([0.0]))
         # avg W = 1; scores = W/avg + 2
-        np.testing.assert_allclose(sc.scores, [2.0, 4.0])
+        np.testing.assert_allclose(scores, [2.0, 4.0])
 
     def test_probabilities_normalized(self, rng):
         mus = [delta([float(x)]) for x in rng.normal(size=6)]
-        sc = sensitivity_upper_bounds(mus, p=2.0)
-        assert sc.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(sc.scores >= 4.0 ** (2.0 - 1) - 1e-12)
+        scores = sensitivity_upper_bounds(mus, p=2.0)
+        q = scores / scores.sum()
+        assert q.sum() == pytest.approx(1.0, abs=1e-9)
+        build_coreset(q, 5, seed=0)  # within rng.choice's normalisation tolerance
+        assert np.all(scores >= 4.0 ** (2.0 - 1) - 1e-12)
 
     @pytest.mark.parametrize("p, alpha", [(1.0, 1.0), (2.0, 2.0), (1.5, 3.0)])
     def test_composition_of_pilot_and_costs(self, rng, p, alpha):
@@ -68,11 +57,8 @@ class TestSensitivityScores:
         pilot = pilot_barycenter(mus, p)
         expected = scores_from_costs(transport_costs(mus, pilot, p), p, alpha)
         for given in (pilot, None):  # None solves the same pilot
-            sc = sensitivity_upper_bounds(mus, p, alpha, given)
-            np.testing.assert_array_equal(sc.scores, expected.scores)
-            np.testing.assert_array_equal(sc.probabilities, expected.probabilities)
-            assert (sc.total, sc.pilot_cost, sc.degenerate, sc.alpha, sc.p) == (
-                expected.total, expected.pilot_cost, expected.degenerate, alpha, p)
+            np.testing.assert_array_equal(sensitivity_upper_bounds(mus, p, alpha, given),
+                                          expected)
 
     @pytest.mark.parametrize("costs", [[0.0, 0.0], [0.0, 1.0], [1e300, 1e300]])
     @pytest.mark.parametrize("p", [1e6, 600.0, np.inf])
@@ -94,44 +80,42 @@ class TestSensitivityScores:
     def test_dominates_true_sensitivity_on_grid(self):
         # brute-force sup over single-atom candidates on a fine grid
         mus = [delta([0.0]), delta([1.0]), delta([3.0])]
-        sc = sensitivity_upper_bounds(mus, p=2.0, alpha=1.0,
-                                      pilot=delta([4.0 / 3.0]))
+        scores = sensitivity_upper_bounds(mus, p=2.0, alpha=1.0,
+                                          pilot=delta([4.0 / 3.0]))
         grid = np.linspace(-2.0, 5.0, 1401)
         atoms = np.array([mu.atoms[0, 0] for mu in mus])
         costs = (atoms[:, None] - grid[None, :]) ** 2
         total = costs.mean(axis=0)
         sigma = (costs / (len(mus) * total)).max(axis=1)
-        assert np.all(sigma <= sc.scores + 1e-6)
+        assert np.all(sigma <= scores + 1e-6)
 
 
 class TestBuildCoreset:
     def test_uniform_weights(self):
-        q = np.full(4, 0.25)
-        sc = SensitivityScores(q * 4, 4.0, q, 1.0, False)
-        core = build_coreset(sc, 2, seed=0)
+        core = build_coreset(np.full(4, 0.25), 2, seed=0)
         # every draw weighs 0.5, so each input's lam is a whole number of halves
         np.testing.assert_allclose(core.lam, np.round(core.lam * 2) / 2)
         assert core.lam.sum() == pytest.approx(1.0)
 
     def test_concentrated(self):
-        q = np.array([1.0, 0.0, 0.0])
-        # tiny floor keeps rng.choice happy about exact normalization
-        sc = SensitivityScores(q, 1.0, q, 1.0, False)
-        core = build_coreset(sc, 1, seed=0)
+        core = build_coreset(np.array([1.0, 0.0, 0.0]), 1, seed=0)
         assert core.inputs.tolist() == [0]  # the inputs never drawn are absent
         np.testing.assert_allclose(core.lam, [1.0 / 3.0])
 
     def test_bad_size(self):
-        q = np.full(2, 0.5)
-        sc = SensitivityScores(q, 1.0, q, 1.0, False)
         with pytest.raises(BadSize):
-            build_coreset(sc, 0, seed=0)
+            build_coreset(np.full(2, 0.5), 0, seed=0)
+
+    @pytest.mark.parametrize("q", [[0.5, np.nan], [1.5, -0.5], [0.5, 0.6], []],
+                             ids=["nan", "negative", "not_normalised", "empty"])
+    def test_bad_probabilities_raise(self, q):
+        with pytest.raises(BadWeights, match="^sampling probabilities: "):
+            build_coreset(np.array(q), 3, seed=0)
 
     def test_deterministic(self):
         q = np.array([0.1, 0.2, 0.3, 0.4])
-        sc = SensitivityScores(q, 1.0, q, 1.0, False)
-        a = build_coreset(sc, 10, seed=3)
-        b = build_coreset(sc, 10, seed=3)
+        a = build_coreset(q, 10, seed=3)
+        b = build_coreset(q, 10, seed=3)
         np.testing.assert_array_equal(a.inputs, b.inputs)
         np.testing.assert_array_equal(a.lam, b.lam)
         assert a.inputs.dtype == np.int64
@@ -143,8 +127,7 @@ class TestBuildCoreset:
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_inputs_and_lam_sum_the_draws(self, seed):
         q = np.array([0.05, 0.3, 0.1, 0.25, 0.2, 0.1])
-        sc = SensitivityScores(q, 1.0, q, 1.0, False)
-        core = build_coreset(sc, 25, seed=seed)
+        core = build_coreset(q, 25, seed=seed)
         draws = np.random.default_rng(seed).choice(6, 25, p=q)
         np.testing.assert_array_equal(core.inputs, np.unique(draws))
         c = np.random.default_rng(seed + 1).uniform(0.5, 2.0, size=6)
@@ -165,9 +148,7 @@ class TestSizeBounds:
             2**8 * 2**4 * math.log(10.0) / 0.25)
 
     def test_practical_bound_positive(self):
-        q = np.full(4, 0.25)
-        sc = SensitivityScores(q * 8, 8.0, q, 1.0, False)
-        raw, size = practical_size_bound(sc, pseudo_dim=3, eps=0.3, delta=0.1)
+        raw, size = practical_size_bound(np.full(4, 2.0), pseudo_dim=3, eps=0.3, delta=0.1)
         assert size >= 1 and raw > 0
 
     def test_bad_ranges(self):
@@ -179,12 +160,10 @@ class TestEvaluate:
     def test_exhaustive_coreset_exact(self):
         mus = [delta([0.0]), delta([1.0]), delta([2.0])]
         q = np.full(3, 1 / 3)
-        sc = SensitivityScores(q, 1.0, q, 1.0, False)
-        rng = np.random.default_rng(0)
         # any uniform sample is unbiased; an exact reproduction needs each
         # index once — search a seed that draws a permutation
         for seed in range(200):
-            core = build_coreset(sc, 3, seed=seed)
+            core = build_coreset(q, 3, seed=seed)
             if core.inputs.tolist() == [0, 1, 2]:
                 break
         out = evaluate_coreset(core, transport_costs(mus, delta([5.0]), 2.0))
@@ -194,9 +173,8 @@ class TestEvaluate:
         k = 200
         mus = gen_coreset_synthetic(k)
         q = np.full(k, 1.0 / k)
-        sc = SensitivityScores(q, 1.0, q, 1.0, False)
         for seed in range(100):
-            core = build_coreset(sc, 20, seed=seed)
+            core = build_coreset(q, 20, seed=seed)
             if k - 1 not in core.inputs:
                 break
         out = evaluate_coreset(core, transport_costs(mus, delta([0.0]), 2.0))
@@ -206,17 +184,13 @@ class TestEvaluate:
 
     def test_zero_cost_flag(self):
         mus = [delta([0.0])] * 3
-        q = np.full(3, 1 / 3)
-        sc = SensitivityScores(q, 1.0, q, 1.0, False)
-        core = build_coreset(sc, 2, seed=0)
+        core = build_coreset(np.full(3, 1 / 3), 2, seed=0)
         out = evaluate_coreset(core, transport_costs(mus, delta([0.0]), 2.0))
         assert out["zero_cost"] and out["rel_error"] == pytest.approx(0.0, abs=1e-12)
 
     def test_full_cost_parameter_consistent(self):
         mus = [delta([0.0]), delta([2.0])]
-        q = np.full(2, 0.5)
-        sc = SensitivityScores(q, 1.0, q, 1.0, False)
-        core = build_coreset(sc, 4, seed=1)
+        core = build_coreset(np.full(2, 0.5), 4, seed=1)
         nu = delta([1.0])
         full = sum(wasserstein_p(m, nu, 2.0) ** 2 for m in mus) / 2
         out = evaluate_coreset(core, transport_costs(mus, nu, 2.0))

@@ -212,18 +212,6 @@ class TestGroupByLabel:
         np.testing.assert_allclose(out[0].weights, [0.5, 0.5])
         np.testing.assert_allclose(out[1].weights, [1.0])
 
-    def test_subsample_larger_than_class(self):
-        pts = np.array([[0.0], [1.0]])
-        out = group_by_label(pts, [0, 0], subsample=10)
-        assert out[0].size == 2
-
-    def test_deterministic_subsample(self, rng):
-        pts = rng.normal(size=(30, 2))
-        labels = np.zeros(30, dtype=int)
-        a = group_by_label(pts, labels, subsample=5, seed=9)
-        b = group_by_label(pts, labels, subsample=5, seed=9)
-        np.testing.assert_array_equal(a[0].atoms, b[0].atoms)
-
 
 class TestCsv:
     def test_two_rows(self, tmp_path):

@@ -1,11 +1,13 @@
 """Checks on the source tree itself: no unused imports, runtime imports only
-from numpy, scipy and the standard library, and the benchmark's span names
-still name public functions of the package."""
+from numpy, scipy and the standard library, the benchmark's span names
+still name public functions of the package, and the pytest configuration
+reports a failing property test as a failure."""
 
 import ast
 import importlib
 import inspect
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -94,3 +96,20 @@ def test_bench_span_is_a_public_function_of_its_module(name):
     obj = getattr(module, function, None)
     assert not function.startswith("_")
     assert inspect.isfunction(obj) and obj.__module__ == module.__name__
+
+
+def test_failing_property_test_is_reported(tmp_path):
+    """Under the project's warning filters a failing ``@given`` test is an
+    ordinary failure with its falsifying example, not an INTERNALERROR."""
+    pytest.importorskip("hypothesis")
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_always_fails(x):\n"
+        "    assert x != x\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", "-q", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "Falsifying example" in done.stdout
