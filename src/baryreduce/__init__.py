@@ -22,7 +22,6 @@ from .transport import (
 )
 from .barycenter import (
     SolverOptions,
-    pairwise_cost_p2,
     reconstruct_barycenter,
     solution_cost,
     solve_barycenter,

@@ -148,12 +148,6 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float) -> np
     return y
 
 
-def _column(flow: np.ndarray, j: int):
-    """``(rows, w)``: the rows of ``flow`` that send mass to atom j, and that mass."""
-    rows = np.flatnonzero(flow[:, j])  # a basic plan leaves most rows without flow
-    return rows, flow[rows, j]
-
-
 def _support_step(points: np.ndarray, flow: np.ndarray, support: np.ndarray,
                   p: float) -> bool:
     """Re-fit each atom of ``support``, in place, on its column of ``flow``;
@@ -165,7 +159,8 @@ def _support_step(points: np.ndarray, flow: np.ndarray, support: np.ndarray,
     without mass keeps its atom."""
     moved = False
     for j in range(len(support)):
-        rows, w = _column(flow, j)
+        rows = np.flatnonzero(flow[:, j])  # a basic plan leaves most rows without flow
+        w = flow[rows, j]
         if w.sum() > 0:
             column = points[rows]
             y = update_support_atom(column, w, p)
@@ -202,26 +197,6 @@ def support_cost(sol: Solution, batch: PooledBatch, nu: DiscreteDistribution,
     ``nu``, by the rule that prices the solver's own plans."""
     costs = pooled_costs(sol.flow, _distances(batch.points, nu.atoms, p), batch.starts)
     return sum(costs.tolist()) / len(batch.starts)
-
-
-def pairwise_cost_p2(sol: Solution, batch: PooledBatch) -> float:
-    """p=2 objective from pairwise squared distances only (no barycenter).
-
-    Evaluates, per column j, the double sum of w(x) w(y) ||x - y||^2 over
-    the column's weighted points, scaled by 1/(2 k b_j), then averages the
-    columns.  Must agree with :func:`solution_cost` at p=2.
-    """
-    _check(sol, batch)
-    b = sol.barycenter_weights
-    if np.any(b <= 0):
-        raise ZeroWeight("pairwise form requires every barycenter weight > 0")
-    k = len(batch.starts)
-    total = 0.0
-    for j in range(sol.n_atoms):
-        rows, w = _column(sol.flow, j)
-        sub = batch.points[rows]
-        total += (w @ cdist(sub, sub, "sqeuclidean") @ w) / (2.0 * k * b[j])
-    return total / k
 
 
 def _init_support(points, weights, n: int, rng) -> np.ndarray:

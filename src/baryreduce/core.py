@@ -70,10 +70,6 @@ class BadSize(BaryError):
     pass
 
 
-class NotMultipleOfN(BaryError):
-    pass
-
-
 class CountMismatch(BaryError):
     pass
 

@@ -76,11 +76,15 @@ def build_coreset(probabilities: np.ndarray, size: int,
     carries weight 1 / (size * k * q_i), so the weighted objective matches
     the full average objective in expectation.  The coreset keeps the
     distinct indices drawn and their summed weights
-    lam_i = count_i / (size * k * q_i).  A q that is empty, negative, NaN or
-    does not sum to 1 raises :class:`BadWeights`.
+    lam_i = count_i / (size * k * q_i).  A q that is empty, not
+    one-dimensional, negative, NaN or does not sum to 1 raises
+    :class:`BadWeights`.
     """
     if size < 1:
         raise BadSize("coreset size must be >= 1")
+    shape = np.shape(probabilities)
+    if len(shape) != 1 or not shape[0]:  # numpy's own messages name its arguments a and p
+        raise BadWeights(f"sampling probabilities: q has shape {shape}, not (k,) with k >= 1")
     k = len(probabilities)
     try:
         draws = np.random.default_rng(seed).choice(k, size=size, p=probabilities)

@@ -12,7 +12,6 @@ from baryreduce.core import make_distribution, pool_batch, validate_solution
 from baryreduce.transport import solve_ot, transport_costs
 from baryreduce.barycenter import (
     SolverOptions,
-    pairwise_cost_p2,
     solution_cost,
     solve_barycenter,
 )
@@ -28,19 +27,22 @@ from baryreduce.coreset import (
     sensitivity_upper_bounds,
 )
 from baryreduce.instances import (
-    empirical_matching_distortion,
     gen_blob_classes,
     gen_coreset_synthetic,
     gen_lb_barycenter,
     gen_ot_pair,
     group_by_label,
-    lb_merge_cost,
-    lb_projected_merge,
-    verify_low_rank_equivalence,
 )
 from baryreduce.projection import cost_ratio_sweep
 from conftest import solution_of
 from oracle import solve_ot_oracle
+from paper_checks import (
+    empirical_matching_distortion,
+    lb_merge_cost,
+    lb_projected_merge,
+    pairwise_cost_p2,
+    verify_low_rank_equivalence,
+)
 
 
 def _random_rational(rng, T, d):

@@ -17,7 +17,6 @@ from baryreduce.core import (
 )
 from baryreduce.barycenter import (
     SolverOptions,
-    pairwise_cost_p2,
     reconstruct_barycenter,
     solution_cost,
     solve_barycenter,
@@ -26,6 +25,7 @@ from baryreduce.barycenter import (
 )
 from baryreduce.transport import TransportModel, solve_pooled
 from conftest import random_distribution, solution_of
+from paper_checks import pairwise_cost_p2
 
 
 def delta(x):

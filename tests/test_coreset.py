@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from baryreduce.core import BadSize, BadWeights, NumericalFailure, make_distribution
 from baryreduce.coreset import (
+    WeightedCoreset,
     build_coreset,
     coreset_size_bound,
     evaluate_coreset,
@@ -106,11 +111,30 @@ class TestBuildCoreset:
         with pytest.raises(BadSize):
             build_coreset(np.full(2, 0.5), 0, seed=0)
 
-    @pytest.mark.parametrize("q", [[0.5, np.nan], [1.5, -0.5], [0.5, 0.6], []],
-                             ids=["nan", "negative", "not_normalised", "empty"])
-    def test_bad_probabilities_raise(self, q):
-        with pytest.raises(BadWeights, match="^sampling probabilities: "):
+    @pytest.mark.parametrize("q, message", [
+        ([0.5, np.nan], ""), ([1.5, -0.5], ""), ([0.5, 0.6], ""),
+        ([], re.escape("q has shape (0,), not (k,) with k >= 1")),
+        ([[0.5, 0.5]], re.escape("q has shape (1, 2), not (k,) with k >= 1")),
+    ], ids=["nan", "negative", "not_normalised", "empty", "two_dim"])
+    def test_bad_probabilities_raise(self, q, message):
+        with pytest.raises(BadWeights, match=f"^sampling probabilities: {message}"):
             build_coreset(np.array(q), 3, seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=arrays(np.float64, st.integers(0, 8), elements=st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]))))
+    def test_any_probabilities_draw_or_name_q(self, q):
+        """Every q either draws a coreset or raises a BadWeights message of
+        this package, never numpy's wording about its arguments a and p."""
+        try:
+            core = build_coreset(q, 3, seed=0)
+        except BadWeights as exc:
+            message = str(exc)
+            assert message.startswith("sampling probabilities: ")
+            assert "a must" not in message and "p must" not in message
+        else:
+            assert isinstance(core, WeightedCoreset)
 
     def test_deterministic(self):
         q = np.array([0.1, 0.2, 0.3, 0.4])

@@ -10,7 +10,6 @@ from baryreduce.core import (
     BadParams,
     BadWeights,
     CountMismatch,
-    NotMultipleOfN,
     ParseError,
     RaggedRows,
     pool_batch,
@@ -18,7 +17,6 @@ from baryreduce.core import (
 )
 from baryreduce import core, instances
 from baryreduce.instances import (
-    empirical_matching_distortion,
     gen_blob_classes,
     coreset_synthetic_family,
     gen_coreset_synthetic,
@@ -26,15 +24,19 @@ from baryreduce.instances import (
     gen_ot_pair,
     gen_pullback,
     group_by_label,
-    lb_merge_cost,
-    lb_pairs,
-    lb_projected_merge,
     load_csv_distributions,
-    verify_low_rank_equivalence,
 )
 from baryreduce.projection import identity_map, make_gaussian_map
 from baryreduce.transport import solve_ot
 from conftest import solution_of
+from paper_checks import (
+    NotMultipleOfN,
+    empirical_matching_distortion,
+    lb_merge_cost,
+    lb_pairs,
+    lb_projected_merge,
+    verify_low_rank_equivalence,
+)
 
 
 class TestLbBarycenter:

@@ -1,5 +1,6 @@
 """Checks on the source tree itself: no unused imports, runtime imports only
-from numpy, scipy and the standard library, the benchmark's span names
+from numpy, scipy and the standard library, every public name of the engine
+reached by the engine, the benchmark or a demo, the benchmark's span names
 still name public functions of the package, and the pytest configuration
 reports a failing property test as a failure."""
 
@@ -71,6 +72,41 @@ def test_runtime_dependencies_are_numpy_and_scipy():
         deps = tomllib.load(fh)["project"]["dependencies"]
     assert sorted(re.match(r"[A-Za-z0-9_.-]+", dep)[0].lower() for dep in deps) == [
         "numpy", "scipy"]
+
+
+#: public names that no engine module, benchmark or demo needs to call
+UNREACHED_BY_DESIGN = {
+    "validate_solution": "the boolean form of solution_violations, for callers of the package",
+    "coreset_size_bound": "the paper's worst-case coreset size, to print beside measured sizes",
+    "practical_size_bound": "the data-dependent coreset size, to print beside measured sizes",
+}
+
+
+def unreached_names() -> list:
+    """Top-level public functions and classes of ``src/baryreduce`` whose name
+    appears as a whole word nowhere outside their own definition: not in
+    another engine module, not elsewhere in their own, and not in a
+    benchmark or demo file.  ``cmd_*`` handlers are dispatched by name."""
+    engine = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    texts = {path: path.read_text() for path in [
+        *engine, *(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")]}
+    unreached = []
+    for path in engine:
+        lines = texts[path].splitlines()
+        for node in ast.parse(texts[path]).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith(("_", "cmd_")) or node.name in UNREACHED_BY_DESIGN):
+                continue
+            rest = "\n".join([*lines[:node.lineno - 1], *lines[node.end_lineno:]])
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(text) for text in
+                       [rest, *(t for p, t in texts.items() if p != path)]):
+                unreached.append(f"{path.name}: {node.name}")
+    return unreached
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    assert unreached_names() == []
 
 
 def _span_names() -> list:
