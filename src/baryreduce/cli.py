@@ -1,8 +1,11 @@
 """Command-line entry point: solve, reduce, coreset, gen, sweep.
 
-All output is machine-readable (JSON by default, CSV on request) and fully
-determined by ``--seed``; wall-clock fields are suppressed by
-``--no-timing`` so reruns are byte-identical.
+All output is machine-readable (JSON by default, CSV of the rows on
+request) and, but for the wall-clock fields, fully determined by ``--seed``.
+Those fields are ``time_project``, ``time_solve`` and ``time_reconstruct``
+of ``reduce`` and ``reference_time`` and each row's ``mean_time`` of
+``sweep``; ``--no-timing`` leaves them out, so reruns are byte-identical.
+``--output FILE`` writes exactly the bytes that stdout would get.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv as _csv
 import functools
+import io
 import json
 import sys
 
@@ -53,33 +57,27 @@ EXIT_USAGE = 2
 
 
 def _emit(payload: dict, args) -> None:
-    if getattr(args, "no_timing", False):
-        payload = {k: v for k, v in payload.items() if not k.startswith("time")}
-        if "rows" in payload and isinstance(payload["rows"], list):
-            payload["rows"] = [
-                {k: v for k, v in row.items() if "time" not in k}
-                for row in payload["rows"]
-            ]
-        payload.pop("reference_time", None)
+    """Render ``payload`` once (CSV rows or JSON) and write it once, to
+    ``--output`` or stdout: the file holds exactly what stdout would."""
     if args.format == "csv" and "rows" in payload:
-        rows = payload["rows"]
-        out = sys.stdout if args.output is None else open(args.output, "w", newline="")
-        try:
-            writer = _csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: (json.dumps(v) if isinstance(v, list) else v)
-                                 for k, v in row.items()})
-        finally:
-            if out is not sys.stdout:
-                out.close()
-        return
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output is None:
-        print(text)
+        buf = io.StringIO()
+        writer = _csv.DictWriter(buf, fieldnames=list(payload["rows"][0]))
+        writer.writeheader()
+        writer.writerows({k: (json.dumps(v) if isinstance(v, list) else v)
+                          for k, v in row.items()} for row in payload["rows"])
+        text = buf.getvalue()
     else:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if args.output is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.output, "w", newline="") as fh:
+            fh.write(text)
+
+
+def _timing(args, **seconds) -> dict:
+    """The wall-clock fields ``seconds``, or none under ``--no-timing``."""
+    return {} if args.no_timing else seconds
 
 
 def _solver_options(args) -> SolverOptions:
@@ -130,9 +128,8 @@ def cmd_reduce(args) -> int:
         "map": pmap.kind,
         "support": res.nu_high.atoms.tolist(),
         "weights": res.nu_high.weights.tolist(),
-        "time_project": res.time_project,
-        "time_solve": res.time_solve,
-        "time_reconstruct": res.time_reconstruct,
+        **_timing(args, time_project=res.time_project, time_solve=res.time_solve,
+                  time_reconstruct=res.time_reconstruct),
     }, args)
     return EXIT_OK
 
@@ -174,30 +171,22 @@ def cmd_coreset(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    rows = []
-    if args.kind == "ot_pair":
-        A, B, M = gen_ot_pair(args.d)
-        for side, pts in (("A", A), ("B", B)):
-            for pt in pts:
-                rows.append({"set": side, "coords": pt.tolist()})
-        meta = {"kind": "ot_pair", "d": args.d, "M": M}
-    elif args.kind == "pullback":
-        A, B, M = gen_pullback(args.d, args.C)
-        for side, pts in (("A", A), ("B", B)):
-            for pt in pts:
-                rows.append({"set": side, "coords": pt.tolist()})
-        meta = {"kind": "pullback", "d": args.d, "C": args.C, "M": M}
+    if args.kind in ("ot_pair", "pullback"):
+        pullback = args.kind == "pullback"
+        A, B, M = gen_pullback(args.d, args.C) if pullback else gen_ot_pair(args.d)
+        rows = [{"set": side, "coords": pt.tolist()}
+                for side, pts in (("A", A), ("B", B)) for pt in pts]
+        meta = {"kind": args.kind, "d": args.d, "M": M}
+        if pullback:
+            meta["C"] = args.C
     elif args.kind == "lb_barycenter":
         mus, opt, n = gen_lb_barycenter(args.t, args.N, args.C, args.eps, args.p)
-        for i, mu in enumerate(mus):
-            for w, atom in zip(mu.weights, mu.atoms):
-                rows.append({"set": str(i), "weight": float(w),
-                             "coords": atom.tolist()})
+        rows = [{"set": str(i), "weight": float(w), "coords": atom.tolist()}
+                for i, mu in enumerate(mus) for w, atom in zip(mu.weights, mu.atoms)]
         meta = {"kind": "lb_barycenter", "expected_opt_cost": opt, "n": n}
     else:  # coreset_synthetic
-        mus = gen_coreset_synthetic(args.k)
-        for i, mu in enumerate(mus):
-            rows.append({"set": str(i), "coords": mu.atoms[0].tolist()})
+        rows = [{"set": str(i), "coords": mu.atoms[0].tolist()}
+                for i, mu in enumerate(gen_coreset_synthetic(args.k))]
         meta = {"kind": "coreset_synthetic", "k": args.k}
     _emit({**meta, "rows": rows}, args)
     return EXIT_OK
@@ -215,10 +204,10 @@ def cmd_sweep(args) -> int:
         "mean_ratio": row["mean_ratio"],
         "max_ratio": row["max_ratio"],
         "stddev": float(np.std(row["ratios"])),
-        "mean_time": row["mean_time"],
+        **_timing(args, mean_time=row["mean_time"]),
     } for row in result["rows"]]
-    _emit({"reference_cost": result["reference_cost"],
-           "reference_time": result["reference_time"], "rows": rows}, args)
+    _emit({"reference_cost": result["reference_cost"], "rows": rows,
+           **_timing(args, reference_time=result["reference_time"])}, args)
     return EXIT_OK
 
 

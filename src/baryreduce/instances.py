@@ -19,6 +19,7 @@ from .core import (
     BaryError,
     CountMismatch,
     DiscreteDistribution,
+    NORMALIZATION_TOL,
     ParseError,
     RaggedRows,
     make_distribution,
@@ -245,13 +246,13 @@ def load_csv_distributions(path):
     """Rows ``dist_id, weight, x_1, ..., x_d`` grouped into distributions.
 
     An optional non-numeric first row is treated as a header.  Weights of
-    each group must sum to 1 within 1e-6 (then renormalized exactly).
-    Groups come in the order their ids first appear.  A leading UTF-8
-    byte-order mark is dropped.  The file streams line by line into one
-    numpy call, so a load holds about its numeric block, never the text; a
-    line holding a quote is split by the ``csv`` module, and a malformed row
-    is named by its line.  Coordinates and weights are checked for the whole
-    block at once; the first group at fault, in order, raises what
+    each group must sum to 1 within ``NORMALIZATION_TOL`` (then renormalized
+    exactly).  Groups come in the order their ids first appear.  A leading
+    UTF-8 byte-order mark is dropped.  The file streams line by line into
+    one numpy call, so a load holds about its numeric block, never the text;
+    a line holding a quote is split by the ``csv`` module, and a malformed
+    row is named by its line.  Coordinates and weights are checked for the
+    whole block at once; the first group at fault, in order, raises what
     :func:`make_distribution` would.
     """
     keys, block = _csv_rows(path)
@@ -270,7 +271,7 @@ def load_csv_distributions(path):
                                     [*starts[1:].tolist(), len(keys)], malformed.tolist()):
         w = weights[start:end]
         total = w.sum()
-        if abs(total - 1.0) > 1e-6:
+        if abs(total - 1.0) > NORMALIZATION_TOL:
             raise BadWeights(f"{path}: distribution {key!r} weights sum to {float(total)!r}")
         w = w / total
         out.append(make_distribution(atoms[start:end], w) if bad  # raises what is wrong

@@ -58,8 +58,12 @@ from .core import (
 
 # Presolve about doubles the time of these LPs (measured, T=30-128).  The
 # dual simplex (strategy 1) solves cold LPs in about half the pivots of the
-# primal simplex (strategy 4); warm solves of barycenter iterations took
-# about as long with either.  At the default primal feasibility tolerance
+# primal simplex (strategy 4).  Warm solves pivot less under HiGHS's choice
+# (strategy 0: dual cold, primal from a primal-feasible basis): replaying the
+# 669 solves of the reduce_d784 bench op list of seed 1 and 44 s (40 ops, a
+# fresh model per op) took 61,869 pivots under strategy 1 and 30,152 under
+# strategy 0, and 12-27 % less HiGHS time; no bench workload has yet shown
+# that end to end.  At the default primal feasibility tolerance
 # (1e-7) a basic flow can come back at -5e-9; clipping it to 0 leaves the
 # marginals off by as much, so the tolerance is 1e-10.
 _HIGHS_OPTIONS = (("output_flag", False), ("presolve", "off"),

@@ -249,6 +249,59 @@ class TestSweepCmd:
         assert a.read_bytes() == b.read_bytes()
 
 
+TIME_FIELDS = {"time_project", "time_solve", "time_reconstruct"}
+
+
+class TestOutputContract:
+    """``--output`` writes what stdout gets, and the wall-clock fields are
+    exactly those that ``--no-timing`` leaves out."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "ot_pair", "--d", "4"],
+        ["gen", "pullback", "--d", "4", "--C", "2", "--format", "csv"],
+        ["sweep", "--support-size", "1", "--m-values", "1", "--trials", "2",
+         "--format", "csv", "--no-timing"],
+        ["coreset", "--k", "200", "--sizes", "5", "50", "--no-timing"],
+    ], ids=["gen-ot_pair-json", "gen-pullback-csv", "sweep-csv", "coreset-json"])
+    def test_output_file_holds_the_stdout_bytes(self, argv, two_deltas, tmp_path, capsys):
+        if argv[0] == "sweep":
+            argv = [*argv, "--input", two_deltas]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        dest = tmp_path / "out"
+        assert main([*argv, "--output", str(dest)]) == 0
+        assert capsys.readouterr().out == ""
+        assert dest.read_bytes() == stdout.encode()
+
+    def test_reduce_timing_fields(self, two_deltas, capsys):
+        argv = ["reduce", "--input", two_deltas, "--support-size", "1", "--dim", "1"]
+        code, timed = run(argv, capsys)
+        assert code == 0
+        code, untimed = run([*argv, "--no-timing"], capsys)
+        assert code == 0
+        assert not TIME_FIELDS & set(untimed)
+        assert set(timed) == set(untimed) | TIME_FIELDS
+        assert all(timed[key] >= 0.0 for key in TIME_FIELDS)
+
+    @pytest.mark.parametrize("no_timing", [False, True], ids=["timed", "no-timing"])
+    def test_sweep_timing_fields(self, two_deltas, capsys, no_timing):
+        argv = ["sweep", "--input", two_deltas, "--support-size", "1",
+                "--m-values", "1", "--trials", "2", *(["--no-timing"] if no_timing else [])]
+        code, out = run(argv, capsys)
+        assert code == 0
+        code, table = run([*argv, "--format", "csv"], capsys)
+        assert code == 0
+        header = next(csv.reader(io.StringIO(table)))  # the mean time is the last column
+        columns = ["m", "mean_ratio", "max_ratio", "stddev"]
+        if no_timing:
+            assert set(out) == {"reference_cost", "rows"}
+            assert all(set(row) == set(columns) for row in out["rows"]) and header == columns
+        else:
+            assert set(out) == {"reference_cost", "reference_time", "rows"}
+            assert all(set(row) == {*columns, "mean_time"} for row in out["rows"])
+            assert header == [*columns, "mean_time"]
+
+
 def assert_one_error_line(code, capsys):
     """Exit code 2, nothing on stdout and one ``error:`` line on stderr."""
     captured = capsys.readouterr()

@@ -1,8 +1,9 @@
 """Checks on the source tree itself: no unused imports, runtime imports only
 from numpy, scipy and the standard library, every public name of the engine
 reached by the engine, the benchmark or a demo, the benchmark's span names
-still name public functions of the package, and the pytest configuration
-reports a failing property test as a failure."""
+still name public functions of the package, output is written by
+``cli._emit`` alone, and the pytest configuration reports a failing
+property test as a failure."""
 
 import ast
 import importlib
@@ -132,6 +133,62 @@ def test_bench_span_is_a_public_function_of_its_module(name):
     obj = getattr(module, function, None)
     assert not function.startswith("_")
     assert inspect.isfunction(obj) and obj.__module__ == module.__name__
+
+
+def _writes_output(node) -> bool:
+    """``node`` reads ``sys.stdout``, prints without ``file=`` or calls an
+    ``open`` whose mode writes, appends, creates or updates (or is not a
+    literal)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "stdout" and isinstance(node.value, ast.Name) and node.value.id == "sys"
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name) and func.id == "print":
+        return all(kw.arg != "file" for kw in node.keywords)
+    if isinstance(func, ast.Name) and func.id == "open":
+        modes = node.args[1:2]  # open(file, mode)
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        modes = node.args[:1]  # path.open(mode)
+    else:
+        return False
+    modes += [kw.value for kw in node.keywords if kw.arg == "mode"]
+    return any(not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+")
+               for mode in modes)
+
+
+def output_sites(source: str, module: str) -> list:
+    """``module.function`` (or ``module``) of each place in ``source`` that
+    writes output, in source order."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            here = (f"{where}.{child.name}" if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else where)
+            if _writes_output(child):
+                sites.append(here)
+            visit(child, here)
+
+    visit(ast.parse(source), module)
+    return sites
+
+
+def test_output_sites_are_found():
+    source = ("import sys\n"
+              "def f():\n    sys.stdout.write('x')\n    print('y', file=sys.stderr)\n"
+              "class C:\n    def g(self, p):\n        open(p, 'a')\n        open(p)\n"
+              "        open(p, mode='rb')\n        print()\n"
+              "def h(p, m):\n    p.open(m)\n    p.open()\n"
+              "print(open('x', 'r+'))\n")
+    assert output_sites(source, "m") == ["m.f", "m.C.g", "m.C.g", "m.h", "m", "m"]
+
+
+def test_output_is_written_by_cli_emit_alone():
+    """One output path: stdout and files are written in ``cli._emit`` only."""
+    sites = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in output_sites(path.read_text(), path.stem)]
+    assert sites and set(sites) == {"cli._emit"}, sites
 
 
 def test_failing_property_test_is_reported(tmp_path):
