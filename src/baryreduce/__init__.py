@@ -11,7 +11,6 @@ from .core import (
     Solution,
     make_distribution,
     pool_batch,
-    validate_solution,
 )
 from .transport import (
     TransportPlan,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import (
     BadExponent,
@@ -82,11 +81,12 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float) -> np
     p=2 is the weighted mean in closed form; p=1 is the weighted median on
     a line and otherwise runs Weiszfeld iterations for the weighted
     geometric median (see :func:`_weiszfeld_step`), returning a median at a
-    data point exactly; other p >= 1 use gradient descent
-    with backtracking line search on the convex objective; both stop at
-    ``_INNER_TOL`` relative or after ``_INNER_MAX_ITERS`` steps.  Points of
-    zero weight are dropped first, so they affect neither the result nor the
-    stop rules; callers pass a column's flow rows only.
+    data point exactly; other p >= 1 use gradient descent with backtracking
+    line search on the convex objective, and raise :class:`NumericalFailure`
+    when its value at the start is not finite; both stop at ``_INNER_TOL``
+    relative or after ``_INNER_MAX_ITERS`` steps.  Points of zero weight are
+    dropped first, so they affect neither the result nor the stop rules;
+    callers pass a column's flow rows only.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64).ravel()
@@ -120,9 +120,12 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float) -> np
         return x if done else y
 
     def objective(z):
-        return float(weights @ np.linalg.norm(points - z, axis=1) ** p)
+        with np.errstate(over="ignore"):  # an overflow is caught as a non-finite cost
+            return float(weights @ np.linalg.norm(points - z, axis=1) ** p)
 
     f = objective(y)
+    if not np.isfinite(f):
+        raise NumericalFailure("support costs are not finite")
     step = np.inf
     for _ in range(_INNER_MAX_ITERS):
         diff = y - points
@@ -164,23 +167,19 @@ def _support_step(points: np.ndarray, flow: np.ndarray, support: np.ndarray,
         if w.sum() > 0:
             column = points[rows]
             y = update_support_atom(column, w, p)
-            new, old = w @ cdist(column, np.stack([y, support[j]])) ** p
+            new, old = w @ _distances(column, np.stack([y, support[j]]), p)
             if new < old:
                 support[j], moved = y, True
     return moved
-
-
-def _check(sol: Solution, batch: PooledBatch) -> None:
-    bad = solution_violations(sol, batch)
-    if bad:
-        raise InvalidSolution("; ".join(bad))
 
 
 def reconstruct_barycenter(sol: Solution, batch: PooledBatch, p: float) -> DiscreteDistribution:
     """Rebuild the barycenter in the ambient space of ``batch`` from the flows:
     one support step of the solver, from atoms at the origin.  A column
     carrying no mass degenerates to a zero-weight atom at the origin."""
-    _check(sol, batch)
+    bad = solution_violations(sol, batch)
+    if bad:
+        raise InvalidSolution("; ".join(bad))
     atoms = np.zeros((sol.n_atoms, batch.points.shape[1]))
     _support_step(batch.points, sol.flow, atoms, p)
     return DiscreteDistribution(atoms, sol.barycenter_weights)
@@ -227,6 +226,7 @@ def solve_barycenter(mus, opts: SolverOptions):
     batch = pool_batch(mus)  # every outer iteration solves these inputs
     support = _init_support(batch.points, batch.weights, n, rng)
     b = np.full(n, 1.0 / n)
+    b.setflags(write=False)  # shared by every support and the solution, uncopied
 
     model = TransportModel()  # successive iterations start from its last basis
     best = None
@@ -234,7 +234,7 @@ def solve_barycenter(mus, opts: SolverOptions):
     prev_obj = np.inf
     converged = False
     for _ in range(opts.max_outer_iters):
-        nu = DiscreteDistribution(support.copy(), b)
+        nu = DiscreteDistribution(support, b)  # copies the support it is given
         stacked, costs = solve_pooled(batch, nu, p, model)  # (sum T_i, n) flows
         obj = sum(costs.tolist()) / k  # as support_cost prices it
         trace.append(obj)
@@ -243,13 +243,13 @@ def solve_barycenter(mus, opts: SolverOptions):
                 f"alternation objective increased at outer iteration {len(trace)}: "
                 f"{prev_obj!r} -> {obj!r}")
         if best is None or obj < best[0]:
-            best = (obj, support.copy(), stacked)
+            best = (obj, nu, stacked)
         if (prev_obj - obj <= _REL_TOL * abs(obj)
                 or not _support_step(batch.points, stacked, support, p)):
             converged = True
             break
         prev_obj = obj
 
-    obj, support, flow = best
-    return (DiscreteDistribution(support, b), Solution(flow, batch.starts, b),
-            CostReport(float(obj), len(trace), converged, trace))
+    obj, nu, flow = best
+    flow.setflags(write=False)  # the solution takes it uncopied
+    return nu, Solution(flow, b), CostReport(float(obj), len(trace), converged, trace)

@@ -82,10 +82,16 @@ class RaggedRows(BaryError):
     pass
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
+def _frozen(a) -> np.ndarray:
+    """``a`` as a read-only float64 array that no caller can write through:
+    an array read-only down to its memory is taken as it is, any other copied."""
+    out = base = np.asarray(a, dtype=np.float64, order="C")
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None and (out is a or out.base is not None):  # asarray made no copy
+        out = out.copy()
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,8 @@ class DiscreteDistribution:
     """Weighted finite point set in R^d; weights sum to 1.
 
     ``atoms`` has shape (T, d), ``weights`` shape (T,).  Instances are
-    immutable (the backing arrays are marked read-only) and safe to share.
+    immutable and safe to share: each holds read-only arrays that no caller
+    can write through, copying an array given to it that a caller could.
     """
 
     atoms: np.ndarray
@@ -135,32 +142,22 @@ class PooledBatch:
 class Solution:
     """Pooled flows of k distributions onto n shared barycenter atoms.
 
-    ``flow`` has shape (N, n) on the rows of the inputs' :class:`PooledBatch`:
-    rows ``starts[i]`` up to ``starts[i + 1]`` are input i's plan, and entry
-    [r, j] is the mass of pooled atom r sent to barycenter atom j.
-    ``barycenter_weights`` is the common column-sum vector b of length n.
+    ``flow`` has shape (N, n) on the rows of the inputs' :class:`PooledBatch`,
+    which alone says which rows are whose plan; entry [r, j] is the mass of
+    pooled atom r sent to barycenter atom j.  ``barycenter_weights`` is the
+    common column-sum vector b of length n.
     """
 
     flow: np.ndarray
-    starts: np.ndarray
     barycenter_weights: np.ndarray
 
     def __post_init__(self):
-        starts = np.array(self.starts, dtype=np.intp)
-        starts.setflags(write=False)
         object.__setattr__(self, "flow", _frozen(self.flow))
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(
-            self, "barycenter_weights", _frozen(self.barycenter_weights)
-        )
+        object.__setattr__(self, "barycenter_weights", _frozen(self.barycenter_weights))
 
     @property
     def n_atoms(self) -> int:
         return self.barycenter_weights.shape[0]
-
-    @property
-    def n_distributions(self) -> int:
-        return len(self.starts)
 
 
 @dataclass
@@ -226,19 +223,11 @@ def pool_batch(distributions) -> PooledBatch:
 def solution_violations(sol: Solution, batch: PooledBatch):
     """List every constraint of the solution that fails against the pooled
     inputs of ``batch``, checking all plans at once, at tolerance ``WEIGHT_TOL``."""
-    k = len(batch.starts)
-    if sol.n_distributions != k:
-        return [f"{sol.n_distributions} plans for {k} distributions"]
     flow, b, starts = sol.flow, sol.barycenter_weights, batch.starts
     out = []
     if flow.shape != (len(batch.points), b.shape[0]):
         out.append(f"flow has shape {flow.shape}, expected {(len(batch.points), b.shape[0])}")
-    ends = np.append(starts[1:], len(batch.points))
-    sol_ends = np.append(sol.starts[1:], len(flow))
-    for i in np.flatnonzero((sol.starts != starts) | (sol_ends != ends)).tolist():
-        out.append(f"plan {i} has rows {sol.starts[i]}:{sol_ends[i]}, "
-                   f"expected {starts[i]}:{ends[i]}")
-    if not out:
+    else:
         # comparisons are false on NaN, so non-finite entries get a check of their own
         nonfinite = np.logical_or.reduceat(~np.isfinite(flow).all(axis=1), starts)
         negative = np.minimum.reduceat(flow.min(axis=1, initial=0.0), starts) < -WEIGHT_TOL
@@ -261,9 +250,3 @@ def solution_violations(sol: Solution, batch: PooledBatch):
     if np.any(b < -WEIGHT_TOL):
         out.append("negative barycenter weights")
     return out
-
-
-def validate_solution(sol: Solution, batch: PooledBatch) -> bool:
-    """True iff every plan is a feasible coupling between its input in
-    ``batch`` and the common barycenter weights, at tolerance ``WEIGHT_TOL``."""
-    return not solution_violations(sol, batch)

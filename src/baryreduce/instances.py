@@ -264,6 +264,7 @@ def load_csv_distributions(path):
     order = np.argsort(group, kind="stable")
     starts = np.searchsorted(group[order], np.arange(len(first_seen)))
     weights, atoms = block[order, 0], block[order, 1:]  # rows of a group adjacent
+    atoms.setflags(write=False)  # each distribution views its rows, uncopied
     malformed = np.logical_or.reduceat(
         ~np.isfinite(atoms).all(axis=1) | ~np.isfinite(weights) | (weights < 0), starts)
     out = []

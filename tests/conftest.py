@@ -26,8 +26,7 @@ def random_distribution(rng, T, d, rational=False):
 
 def solution_of(plans, b):
     """The pooled :class:`Solution` of per-input ``plans``, stacked in order."""
-    sizes = [len(plan) for plan in plans]
-    return Solution(np.concatenate(plans), np.cumsum(sizes) - sizes, b)
+    return Solution(np.concatenate(plans), b)
 
 
 @pytest.fixture

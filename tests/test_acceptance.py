@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from baryreduce.core import make_distribution, pool_batch, validate_solution
+from baryreduce.core import make_distribution, pool_batch, solution_violations
 from baryreduce.transport import solve_ot, transport_costs
 from baryreduce.barycenter import (
     SolverOptions,
@@ -88,7 +88,7 @@ def test_02_pairwise_distance_form_equals_reconstruction_cost():
         mus = [_random_rational(rng, int(rng.integers(1, 5)), d)
                for _ in range(k)]
         sol, batch = _random_valid_solution(rng, mus, n), pool_batch(mus)
-        assert validate_solution(sol, batch)
+        assert solution_violations(sol, batch) == []
         a = pairwise_cost_p2(sol, batch)
         b = solution_cost(sol, batch, 2.0)
         assert abs(a - b) <= 1e-9 * (1 + b), f"trial {trial}"
@@ -258,6 +258,6 @@ def test_10_quadratic_objective_equals_frobenius_form():
             w = flow.sum(axis=1)
             mus.append(make_distribution(rng.normal(size=(T, d)), w))
         sol, batch = solution_of(plans, col_units / N), pool_batch(mus)
-        assert validate_solution(sol, batch)
+        assert solution_violations(sol, batch) == []
         frob, bary, match = verify_low_rank_equivalence(batch, sol, N)
         assert match, f"trial {trial}: {frob} vs {bary}"

@@ -13,7 +13,7 @@ from baryreduce.core import (
     ZeroWeight,
     make_distribution,
     pool_batch,
-    validate_solution,
+    solution_violations,
 )
 from baryreduce.barycenter import (
     SolverOptions,
@@ -226,7 +226,7 @@ class TestSupportCost:
         mu = make_distribution([[0.0], [1e200]], [0.5, 0.5])
         b = np.array([0.5, 0.5])
         sol, batch = solution_of((np.eye(2) * 0.5, np.eye(2) * 0.5), b), pool_batch([mu, mu])
-        assert validate_solution(sol, batch)
+        assert solution_violations(sol, batch) == []
         nu = make_distribution([[0.0], [1e200]], b)
         assert support_cost(sol, batch, nu, 2.0) == 0.0
         assert solution_cost(sol, batch, 2.0) == 0.0
@@ -247,7 +247,7 @@ class TestPairwiseIdentity:
         mus = random_family(rng)
         sol = random_valid_solution(rng, mus, 3)
         batch = pool_batch(mus)
-        assert validate_solution(sol, batch)
+        assert solution_violations(sol, batch) == []
         a = pairwise_cost_p2(sol, batch)
         b = solution_cost(sol, batch, 2.0)
         assert abs(a - b) <= 1e-9 * (1 + b)
@@ -312,7 +312,7 @@ class TestSolveBarycenter:
     def test_returns_valid_solution(self, rng):
         mus = random_family(rng)
         _, sol, _ = solve_barycenter(mus, SolverOptions(support_size=2, p=2.0))
-        assert validate_solution(sol, pool_batch(mus))
+        assert solution_violations(sol, pool_batch(mus)) == []
 
     def test_support_above_pool_is_allowed(self):
         mus = [delta([0.0]), delta([2.0])]

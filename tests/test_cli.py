@@ -476,6 +476,18 @@ def test_non_finite_coreset_costs_exit_1(p):
     assert len(lines) == 1 and lines[0] == "error: transport costs are not finite"
 
 
+def test_non_finite_lift_exits_1(tmp_path):
+    # the projected distances stay below 1, so the solve in R^1 costs 0; the
+    # lift's distances in R^2 exceed 1, and their 1e308-th powers overflow
+    f = tmp_path / "lift.csv"
+    f.write_text("0,0.5,0,0\n0,0.5,1,0\n1,1.0,2,1\n")
+    done = run_module(["reduce", "--input", str(f), "--dim", "1", "--p", "1e308",
+                       "--no-timing"])
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == ["error: support costs are not finite"]
+
+
 @pytest.mark.parametrize("argv", [
     ["coreset", "--k", "3", "--sizes", str(10**15)],
     ["coreset", "--k", str(10**15)],

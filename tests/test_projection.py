@@ -21,7 +21,7 @@ from baryreduce.projection import (
     reduce_solve_reconstruct,
 )
 from baryreduce import barycenter, projection
-from baryreduce.core import validate_solution
+from baryreduce.core import solution_violations
 from conftest import random_distribution
 
 
@@ -203,7 +203,7 @@ class TestPipeline:
         opts = SolverOptions(support_size=2, p=2.0, seed=4)
         res = reduce_solve_reconstruct(mus, make_gaussian_map(12, 6, 2), opts)
         batch = pool_batch(mus)
-        assert validate_solution(res.solution, batch)
+        assert solution_violations(res.solution, batch) == []
         assert res.cost_high == solution_cost(res.solution, batch, opts.p)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -242,6 +242,7 @@ class TestPipeline:
         opts = SolverOptions(support_size=2, p=2.0, seed=4)
         out = cost_ratio_sweep(mus, [12], opts, trials=3, master_seed=1)
         assert out["rows"][0]["mean_ratio"] >= 0.95
+        assert sorted(out["rows"][0]) == ["m", "max_ratio", "mean_ratio", "mean_time", "ratios"]
 
     def test_sweep_deterministic(self, rng):
         mus = self._family(rng)

@@ -2,8 +2,9 @@
 from numpy, scipy and the standard library, every public name of the engine
 reached by the engine, the benchmark or a demo, the benchmark's span names
 still name public functions of the package, output is written by
-``cli._emit`` alone, and the pytest configuration reports a failing
-property test as a failure."""
+``cli._emit`` alone, distances are computed by ``transport._distances``
+alone, and the pytest configuration reports a failing property test as a
+failure."""
 
 import ast
 import importlib
@@ -77,7 +78,6 @@ def test_runtime_dependencies_are_numpy_and_scipy():
 
 #: public names that no engine module, benchmark or demo needs to call
 UNREACHED_BY_DESIGN = {
-    "validate_solution": "the boolean form of solution_violations, for callers of the package",
     "coreset_size_bound": "the paper's worst-case coreset size, to print beside measured sizes",
     "practical_size_bound": "the data-dependent coreset size, to print beside measured sizes",
 }
@@ -157,16 +157,16 @@ def _writes_output(node) -> bool:
                for mode in modes)
 
 
-def output_sites(source: str, module: str) -> list:
-    """``module.function`` (or ``module``) of each place in ``source`` that
-    writes output, in source order."""
+def sites_where(matches, source: str, module: str) -> list:
+    """``module.function`` (or ``module``) of each node of ``source`` that
+    ``matches``, in source order."""
     sites = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             here = (f"{where}.{child.name}" if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else where)
-            if _writes_output(child):
+            if matches(child):
                 sites.append(here)
             visit(child, here)
 
@@ -181,14 +181,35 @@ def test_output_sites_are_found():
               "        open(p, mode='rb')\n        print()\n"
               "def h(p, m):\n    p.open(m)\n    p.open()\n"
               "print(open('x', 'r+'))\n")
-    assert output_sites(source, "m") == ["m.f", "m.C.g", "m.C.g", "m.h", "m", "m"]
+    assert sites_where(_writes_output, source, "m") == ["m.f", "m.C.g", "m.C.g", "m.h", "m", "m"]
 
 
 def test_output_is_written_by_cli_emit_alone():
     """One output path: stdout and files are written in ``cli._emit`` only."""
     sites = [site for path in sorted(PACKAGE.glob("*.py"))
-             for site in output_sites(path.read_text(), path.stem)]
+             for site in sites_where(_writes_output, path.read_text(), path.stem)]
     assert sites and set(sites) == {"cli._emit"}, sites
+
+
+def _calls_cdist(node) -> bool:
+    """``node`` calls ``cdist``, by name or as an attribute."""
+    return isinstance(node, ast.Call) and "cdist" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_cdist_calls_are_found():
+    source = ("from scipy.spatial import distance\n"
+              "def f(a):\n    return distance.cdist(a, a) ** 2\n"
+              "cdist(1)\nf(cdist)\n")
+    assert sites_where(_calls_cdist, source, "m") == ["m.f", "m"]
+
+
+def test_distances_are_computed_by_transport_distances_alone():
+    """One pricing rule: in the package only ``transport._distances`` calls
+    ``cdist``, so the solver, its guards and every report price alike."""
+    sites = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in sites_where(_calls_cdist, path.read_text(), path.stem)]
+    assert sites and set(sites) == {"transport._distances"}, sites
 
 
 def test_failing_property_test_is_reported(tmp_path):

@@ -14,7 +14,7 @@ from baryreduce.core import (
     NumericalFailure,
     make_distribution,
     pool_batch,
-    validate_solution,
+    solution_violations,
 )
 from baryreduce import barycenter, transport
 from baryreduce.transport import (
@@ -387,7 +387,7 @@ class TestAssignment:
         nu, sol, report = solve_barycenter(mus, SolverOptions(support_size=8, p=p, seed=1))
         assert not seen  # every block is an assignment
         assert all(b <= a for a, b in zip(report.trace, report.trace[1:]))
-        assert validate_solution(sol, pool_batch(mus))
+        assert solution_violations(sol, pool_batch(mus)) == []
         full = np.mean([full_lp_optimum(mu.weights, nu.weights, cdist(mu.atoms, nu.atoms) ** p)
                         for mu in mus])
         assert report.total_cost == pytest.approx(full, rel=1e-9, abs=0.0)
