@@ -8,6 +8,7 @@ import numpy as np
 from baryreduce import (
     SolverOptions,
     make_distribution,
+    pool_batch,
     solve_barycenter,
     solve_ot,
     wasserstein_p,
@@ -33,8 +34,9 @@ for shift in (0.0, 0.4, 0.8):
     pts += 0.05 * rng.standard_normal(pts.shape)
     clouds.append(make_distribution(pts, np.full(12, 1 / 12)))
 
+# the solver takes the inputs pooled into one array of all their atoms
 opts = SolverOptions(support_size=12, p=2.0, seed=1)
-center, solution, report = solve_barycenter(clouds, opts)
+center, solution, report = solve_barycenter(pool_batch(clouds), opts)
 
 print("\nbarycenter of 3 rings:")
 print("  objective:", report.total_cost)

@@ -14,6 +14,7 @@ from baryreduce import (
     make_distribution,
     make_gaussian_map,
     make_srht_map,
+    pool_batch,
     reduce_solve_reconstruct,
     solve_barycenter,
 )
@@ -36,13 +37,14 @@ for policy in ("p2", "kirszbraun", "optimal"):
     m = jl_dimension(n_pooled, eps=0.4, delta=0.1, p=2.0, policy=policy, k=k)
     print(f"policy {policy:>10}: m = {m}")
 
-# full-dimensional reference
-_, _, full = solve_barycenter(mus, opts)
+# full-dimensional reference, on the inputs pooled once for every solve below
+batch = pool_batch(mus)
+_, _, full = solve_barycenter(batch, opts)
 print("\nfull-dimension cost:", round(full.total_cost, 4))
 
 # Gaussian and Hadamard-based maps at a fixed small m
 for maker, name in ((make_gaussian_map, "gaussian"), (make_srht_map, "srht")):
-    res = reduce_solve_reconstruct(mus, maker(d, 16, seed=7), opts)
+    res = reduce_solve_reconstruct(batch, maker(d, 16, seed=7), opts)
     print(f"{name:>9} m=16: low-dim cost {res.cost_low:.4f}, "
           f"lifted cost {res.cost_high:.4f} "
           f"(ratio {res.cost_high / full.total_cost:.3f})")

@@ -23,7 +23,6 @@ from .core import (
     PooledBatch,
     Solution,
     ZeroWeight,
-    pool_batch,
     solution_violations,
 )
 from .transport import TransportModel, _distances, pooled_costs, solve_pooled
@@ -82,9 +81,9 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float) -> np
     a line and otherwise runs Weiszfeld iterations for the weighted
     geometric median (see :func:`_weiszfeld_step`), returning a median at a
     data point exactly; other p >= 1 use gradient descent with backtracking
-    line search on the convex objective, and raise :class:`NumericalFailure`
-    when its value at the start is not finite; both stop at ``_INNER_TOL``
-    relative or after ``_INNER_MAX_ITERS`` steps.  Points of zero weight are
+    line search on the convex objective, which no scale and no p makes
+    overflow; both stop at ``_INNER_TOL`` relative or after
+    ``_INNER_MAX_ITERS`` steps.  Points of zero weight are
     dropped first, so they affect neither the result nor the stop rules;
     callers pass a column's flow rows only.
     """
@@ -119,36 +118,36 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float) -> np
         x, done = _weiszfeld_step(points, weights, x)
         return x if done else y
 
-    def objective(z):
-        with np.errstate(over="ignore"):  # an overflow is caught as a non-finite cost
-            return float(weights @ np.linalg.norm(points - z, axis=1) ** p)
-
-    f = objective(y)
-    if not np.isfinite(f):
-        raise NumericalFailure("support costs are not finite")
+    # The descent runs on the points centred on the start over their largest
+    # distance to it, weights over their total, in units of the current
+    # largest distance ``scale``: objective scale^p f, gradient p scale^(p-1) g
+    # with |g| <= 1.  A step of at most ``cap`` scales keeps each distance
+    # ratio it raises to p within 1 + cap, so (1 + cap)^p <= 4 bounds each term.
+    radius = np.linalg.norm(points - y, axis=1).max()
+    u, w = (points - y) / (radius or 1.0), weights / total
+    z = np.zeros_like(y)
+    cap = 1.0 / max(p - 1.0, 1.0)
     step = np.inf
     for _ in range(_INNER_MAX_ITERS):
-        diff = y - points
-        dist = np.maximum(np.linalg.norm(diff, axis=1), 1e-14)
-        grad = (weights * p * dist ** (p - 2.0)) @ diff
-        gnorm = np.linalg.norm(grad)
-        scale = float(np.linalg.norm(points - y, axis=1).max()) + 1e-30
-        if gnorm * scale <= _INNER_TOL * f:
+        diff = z - u
+        dist = np.linalg.norm(diff, axis=1)
+        scale = dist.max() or 1.0  # 0 once z sits on every point, where g = 0
+        f = w @ (dist / scale) ** p
+        g = (w * np.maximum(dist / scale, 1e-14) ** (p - 2.0)) @ diff / scale
+        gnorm = np.linalg.norm(g)
+        if gnorm <= _INNER_TOL * f / p:
             break
-        # the cap scales as length^(2-p), like the step itself
-        step = min(step * 2.0,
-                   scale ** (2.0 - p) / (weights.sum() * p * max(p - 1.0, 1.0)))
+        step = min(step * 2.0, cap)
         while True:
-            y_try = y - step * grad
-            f_try = objective(y_try)
-            if f_try <= f - 0.25 * step * gnorm**2 or step < 1e-18:
+            z_try = z - step * scale * g
+            f_try = w @ (np.linalg.norm(u - z_try, axis=1) / scale) ** p
+            if f_try <= f - 0.25 * (step * p) * gnorm**2 or step * p < 1e-18:
                 break
             step *= 0.5
+        z = z_try
         if f - f_try <= _INNER_TOL * f:
-            y, f = y_try, f_try
             break
-        y, f = y_try, f_try
-    return y
+    return y + radius * z
 
 
 def _support_step(points: np.ndarray, flow: np.ndarray, support: np.ndarray,
@@ -168,6 +167,8 @@ def _support_step(points: np.ndarray, flow: np.ndarray, support: np.ndarray,
             column = points[rows]
             y = update_support_atom(column, w, p)
             new, old = w @ _distances(column, np.stack([y, support[j]]), p)
+            if not np.isfinite(new):
+                raise NumericalFailure("support costs are not finite")
             if new < old:
                 support[j], moved = y, True
     return moved
@@ -207,8 +208,9 @@ def _init_support(points, weights, n: int, rng) -> np.ndarray:
     return points[idx]
 
 
-def solve_barycenter(mus, opts: SolverOptions):
-    """Alternating minimization for the barycenter objective.
+def solve_barycenter(batch: PooledBatch, opts: SolverOptions):
+    """Alternating minimization for the barycenter objective of the pooled
+    inputs of ``batch``; every outer iteration solves their rows.
 
     Returns ``(nu, solution, report)`` where ``report.trace`` holds the
     objective after each transport step.  The barycenter weights are fixed
@@ -217,13 +219,9 @@ def solve_barycenter(mus, opts: SolverOptions):
     raises :class:`NumericalFailure`.  It has converged once an outer
     iteration gains at most ``_REL_TOL`` or a support step moves no atom.
     """
-    if not mus:
-        raise EmptyInput("need at least one input distribution")
-    k = len(mus)
+    k = len(batch.starts)
     n = opts.support_size
-    p = opts.p
     rng = np.random.default_rng(opts.seed)
-    batch = pool_batch(mus)  # every outer iteration solves these inputs
     support = _init_support(batch.points, batch.weights, n, rng)
     b = np.full(n, 1.0 / n)
     b.setflags(write=False)  # shared by every support and the solution, uncopied
@@ -235,7 +233,7 @@ def solve_barycenter(mus, opts: SolverOptions):
     converged = False
     for _ in range(opts.max_outer_iters):
         nu = DiscreteDistribution(support, b)  # copies the support it is given
-        stacked, costs = solve_pooled(batch, nu, p, model)  # (sum T_i, n) flows
+        stacked, costs = solve_pooled(batch, nu, opts.p, model)  # (sum T_i, n) flows
         obj = sum(costs.tolist()) / k  # as support_cost prices it
         trace.append(obj)
         if obj > prev_obj + 1e-9 * abs(prev_obj):
@@ -245,7 +243,7 @@ def solve_barycenter(mus, opts: SolverOptions):
         if best is None or obj < best[0]:
             best = (obj, nu, stacked)
         if (prev_obj - obj <= _REL_TOL * abs(obj)
-                or not _support_step(batch.points, stacked, support, p)):
+                or not _support_step(batch.points, stacked, support, opts.p)):
             converged = True
             break
         prev_obj = obj

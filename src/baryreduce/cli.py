@@ -45,9 +45,9 @@ from .instances import (
 from .projection import (
     MAP_MAKERS,
     cost_ratio_sweep,
-    identity_map,
     jl_dimension,
     reduce_solve_reconstruct,
+    reduction_map,
 )
 from .transport import solve_pooled
 
@@ -92,8 +92,7 @@ def _load(path):
 
 
 def cmd_barycenter(args) -> int:
-    mus = _load(args.input)
-    nu, sol, report = solve_barycenter(mus, _solver_options(args))
+    nu, sol, report = solve_barycenter(pool_batch(_load(args.input)), _solver_options(args))
     _emit({
         "cost": report.total_cost,
         "iterations": report.iterations,
@@ -104,23 +103,20 @@ def cmd_barycenter(args) -> int:
     return EXIT_OK
 
 
-def _resolve_map(args, mus):
-    d = mus[0].dim
-    n_pooled = sum(mu.size for mu in mus)
+def _resolve_map(args, batch):
+    n_pooled, d = batch.points.shape
     if args.dim is not None:
         m = args.dim
     else:
         m = jl_dimension(n_pooled, args.eps, args.delta, args.p,
-                         policy=args.policy, k=len(mus))
-    if m >= d:  # a map never raises the dimension
-        return identity_map(d)
-    return MAP_MAKERS[args.map](d, m, args.seed)
+                         policy=args.policy, k=len(batch.starts))
+    return reduction_map(args.map, d, m, args.seed)
 
 
 def cmd_reduce(args) -> int:
-    mus = _load(args.input)
-    pmap = _resolve_map(args, mus)
-    res = reduce_solve_reconstruct(mus, pmap, _solver_options(args))
+    batch = pool_batch(_load(args.input))
+    pmap = _resolve_map(args, batch)
+    res = reduce_solve_reconstruct(batch, pmap, _solver_options(args))
     _emit({
         "cost_low": res.cost_low,
         "cost_high": res.cost_high,
@@ -150,7 +146,7 @@ def cmd_coreset(args) -> int:
 
     costs = [costs_to(make_distribution(np.full((1, d), float(x)), np.array([1.0])))
              for x in args.queries]
-    pilot = distinct[0] if args.input is None else pilot_barycenter(distinct, args.p)
+    pilot = distinct[0] if args.input is None else pilot_barycenter(batch, args.p)
     scores = scores_from_costs(costs_to(pilot), p=args.p)
     k = len(slot)
     q = {"uniform": np.full(k, 1.0 / k), "sensitivity": scores / scores.sum()}

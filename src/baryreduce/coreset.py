@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BadSize, BadWeights, DiscreteDistribution, EmptyInput, NumericalFailure
+from .core import (BadSize, BadWeights, DiscreteDistribution, NumericalFailure,
+                   PooledBatch, pool_batch)
 from .barycenter import SolverOptions, solve_barycenter
-from .transport import transport_costs
+from .transport import solve_pooled
 
 
 @dataclass(frozen=True)
@@ -23,10 +24,11 @@ class WeightedCoreset:
     lam: np.ndarray     # summed weight of each input's draws (unnormalised)
 
 
-def pilot_barycenter(mus, p: float = 2.0) -> DiscreteDistribution:
-    """The cheap pilot solution that sensitivity scores are measured against."""
-    return solve_barycenter(mus, SolverOptions(
-        support_size=min(4, mus[0].size), p=p, max_outer_iters=30, seed=0))[0]
+def pilot_barycenter(batch: PooledBatch, p: float = 2.0) -> DiscreteDistribution:
+    """The cheap pilot solution of the pooled inputs that sensitivity scores
+    are measured against, on at most as many atoms as the first input has."""
+    return solve_barycenter(batch, SolverOptions(support_size=min(
+        4, np.count_nonzero(batch.origins == 0)), p=p, max_outer_iters=30, seed=0))[0]
 
 
 def scores_from_costs(costs: np.ndarray, p: float = 2.0,
@@ -59,12 +61,11 @@ def scores_from_costs(costs: np.ndarray, p: float = 2.0,
 def sensitivity_upper_bounds(mus, p: float = 2.0, alpha: float = 2.0,
                              pilot: DiscreteDistribution | None = None) -> np.ndarray:
     """:func:`scores_from_costs` of every input's cost to ``pilot``, by
-    default :func:`pilot_barycenter` of the inputs."""
-    if not mus:
-        raise EmptyInput("need at least one distribution")
+    default :func:`pilot_barycenter` of the inputs, pooled once for both."""
+    batch = pool_batch(mus)
     if pilot is None:
-        pilot = pilot_barycenter(mus, p)
-    return scores_from_costs(transport_costs(mus, pilot, p), p, alpha)
+        pilot = pilot_barycenter(batch, p)
+    return scores_from_costs(solve_pooled(batch, pilot, p)[1], p, alpha)
 
 
 def build_coreset(probabilities: np.ndarray, size: int,

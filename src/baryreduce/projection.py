@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
     BadParams,
+    BadPoints,
     DimensionMismatch,
     DiscreteDistribution,
     PooledBatch,
-    make_distribution,
     pool_batch,
 )
 from .barycenter import (
@@ -131,16 +131,21 @@ def identity_map(d: int) -> ProjectionMap:
     return ProjectionMap("identity", d, d)
 
 
-def project_instance(batch: PooledBatch, pmap: ProjectionMap):
-    """Push every pooled input through the map, keeping its weights.
+def reduction_map(kind: str, d: int, m: int, seed: int) -> ProjectionMap:
+    """The ``kind`` map from R^d to R^m, or the identity when m >= d: a map
+    never raises the dimension."""
+    return identity_map(d) if m >= d else MAP_MAKERS[kind](d, m, seed)
 
-    The map runs once on the pooled atoms, one matrix product in place of
-    one per input, and each input's rows become one distribution.
-    """
-    low = pmap(batch.points)
-    low.setflags(write=False)  # each distribution views its rows, uncopied
-    cuts = batch.starts[1:]
-    return list(map(make_distribution, np.split(low, cuts), np.split(batch.weights, cuts)))
+
+def project_instance(batch: PooledBatch, pmap: ProjectionMap) -> PooledBatch:
+    """The same pooled inputs with their atoms pushed through the map, in
+    one matrix product; the weights and the row layout are shared."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        low = pmap(batch.points)
+    if not np.isfinite(low).all():
+        raise BadPoints("atom coordinates must be finite")
+    low.setflags(write=False)
+    return replace(batch, points=low)
 
 
 @dataclass(frozen=True)
@@ -155,18 +160,17 @@ class ReductionResult:
     time_reconstruct: float
 
 
-def reduce_solve_reconstruct(mus, pmap: ProjectionMap,
+def reduce_solve_reconstruct(batch: PooledBatch, pmap: ProjectionMap,
                              opts: SolverOptions) -> ReductionResult:
     """Project, solve in the low dimension, lift the flows back.
 
     The reconstructed barycenter reuses the low-dimensional transport plans
     unchanged: each atom is re-fitted in the original space against the
     mass its column received.  ``cost_low`` is the solver's objective in
-    R^m; ``cost_high`` re-prices the same plans in R^d.  The inputs are
-    pooled once, for the projection, the lift and the pricing.
+    R^m; ``cost_high`` re-prices the same plans in R^d.  The projection, the
+    lift and the pricing all read the rows of ``batch``.
     """
     t0 = time.perf_counter()
-    batch = pool_batch(mus)
     low = project_instance(batch, pmap)
     t1 = time.perf_counter()
     nu_low, sol, rep = solve_barycenter(low, opts)
@@ -188,15 +192,17 @@ def cost_ratio_sweep(mus, m_values, opts: SolverOptions, map_kind: str = "gaussi
     For each ``m`` runs ``trials`` independent maps (seeds mixed from the
     master seed so cells are reproducible in isolation) and records the
     ratio of the lifted cost to the full-dimensional one, which must not be
-    0.  Returns per-``m`` dicts with the ratios and wall times.
+    0.  A row with m >= d runs on the identity (see :func:`reduction_map`)
+    and keeps its m.  Returns per-``m`` dicts with the ratios and wall times.
     """
     if map_kind not in MAP_MAKERS:
         raise BadParams(f"unknown map kind {map_kind!r}")
     if any(m < 1 for m in m_values):  # before m seeds a map
         raise BadParams("dimensions must be positive")
-    d = mus[0].dim
+    batch = pool_batch(mus)  # the reference and every cell solve these rows
+    d = batch.points.shape[1]
     t0 = time.perf_counter()
-    _, _, rep = solve_barycenter(mus, opts)
+    _, _, rep = solve_barycenter(batch, opts)
     reference_time = time.perf_counter() - t0
     reference_cost = rep.total_cost
     if reference_cost == 0:
@@ -205,8 +211,7 @@ def cost_ratio_sweep(mus, m_values, opts: SolverOptions, map_kind: str = "gaussi
     def run_cell(m, trial):
         seed = int(np.random.SeedSequence([master_seed, m, trial])
                    .generate_state(1)[0])
-        pmap = MAP_MAKERS[map_kind](d, m, seed)
-        return reduce_solve_reconstruct(mus, pmap, opts)
+        return reduce_solve_reconstruct(batch, reduction_map(map_kind, d, m, seed), opts)
 
     rows = []
     for m in m_values:

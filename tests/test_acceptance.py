@@ -110,7 +110,7 @@ def test_03_distance_preserving_map_bounds_every_solution_cost():
             break
     assert pmap is not None, "no distance-preserving map found in 50 seeds"
     batch = pool_batch(mus)
-    low = pool_batch(project_instance(batch, pmap))
+    low = project_instance(batch, pmap)
     for trial in range(100):
         sol = _random_valid_solution(rng, mus, 4)
         full = pairwise_cost_p2(sol, batch)
@@ -130,9 +130,9 @@ def test_04_reduced_pipeline_tracks_full_dimension_solver():
     hits = 0
     for seed in range(20):
         opts = SolverOptions(support_size=8, p=2.0, seed=seed)
-        _, _, full = solve_barycenter(mus, opts)
+        _, _, full = solve_barycenter(pool_batch(mus), opts)
         res = reduce_solve_reconstruct(
-            mus, make_gaussian_map(64, m, seed + 1000), opts)
+            pool_batch(mus), make_gaussian_map(64, m, seed + 1000), opts)
         if res.cost_high / full.total_cost <= 1.25:
             hits += 1
     assert hits >= 18, f"only {hits}/20 seeds within 1.25x"

@@ -94,6 +94,20 @@ class TestUpdateSupportAtom:
         y_all = update_support_atom(all_pts, all_w, p)
         np.testing.assert_allclose(y_all, y, rtol=0.0, atol=1e-12 * np.abs(y).max())
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("pts", [[[0.0, 0.0]], [[0.1, 0.7]], [[0.1, 0.7]] * 3],
+                             ids=["origin", "one", "three_copies"])
+    def test_coincident_points_return_their_point(self, pts, p):
+        # the start may round off the point: the descent then reaches it exactly
+        y = update_support_atom(pts, [0.3, 0.2, 0.1][:len(pts)], p)
+        np.testing.assert_allclose(y, pts[0], rtol=1e-15, atol=0.0)
+
+    def test_huge_exponent_returns_a_finite_point(self):
+        # the step cap and the Armijo term overflowed here; the points'
+        # minimax centre is the start, 1
+        y = update_support_atom([[0.0], [2.0], [1.5]], [0.4, 0.2, 0.4], 1e308)
+        assert np.isfinite(y).all() and 0.0 <= y[0] <= 2.0
+
     def test_zero_weight_rejected(self):
         with pytest.raises(ZeroWeight):
             update_support_atom([[0.0]], [0.0], 2.0)
@@ -218,7 +232,8 @@ class TestSupportCost:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_prices_the_solver_output_as_the_solver_does(self, rng, p):
         mus = random_family(rng, k=4, T=5, d=3)
-        nu, sol, rep = solve_barycenter(mus, SolverOptions(support_size=3, p=p, seed=2))
+        nu, sol, rep = solve_barycenter(pool_batch(mus),
+                                        SolverOptions(support_size=3, p=p, seed=2))
         assert support_cost(sol, pool_batch(mus), nu, p) == rep.total_cost
 
     def test_cell_without_flow_adds_zero_where_its_cost_overflows(self):
@@ -276,12 +291,12 @@ class TestSolveBarycenter:
     def test_single_distribution_zero_cost(self, rng):
         # a uniform input of 4 atoms is matched exactly by 4 atoms of mass 1/4
         mu = make_distribution(rng.normal(size=(4, 2)), np.full(4, 0.25))
-        nu, sol, rep = solve_barycenter([mu], SolverOptions(support_size=4, p=2.0))
+        nu, sol, rep = solve_barycenter(pool_batch([mu]), SolverOptions(support_size=4, p=2.0))
         assert rep.total_cost == pytest.approx(0.0, abs=1e-10)
 
     def test_two_deltas(self):
         mus = [delta([0.0]), delta([2.0])]
-        nu, sol, rep = solve_barycenter(mus, SolverOptions(support_size=1, p=2.0))
+        nu, sol, rep = solve_barycenter(pool_batch(mus), SolverOptions(support_size=1, p=2.0))
         assert rep.total_cost == pytest.approx(1.0)
         np.testing.assert_allclose(nu.atoms, [[1.0]], atol=1e-9)
 
@@ -292,14 +307,14 @@ class TestSolveBarycenter:
         monkeypatch.setattr(barycenter, "solve_pooled",
                             lambda *args: calls.append(1) or solve(*args))
         mus = [delta([0.0]), delta([2.0])]
-        nu, _, rep = solve_barycenter(mus, SolverOptions(support_size=1, p=2.0))
+        nu, _, rep = solve_barycenter(pool_batch(mus), SolverOptions(support_size=1, p=2.0))
         assert rep.converged and rep.iterations == len(calls) == 2
         assert rep.trace == [2.0, 1.0]
         assert nu.atoms.tolist() == [[1.0]]
 
     def test_monotone_trace(self, rng):
         mus = random_family(rng, k=4, T=5, d=3)
-        _, _, rep = solve_barycenter(mus, SolverOptions(support_size=3, p=2.0))
+        _, _, rep = solve_barycenter(pool_batch(mus), SolverOptions(support_size=3, p=2.0))
         for a, b in zip(rep.trace, rep.trace[1:]):
             assert b <= a + 1e-9 * (1 + abs(a))
 
@@ -307,16 +322,16 @@ class TestSolveBarycenter:
     def test_rising_objective_raises(self):
         mus = [delta([0.0]), delta([2.0])]
         with pytest.raises(NumericalFailure, match=r"iteration 2: 1\.0 -> 2\.0"):
-            solve_barycenter(mus, SolverOptions(support_size=1, p=2.0))
+            solve_barycenter(pool_batch(mus), SolverOptions(support_size=1, p=2.0))
 
     def test_returns_valid_solution(self, rng):
         mus = random_family(rng)
-        _, sol, _ = solve_barycenter(mus, SolverOptions(support_size=2, p=2.0))
+        _, sol, _ = solve_barycenter(pool_batch(mus), SolverOptions(support_size=2, p=2.0))
         assert solution_violations(sol, pool_batch(mus)) == []
 
     def test_support_above_pool_is_allowed(self):
         mus = [delta([0.0]), delta([2.0])]
-        nu, _, rep = solve_barycenter(mus, SolverOptions(support_size=5, p=2.0))
+        nu, _, rep = solve_barycenter(pool_batch(mus), SolverOptions(support_size=5, p=2.0))
         assert nu.atoms.shape == (5, 1)
         assert rep.total_cost <= 1.0 + 1e-9
 
@@ -331,19 +346,19 @@ class TestSolveBarycenter:
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            solve_barycenter([], SolverOptions())
+            solve_barycenter(pool_batch([]), SolverOptions())
 
     def test_deterministic_under_seed(self, rng):
         mus = random_family(rng)
         opts = SolverOptions(support_size=2, p=2.0, seed=7)
-        nu1, _, rep1 = solve_barycenter(mus, opts)
-        nu2, _, rep2 = solve_barycenter(mus, opts)
+        nu1, _, rep1 = solve_barycenter(pool_batch(mus), opts)
+        nu2, _, rep2 = solve_barycenter(pool_batch(mus), opts)
         np.testing.assert_array_equal(nu1.atoms, nu2.atoms)
         assert rep1.total_cost == rep2.total_cost
 
     def test_p1_one_atom_is_median(self):
         mus = [delta([0.0]), delta([1.0]), delta([10.0])]
-        nu, _, rep = solve_barycenter(mus, SolverOptions(support_size=1, p=1.0))
+        nu, _, rep = solve_barycenter(pool_batch(mus), SolverOptions(support_size=1, p=1.0))
         assert 3 * rep.total_cost == pytest.approx(10.0, abs=1e-6)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -352,9 +367,9 @@ class TestSolveBarycenter:
         rng = np.random.default_rng(99)
         mus = [random_distribution(rng, 12, 6) for _ in range(20)]
         opts = SolverOptions(support_size=8, p=p, seed=3)
-        _, _, base = solve_barycenter(mus, opts)
+        _, _, base = solve_barycenter(pool_batch(mus), opts)
         scaled = [make_distribution(c * mu.atoms, mu.weights) for mu in mus]
-        _, _, rep = solve_barycenter(scaled, opts)
+        _, _, rep = solve_barycenter(pool_batch(scaled), opts)
         assert rep.iterations == base.iterations
         assert rep.total_cost / c**p == pytest.approx(base.total_cost, rel=1e-12, abs=0.0)
 
@@ -368,7 +383,8 @@ class TestSolveBarycenter:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             mu = make_distribution(c * rng.random((3, 2)), np.full(3, 1 / 3))
-            _, _, rep = solve_barycenter([mu], SolverOptions(support_size=n, p=p, seed=seed))
+            _, _, rep = solve_barycenter(pool_batch([mu]),
+                                         SolverOptions(support_size=n, p=p, seed=seed))
             assert all(b <= a for a, b in zip(rep.trace, rep.trace[1:]))
             if n == 3:
                 assert rep.total_cost == 0.0
@@ -396,7 +412,8 @@ class TestWarmStart:
             return flow, costs
 
         monkeypatch.setattr(barycenter, "solve_pooled", warm_and_cold)
-        _, _, rep = solve_barycenter(blobs, SolverOptions(support_size=5, p=2.0, seed=1))
+        _, _, rep = solve_barycenter(pool_batch(blobs),
+                                     SolverOptions(support_size=5, p=2.0, seed=1))
         assert rep.iterations >= 3
         model = warm_models[0]
         assert all(m is model for m in warm_models)
@@ -417,7 +434,8 @@ class TestWarmStart:
             return flow, costs
 
         monkeypatch.setattr(barycenter, "solve_pooled", warm_and_cold)
-        _, _, rep = solve_barycenter(blobs, SolverOptions(support_size=12, p=2.0, seed=1))
+        _, _, rep = solve_barycenter(pool_batch(blobs),
+                                     SolverOptions(support_size=12, p=2.0, seed=1))
         assert rep.iterations >= 3
         assert held[0] < held[-1] < len(blobs) * 15 * 12
 

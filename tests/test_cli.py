@@ -163,23 +163,6 @@ class TestCoresetCmd:
     def test_negative_size(self, capsys):
         assert main(["coreset", "--k", "100", "--sizes", "-5"]) == 2
 
-    @pytest.mark.parametrize("source", ["k", "input"])
-    def test_one_pass_over_the_inputs(self, source, small_inputs, monkeypatch, capsys):
-        # one pool of the distinct inputs: the synthetic family's two objects
-        pooled = []
-
-        def counted(mus):
-            pooled.append(len(mus))
-            return pool_batch(mus)
-
-        monkeypatch.setattr(cli, "pool_batch", counted)
-        argv = ["--k", "300"] if source == "k" else ["--input", small_inputs]
-        code, out = run(["coreset", *argv, "--sizes", "5", "50",
-                         "--queries", "0", "1", "10", "--no-timing"], capsys)
-        assert code == 0
-        assert pooled == [2 if source == "k" else 12]
-        assert out["k"] == (300 if source == "k" else 12)
-
     @pytest.mark.parametrize("source, p", [("k", 2.0), ("input", 2.0), ("input", 1.5)])
     def test_rows_match_per_query_pricing(self, source, p, small_inputs, capsys):
         if source == "k":  # the synthetic family's pilot is its first input
@@ -209,6 +192,76 @@ class TestCoresetCmd:
                                  "rel_error": ev["rel_error"],
                                  "zero_cost": ev["zero_cost"]})
         assert out == {"k": len(mus), "rows": rows}
+
+
+@pytest.mark.parametrize("argv, pooled", [
+    (["barycenter", "--support-size", "2"], 12),
+    (["reduce", "--dim", "1", "--support-size", "2"], 12),
+    (["sweep", "--m-values", "1", "2", "--trials", "2", "--support-size", "2"], 12),
+    (["coreset", "--sizes", "5", "50", "--queries", "0", "1", "10"], 12),
+    (["coreset", "--k", "300", "--sizes", "5", "50", "--queries", "0", "1", "10"], 2),
+], ids=["barycenter", "reduce", "sweep", "coreset_input", "coreset_k"])
+def test_each_command_pools_its_inputs_once(argv, pooled, small_inputs, monkeypatch, capsys):
+    # every module of the package that holds pool_batch counts its calls; the
+    # synthetic family of coreset --k has two distinct objects
+    calls = []
+
+    def counted(mus):
+        calls.append(len(mus))
+        return pool_batch(mus)
+
+    modules = [m for name, m in sys.modules.items()
+               if name.partition(".")[0] == "baryreduce" and hasattr(m, "pool_batch")]
+    assert {m.__name__ for m in modules} >= {"baryreduce.cli", "baryreduce.projection"}
+    for module in modules:
+        monkeypatch.setattr(module, "pool_batch", counted)
+    if "--k" not in argv:
+        argv = [*argv, "--input", small_inputs]
+    code, out = run([*argv, "--no-timing"], capsys)
+    assert code == 0
+    assert calls == [pooled]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "srht"])
+def test_no_map_raises_the_dimension(kind, small_inputs, capsys):
+    # d = 2: a requested m >= 2 runs on the identity, in reduce and in sweep
+    common = ["--input", small_inputs, "--support-size", "2", "--seed", "3", "--no-timing"]
+    code, full = run(["barycenter", *common], capsys)
+    assert code == 0
+    code, reduced = run(["reduce", *common, "--dim", "5", "--map", kind], capsys)
+    assert code == 0
+    assert (reduced["map"], reduced["m"]) == ("identity", 2)
+    code, swept = run(["sweep", *common, "--m-values", "2", "5", "--trials", "2",
+                       "--map", kind], capsys)
+    assert code == 0
+    ratio = reduced["cost_high"] / full["cost"]
+    assert swept["rows"] == [{"m": m, "mean_ratio": ratio, "max_ratio": ratio, "stddev": 0.0}
+                             for m in (2, 5)]
+
+
+def test_overflowing_projection_is_a_usage_error(tmp_path, capsys):
+    # the seed-1 Gaussian row (0.35, 0.82) sends 1.7e308 * 1.17 past the float range
+    f = tmp_path / "huge.csv"
+    f.write_text("0,1.0,1.7e308,1.7e308\n1,1.0,0,0\n")
+    code = main(["reduce", "--input", str(f), "--dim", "1", "--seed", "1"])
+    assert_one_error_line(code, capsys)
+
+
+@pytest.mark.parametrize("command", [["barycenter"], ["reduce", "--dim", "1"]],
+                         ids=["barycenter", "reduce"])
+def test_large_exponent_support_is_scale_free(tmp_path, capsys, command):
+    # at p=40 the gradient of the support update at coordinates of 1e7 overflowed
+    rows = [(0, 0.25, 0, 0), (0, 0.25, 10, 0), (0, 0.25, 0, 10), (0, 0.25, 7, 8),
+            (1, 0.5, 3, 1), (1, 0.5, 9, 2)]
+    supports = []
+    for exponent, scale in (("e-1", 1e-1), ("e6", 1e6)):
+        f = tmp_path / f"scale{exponent}.csv"
+        f.write_text("".join(f"{i},{w},{x}{exponent},{y}{exponent}\n" for i, w, x, y in rows))
+        code, out = run([*command, "--input", str(f), "--support-size", "1", "--p", "40",
+                         "--no-timing"], capsys)
+        assert code == 0
+        supports.append(np.array(out["support"]) / scale)
+    np.testing.assert_allclose(supports[1], supports[0], rtol=1e-12, atol=0.0)
 
 
 class TestGenCmd:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from baryreduce.core import BadSize, BadWeights, NumericalFailure, make_distribution
+from baryreduce.core import (BadSize, BadWeights, NumericalFailure, make_distribution,
+                             pool_batch)
 from baryreduce.coreset import (
     WeightedCoreset,
     build_coreset,
@@ -59,7 +60,7 @@ class TestSensitivityScores:
     def test_composition_of_pilot_and_costs(self, rng, p, alpha):
         mus = [make_distribution(rng.normal(size=(n, 2)), np.full(n, 1.0 / n))
                for n in rng.integers(1, 5, size=12)]
-        pilot = pilot_barycenter(mus, p)
+        pilot = pilot_barycenter(pool_batch(mus), p)
         expected = scores_from_costs(transport_costs(mus, pilot, p), p, alpha)
         for given in (pilot, None):  # None solves the same pilot
             np.testing.assert_array_equal(sensitivity_upper_bounds(mus, p, alpha, given),

@@ -20,7 +20,6 @@ from baryreduce.projection import (
     project_instance,
     reduce_solve_reconstruct,
 )
-from baryreduce import barycenter, projection
 from baryreduce.core import solution_violations
 from conftest import random_distribution
 
@@ -168,11 +167,12 @@ class TestPipeline:
         return [random_distribution(rng, T, d) for _ in range(k)]
 
     def test_project_instance_keeps_weights(self, rng):
-        mus = self._family(rng)
-        low = project_instance(pool_batch(mus), make_gaussian_map(12, 5, seed=1))
-        for a, b in zip(mus, low):
-            np.testing.assert_array_equal(a.weights, b.weights)
-            assert b.dim == 5
+        # the projected batch shares every array but the points
+        batch = pool_batch(self._family(rng))
+        low = project_instance(batch, make_gaussian_map(12, 5, seed=1))
+        assert low.points.shape == (len(batch.points), 5)
+        for name in ("weights", "origins", "starts", "mass", "massive"):
+            assert getattr(low, name) is getattr(batch, name)
 
     @pytest.mark.parametrize("make_map", [
         identity_map,
@@ -183,26 +183,23 @@ class TestPipeline:
         mus = [random_distribution(rng, T, 12) for T in (1, 4, 7)]
         pmap = make_map(12)
         low = project_instance(pool_batch(mus), pmap)
-        assert len(low) == len(mus)
-        for mu, lo in zip(mus, low):
-            want = pmap(mu.atoms)
-            np.testing.assert_allclose(lo.atoms, want, rtol=0.0,
-                                       atol=1e-12 * np.abs(want).max())
-            np.testing.assert_array_equal(lo.weights, mu.weights)
+        np.testing.assert_array_equal(low.points, pmap(np.concatenate([mu.atoms for mu in mus])))
+        assert not low.points.flags.writeable
 
     def test_identity_matches_plain_solver(self, rng):
         mus = self._family(rng)
         opts = SolverOptions(support_size=2, p=2.0, seed=4)
-        res = reduce_solve_reconstruct(mus, identity_map(12), opts)
-        _, _, rep = solve_barycenter(mus, opts)
+        batch = pool_batch(mus)
+        res = reduce_solve_reconstruct(batch, identity_map(12), opts)
+        _, _, rep = solve_barycenter(batch, opts)
         assert res.cost_low == pytest.approx(rep.total_cost, rel=1e-9)
         assert res.cost_high == pytest.approx(rep.total_cost, rel=1e-9)
 
     def test_low_dim_plans_valid_in_high_dim(self, rng):
         mus = self._family(rng)
         opts = SolverOptions(support_size=2, p=2.0, seed=4)
-        res = reduce_solve_reconstruct(mus, make_gaussian_map(12, 6, 2), opts)
         batch = pool_batch(mus)
+        res = reduce_solve_reconstruct(batch, make_gaussian_map(12, 6, 2), opts)
         assert solution_violations(res.solution, batch) == []
         assert res.cost_high == solution_cost(res.solution, batch, opts.p)
 
@@ -211,30 +208,15 @@ class TestPipeline:
         mus = self._family(rng)
         opts = SolverOptions(support_size=2, p=p, seed=4)
         pmap = make_gaussian_map(12, 6, 2)
-        res = reduce_solve_reconstruct(mus, pmap, opts)
-        low = pool_batch(project_instance(pool_batch(mus), pmap))
+        batch = pool_batch(mus)
+        res = reduce_solve_reconstruct(batch, pmap, opts)
+        low = project_instance(batch, pmap)
         assert res.cost_low == support_cost(res.solution, low, res.nu_low, p)
-
-    def test_reduce_pools_its_inputs_once(self, rng, monkeypatch):
-        # one pool in R^d for the projection, the lift and the pricing, and
-        # one in R^m for the solve
-        pooled = []
-
-        def counted(module):
-            pool = module.pool_batch
-            monkeypatch.setattr(module, "pool_batch",
-                                lambda mus: pooled.append(module.__name__) or pool(mus))
-
-        counted(projection)
-        counted(barycenter)
-        reduce_solve_reconstruct(self._family(rng), make_gaussian_map(12, 6, 2),
-                                 SolverOptions(support_size=2, p=2.0, seed=4))
-        assert pooled == ["baryreduce.projection", "baryreduce.barycenter"]
 
     def test_n1_unique_solution_insensitive_to_map(self):
         mus = [make_distribution([[0.0]], [1.0]), make_distribution([[2.0]], [1.0])]
         opts = SolverOptions(support_size=1, p=2.0)
-        res = reduce_solve_reconstruct(mus, make_gaussian_map(1, 3, 0), opts)
+        res = reduce_solve_reconstruct(pool_batch(mus), make_gaussian_map(1, 3, 0), opts)
         assert res.cost_high == pytest.approx(1.0, abs=1e-9)
 
     def test_sweep_identity_dimension(self, rng):

@@ -3,8 +3,8 @@ from numpy, scipy and the standard library, every public name of the engine
 reached by the engine, the benchmark or a demo, the benchmark's span names
 still name public functions of the package, output is written by
 ``cli._emit`` alone, distances are computed by ``transport._distances``
-alone, and the pytest configuration reports a failing property test as a
-failure."""
+alone, the solver layer never re-pools its inputs, and the pytest
+configuration reports a failing property test as a failure."""
 
 import ast
 import importlib
@@ -210,6 +210,34 @@ def test_distances_are_computed_by_transport_distances_alone():
     sites = [site for path in sorted(PACKAGE.glob("*.py"))
              for site in sites_where(_calls_cdist, path.read_text(), path.stem)]
     assert sites and set(sites) == {"transport._distances"}, sites
+
+
+def _names(name: str):
+    """A matcher for the nodes that name ``name`` (``pool_batch``,
+    ``np.split``): a name or attribute that reads it, or an import of it."""
+    def matches(node):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            return ast.unparse(node) == name
+        return isinstance(node, ast.alias) and name in (node.name, node.asname)
+    return matches
+
+
+def test_named_sites_are_found():
+    source = ("from .core import pool_batch as pb\nimport numpy as np\n"
+              "def f(x):\n    return np.split(pb(x))\nsplit = x.split\n")
+    assert sites_where(_names("pool_batch"), source, "m") == ["m"]
+    assert sites_where(_names("np.split"), source, "m") == ["m.f"]
+    assert sites_where(_names("pb"), source, "m") == ["m", "m.f"]
+
+
+@pytest.mark.parametrize("module, name", [
+    ("barycenter", "pool_batch"), ("projection", "make_distribution"), ("projection", "np.split"),
+])
+def test_the_solver_layer_never_re_pools(module, name):
+    """The functions that solve take the batch their caller pooled, and a
+    projection maps a batch to a batch: neither splits it or pools again."""
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert sites_where(_names(name), source, module) == []
 
 
 def test_failing_property_test_is_reported(tmp_path):

@@ -384,7 +384,8 @@ class TestAssignment:
         r = np.random.default_rng(8)
         mus = [make_distribution(r.normal(size=(8, 3)) + i % 3, np.full(8, 1 / 8))
                for i in range(12)]
-        nu, sol, report = solve_barycenter(mus, SolverOptions(support_size=8, p=p, seed=1))
+        nu, sol, report = solve_barycenter(pool_batch(mus),
+                                           SolverOptions(support_size=8, p=p, seed=1))
         assert not seen  # every block is an assignment
         assert all(b <= a for a, b in zip(report.trace, report.trace[1:]))
         assert solution_violations(sol, pool_batch(mus)) == []
