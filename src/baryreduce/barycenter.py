@@ -199,11 +199,12 @@ def support_cost(sol: Solution, batch: PooledBatch, nu: DiscreteDistribution,
     return sum(costs.tolist()) / len(batch.starts)
 
 
-def _init_support(points, weights, n: int, rng) -> np.ndarray:
-    prob = weights / weights.sum()
-    take = min(n, len(points))
+def _init_support(points, mass, n: int, rng) -> np.ndarray:
+    """``n`` rows of ``points`` drawn by ``mass``, distinct while rows with mass last."""
+    prob = mass / mass.sum()
+    take = min(n, np.count_nonzero(mass))
     idx = rng.choice(len(points), size=take, replace=False, p=prob)
-    if n > take:  # more atoms requested than pooled points: duplicate
+    if n > take:  # more atoms requested than rows with mass: duplicate
         idx = np.concatenate([idx, rng.choice(len(points), size=n - take, p=prob)])
     return points[idx]
 
@@ -222,7 +223,7 @@ def solve_barycenter(batch: PooledBatch, opts: SolverOptions):
     k = len(batch.starts)
     n = opts.support_size
     rng = np.random.default_rng(opts.seed)
-    support = _init_support(batch.points, batch.weights, n, rng)
+    support = _init_support(batch.points, batch.mass, n, rng)
     b = np.full(n, 1.0 / n)
     b.setflags(write=False)  # shared by every support and the solution, uncopied
 

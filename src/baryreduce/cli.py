@@ -105,11 +105,11 @@ def cmd_barycenter(args) -> int:
 
 def _resolve_map(args, batch):
     n_pooled, d = batch.points.shape
-    if args.dim is not None:
-        m = args.dim
-    else:
-        m = jl_dimension(n_pooled, args.eps, args.delta, args.p,
-                         policy=args.policy, k=len(batch.starts))
+    if args.dim is None and n_pooled < 2:  # jl_dimension's own message names its n
+        raise BadParams(f"the input has {n_pooled} pooled atom, too few to choose the "
+                        "target dimension m; set m with --dim")
+    m = args.dim if args.dim is not None else jl_dimension(
+        n_pooled, args.eps, args.delta, args.p, policy=args.policy, k=len(batch.starts))
     return reduction_map(args.map, d, m, args.seed)
 
 

@@ -124,14 +124,13 @@ class PooledBatch:
     """The atoms of k distributions pooled into one array, in input order.
 
     Rows ``starts[i]`` up to ``starts[i + 1]`` of ``points`` are input i's
-    atoms and ``origins[r]`` is the input of row r; ``weights`` are the
-    rows' weights as given, ``mass`` the same with atoms lighter than
-    ``ZERO_MASS`` zeroed and each input renormalized, and ``massive[i]``
-    counts input i's atoms with mass.
+    atoms and ``origins[r]`` is the input of row r; ``mass`` is the rows'
+    weights with atoms lighter than ``ZERO_MASS`` zeroed and each input
+    renormalized, the one weight vector every solver reads, and
+    ``massive[i]`` counts input i's atoms with mass.
     """
 
     points: np.ndarray
-    weights: np.ndarray
     origins: np.ndarray
     starts: np.ndarray
     mass: np.ndarray
@@ -197,8 +196,8 @@ def make_distribution(atoms, weights) -> DiscreteDistribution:
 
 
 def pool_batch(distributions) -> PooledBatch:
-    """Pool the atoms of ``distributions`` (see :class:`PooledBatch`).
-    Weights are not renormalized, so ``weights`` totals the number of inputs."""
+    """Pool the atoms of ``distributions`` (see :class:`PooledBatch`): the one
+    place where input weights become masses, so ``mass`` totals the number of inputs."""
     if not distributions:
         raise EmptyInput("no distributions to pool")
     atoms = [mu.atoms for mu in distributions]
@@ -217,12 +216,12 @@ def pool_batch(distributions) -> PooledBatch:
     mass = np.where(weights > ZERO_MASS, weights, 0.0)
     mass /= np.add.reduceat(mass, starts)[origins]
     massive = np.add.reduceat(mass > 0, starts, dtype=np.intp)
-    return PooledBatch(points, weights, origins, starts, mass, massive)
+    return PooledBatch(points, origins, starts, mass, massive)
 
 
 def solution_violations(sol: Solution, batch: PooledBatch):
     """List every constraint of the solution that fails against the pooled
-    inputs of ``batch``, checking all plans at once, at tolerance ``WEIGHT_TOL``."""
+    masses of ``batch``, checking all plans at once, at tolerance ``WEIGHT_TOL``."""
     flow, b, starts = sol.flow, sol.barycenter_weights, batch.starts
     out = []
     if flow.shape != (len(batch.points), b.shape[0]):
@@ -231,7 +230,7 @@ def solution_violations(sol: Solution, batch: PooledBatch):
         # comparisons are false on NaN, so non-finite entries get a check of their own
         nonfinite = np.logical_or.reduceat(~np.isfinite(flow).all(axis=1), starts)
         negative = np.minimum.reduceat(flow.min(axis=1, initial=0.0), starts) < -WEIGHT_TOL
-        row_err = np.maximum.reduceat(np.abs(flow.sum(axis=1) - batch.weights), starts)
+        row_err = np.maximum.reduceat(np.abs(flow.sum(axis=1) - batch.mass), starts)
         col_err = np.abs(np.add.reduceat(flow, starts) - b).max(axis=1, initial=0.0)
         bad = nonfinite | negative | (row_err > WEIGHT_TOL) | (col_err > WEIGHT_TOL)
         for i in np.flatnonzero(bad).tolist():

@@ -24,6 +24,18 @@ def random_distribution(rng, T, d, rational=False):
     return make_distribution(atoms, w)
 
 
+def weights_with_zeros(r, T):
+    """Random weights in which some atoms are massless: exactly zero or
+    lighter than ``ZERO_MASS``; at least one atom carries mass."""
+    w = r.random(T) + 0.05
+    kind = r.integers(0, 3, size=T)
+    w[kind == 1] = 0.0
+    w[kind == 2] = 1e-17
+    if not np.any(w > 1e-15):
+        w[r.integers(T)] = 1.0
+    return w / w.sum()
+
+
 def solution_of(plans, b):
     """The pooled :class:`Solution` of per-input ``plans``, stacked in order."""
     return Solution(np.concatenate(plans), b)

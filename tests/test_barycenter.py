@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from baryreduce import barycenter
@@ -24,7 +25,7 @@ from baryreduce.barycenter import (
     update_support_atom,
 )
 from baryreduce.transport import TransportModel, solve_pooled
-from conftest import random_distribution, solution_of
+from conftest import random_distribution, solution_of, weights_with_zeros
 from paper_checks import pairwise_cost_p2
 
 
@@ -347,6 +348,24 @@ class TestSolveBarycenter:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             solve_barycenter(pool_batch([]), SolverOptions())
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           extra=st.integers(0, 1_000), p=st.sampled_from([1.0, 1.5, 2.0]))
+    def test_massless_atoms_never_start_the_support(self, seed, sizes, extra, p):
+        # some atoms weigh exactly 0 or less than ZERO_MASS; the support size
+        # runs from 1 to two past the pooled count, past the atoms with mass
+        r = np.random.default_rng(seed)
+        mus = [make_distribution(r.normal(size=(T, 2)), weights_with_zeros(r, T))
+               for T in sizes]
+        batch = pool_batch(mus)
+        n = 1 + extra % (len(batch.points) + 2)
+        rows = barycenter._init_support(np.arange(len(batch.points))[:, None], batch.mass,
+                                        n, np.random.default_rng(seed))
+        assert rows.shape == (n, 1) and (batch.mass[rows.ravel().astype(int)] > 0).all()
+        _, sol, rep = solve_barycenter(batch, SolverOptions(support_size=n, p=p, seed=seed))
+        assert solution_violations(sol, batch) == []
+        assert all(b <= a for a, b in zip(rep.trace, rep.trace[1:]))
 
     def test_deterministic_under_seed(self, rng):
         mus = random_family(rng)

@@ -24,6 +24,7 @@ from baryreduce.coreset import (
 from baryreduce.instances import gen_coreset_synthetic, load_csv_distributions
 from baryreduce.projection import jl_dimension
 from baryreduce.transport import transport_costs
+from conftest import weights_with_zeros
 
 try:
     from importlib import resources
@@ -394,6 +395,75 @@ def test_arbitrary_csv_text_loads_or_names_its_line(tmp_path_factory, text):
     assert code in (0, 1, 2)
     lines = err.getvalue().splitlines()
     assert lines == [] if code == 0 else len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**6), sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       d=st.integers(1, 3), log_scale=st.integers(-6, 6), grid=st.booleans(),
+       command=st.sampled_from(["barycenter", "reduce", "sweep", "coreset"]),
+       n=st.integers(1, 18), k=st.integers(1, 4), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_weighted_csv_runs_or_names_one_error(tmp_path_factory, seed, sizes, d, log_scale,
+                                              grid, command, n, k, p):
+    # well-formed inputs: weights with zero and sub-ZERO_MASS entries, and on
+    # a grid of two values per axis many coincident atoms
+    r = np.random.default_rng(seed)
+    groups = [(weights_with_zeros(r, T), 10.0**log_scale
+               * (r.integers(0, 2, size=(T, d)) if grid else r.normal(size=(T, d))))
+              for T in sizes]
+    f = write_inputs(tmp_path_factory.mktemp("fuzz") / "in.csv", groups)
+    argv = {"barycenter": ["barycenter", "--support-size", str(n)],
+            "reduce": ["reduce", "--dim", str(k), "--support-size", str(n)],
+            "sweep": ["sweep", "--m-values", str(k), "--trials", "1", "--support-size", str(n)],
+            "coreset": ["coreset", "--sizes", str(n)]}[command]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, "--input", f, "--p", str(p), "--seed", str(seed % 7),
+                     "--no-timing"])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+        check_schema(json.loads(out.getvalue()))
+    else:
+        assert code in (1, 2) and out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# Three inputs in R^3 with zero-weight atoms: 7 pooled atoms, 3 of them with
+# mass.  The first input's 4 atoms size the coreset's pilot, above those 3.
+ZEROS = ("0,1.0,0,0,0\n0,0.0,1,0,0\n0,0.0,0,1,0\n0,0.0,0,0,1\n"
+         "1,0.0,2,0,0\n1,1.0,0,2,0\n2,1.0,1,1,1\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["barycenter"], ["reduce", "--dim", "2"], ["sweep", "--m-values", "2", "--trials", "1"],
+], ids=["barycenter", "reduce", "sweep"])
+def test_zero_weight_atoms_at_any_support_size(tmp_path, capsys, command):
+    f = tmp_path / "zeros.csv"
+    f.write_text(ZEROS)
+    for n in (1, 3, 7, 10):  # one, the atoms with mass, the pooled atoms, 3 more
+        code, out = run([*command, "--input", str(f), "--support-size", str(n),
+                         "--no-timing"], capsys)
+        assert code == 0, n
+        check_schema(out)
+
+
+def test_zero_weight_atoms_in_the_coreset_pilot(tmp_path, capsys):
+    f = tmp_path / "zeros.csv"
+    f.write_text(ZEROS)
+    code, out = run(["coreset", "--input", str(f), "--sizes", "2", "--no-timing"], capsys)
+    assert code == 0
+    check_schema(out)
+
+
+def test_reduce_of_one_atom_asks_for_dim(tmp_path, capsys):
+    f = tmp_path / "one.csv"
+    f.write_text("0,1.0,0.0,1.0\n")
+    code = main(["reduce", "--input", str(f)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("error: the input has 1 pooled atom, too few to choose the target "
+                   "dimension m; set m with --dim\n")
+    assert main(["reduce", "--input", str(f), "--dim", "1", "--no-timing"]) == 0
 
 
 @pytest.mark.parametrize("command", [["barycenter"], ["reduce", "--dim", "2"]])

@@ -84,7 +84,7 @@ def test_pooled_atoms_concatenates_with_origins():
     assert batch.points.shape == (3, 1)
     assert list(batch.origins) == [0, 0, 1]
     assert list(batch.starts) == [0, 2]
-    np.testing.assert_allclose(batch.weights, [0.5, 0.5, 1.0])
+    np.testing.assert_allclose(batch.mass, [0.5, 0.5, 1.0])
 
 
 def _valid_solution():

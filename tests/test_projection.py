@@ -171,7 +171,7 @@ class TestPipeline:
         batch = pool_batch(self._family(rng))
         low = project_instance(batch, make_gaussian_map(12, 5, seed=1))
         assert low.points.shape == (len(batch.points), 5)
-        for name in ("weights", "origins", "starts", "mass", "massive"):
+        for name in ("origins", "starts", "mass", "massive"):
             assert getattr(low, name) is getattr(batch, name)
 
     @pytest.mark.parametrize("make_map", [

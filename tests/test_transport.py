@@ -28,7 +28,7 @@ from baryreduce.transport import (
     wasserstein_p,
 )
 from baryreduce.instances import gen_coreset_synthetic
-from conftest import random_distribution
+from conftest import random_distribution, weights_with_zeros
 from oracle import TooLarge, solve_ot_oracle
 
 
@@ -502,18 +502,6 @@ class TestBatchContract:
         assert calls == [(sum(mu.size for mu in mus), 3)]
 
 
-def _weights_with_zeros(r, T):
-    """Random weights in which some atoms are massless: exactly zero or
-    lighter than ``ZERO_MASS``; at least one atom carries mass."""
-    w = r.random(T) + 0.05
-    kind = r.integers(0, 3, size=T)
-    w[kind == 1] = 0.0
-    w[kind == 2] = 1e-17
-    if not np.any(w > 1e-15):
-        w[r.integers(T)] = 1.0
-    return w / w.sum()
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6), k=st.integers(1, 6),
        nu_kind=st.sampled_from(["plain", "zero_atom", "one_massive"]),
@@ -537,7 +525,7 @@ def test_bulk_pricing_matches_pair_solves(seed, k, nu_kind, p):
             mus.append(mus[int(r.integers(len(mus)))])  # the same object again
         else:
             T = int(r.integers(1, 5))
-            mus.append(make_distribution(r.normal(size=(T, 2)), _weights_with_zeros(r, T)))
+            mus.append(make_distribution(r.normal(size=(T, 2)), weights_with_zeros(r, T)))
     costs = transport_costs(mus, nu, p)
     plans = pooled_plans(mus, nu, p)
     assert costs.shape == (k,) and len(plans) == k
