@@ -131,31 +131,36 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_coreset(args) -> int:
+    if min(args.sizes) < 1:  # checked before a large --k builds its inputs
+        raise BaryError("need positive --sizes")
+    # the distinct inputs, each standing for `multiplicity` of the k inputs;
+    # everything below is priced, scored and drawn per distinct input
     if args.input is not None:
         distinct = _load(args.input)  # CSV groups are distinct objects
-        slot = np.arange(len(distinct))
+        multiplicity = np.ones(len(distinct), dtype=np.intp)
     else:
         distinct, slot = coreset_synthetic_family(args.k)
-    if min(args.sizes) < 1:
-        raise BaryError("need positive --sizes")
+        multiplicity = np.bincount(slot)
+    k = int(multiplicity.sum())
     d = distinct[0].dim
     batch = pool_batch(distinct)  # every query and the pilot are priced on it
 
     def costs_to(nu):
-        return solve_pooled(batch, nu, args.p)[1][slot]
+        return solve_pooled(batch, nu, args.p)[1]
 
     costs = [costs_to(make_distribution(np.full((1, d), float(x)), np.array([1.0])))
              for x in args.queries]
     pilot = distinct[0] if args.input is None else pilot_barycenter(batch, args.p)
-    scores = scores_from_costs(costs_to(pilot), p=args.p)
-    k = len(slot)
-    q = {"uniform": np.full(k, 1.0 / k), "sensitivity": scores / scores.sum()}
+    scores = scores_from_costs(costs_to(pilot), p=args.p, multiplicity=multiplicity)
+    weighted = multiplicity * scores
+    probabilities = {"uniform": multiplicity / k, "sensitivity": weighted / weighted.sum()}
     rows = []
     for size in args.sizes:
         for method in ("uniform", "sensitivity"):
-            core = build_coreset(q[method], size, seed=args.seed)
+            core = build_coreset(probabilities[method], size, seed=args.seed,
+                                 multiplicity=multiplicity)
             for x, query_costs in zip(args.queries, costs):
-                ev = evaluate_coreset(core, query_costs)
+                ev = evaluate_coreset(core, query_costs, multiplicity)
                 rows.append({
                     "method": method, "size": int(size),
                     "query": float(x),

@@ -3,6 +3,13 @@
 Each input distribution gets an importance score from its transport cost to
 a cheap pilot barycenter; distributions are then drawn i.i.d. proportionally
 to the scores and reweighted to keep the sampled objective unbiased.
+
+The k inputs may be given as their distinct inputs with a ``multiplicity``
+each, the number of the k inputs it stands for (so k is the multiplicities'
+sum).  Scores, draws and the full objective are then computed per distinct
+input; all-ones multiplicities, the default, are the plain list of k.  A
+multiplicity that is not one positive finite count per distinct input
+raises :class:`BadWeights`.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .transport import solve_pooled
 
 @dataclass(frozen=True)
 class WeightedCoreset:
-    inputs: np.ndarray  # distinct sampled positions into the original list, ascending
+    inputs: np.ndarray  # the distinct inputs drawn, ascending positions among them
     lam: np.ndarray     # summed weight of each input's draws (unnormalised)
 
 
@@ -31,28 +38,42 @@ def pilot_barycenter(batch: PooledBatch, p: float = 2.0) -> DiscreteDistribution
         4, np.count_nonzero(batch.origins == 0)), p=p, max_outer_iters=30, seed=0))[0]
 
 
-def scores_from_costs(costs: np.ndarray, p: float = 2.0,
-                      alpha: float = 2.0) -> np.ndarray:
+def _multiplicity(multiplicity, n: int) -> np.ndarray:
+    """``multiplicity`` of n distinct inputs as floats, or n ones when it is
+    None.  One that is not n positive finite counts raises :class:`BadWeights`."""
+    if multiplicity is None:
+        return np.ones(n)
+    m = np.asarray(multiplicity, np.float64)
+    if m.shape != (n,) or not np.all((m > 0) & np.isfinite(m)):
+        raise BadWeights(f"multiplicity must be {n} positive finite counts")
+    return m
+
+
+def scores_from_costs(costs: np.ndarray, p: float = 2.0, alpha: float = 2.0,
+                      multiplicity: np.ndarray | None = None) -> np.ndarray:
     """Per-distribution importance bounds s_i from the costs W(mu_i, pilot)^p.
 
-    With ``avg`` the mean cost, the bound for distribution i is
+    With ``avg`` the mean cost over the k inputs, ``(costs * multiplicity).sum()
+    / k``, the bound for distribution i is
 
         alpha * 2^(p-1) * W(mu_i, pilot)^p / avg  +  alpha * 4^(p-1)  +  4^(p-1).
 
+    One score per distinct input is returned; each of its copies has it.
     When every pilot cost is zero (all inputs identical to the pilot) the
     family is exchangeable and the scores collapse to a uniform constant.
     A mean cost or a sum of scores that is not finite (a score overflows at
     a large ``p``) raises :class:`NumericalFailure`.
     """
+    m = _multiplicity(multiplicity, len(costs))
     with np.errstate(over="ignore", invalid="ignore"):
-        avg = costs.mean()
+        avg = (costs * m).sum() / m.sum()
         four = np.float64(4.0) ** (p - 1)
         additive = alpha * four + four
         if avg <= 0:
             scores = np.full(len(costs), additive)
         else:
             scores = alpha * np.float64(2.0) ** (p - 1) * costs / avg + additive
-        total = scores.sum()
+        total = (scores * m).sum()
     if not np.isfinite([avg, total]).all():  # a NaN or inf score makes total so
         raise NumericalFailure(f"sensitivity scores are not finite at p={p!r}")
     return scores
@@ -68,31 +89,36 @@ def sensitivity_upper_bounds(mus, p: float = 2.0, alpha: float = 2.0,
     return scores_from_costs(solve_pooled(batch, pilot, p)[1], p, alpha)
 
 
-def build_coreset(probabilities: np.ndarray, size: int,
-                  seed: int = 0) -> WeightedCoreset:
-    """Draw ``size`` of the k inputs i.i.d. with probabilities q.
+def build_coreset(probabilities: np.ndarray, size: int, seed: int = 0,
+                  multiplicity: np.ndarray | None = None) -> WeightedCoreset:
+    """Draw ``size`` of the distinct inputs i.i.d. with probabilities q.
 
-    q is ``scores / scores.sum()`` for sensitivity sampling and
-    ``np.full(k, 1 / k)`` for uniform sampling.  Each draw landing on index i
-    carries weight 1 / (size * k * q_i), so the weighted objective matches
-    the full average objective in expectation.  The coreset keeps the
-    distinct indices drawn and their summed weights
-    lam_i = count_i / (size * k * q_i).  A q that is empty, not
-    one-dimensional, negative, NaN or does not sum to 1 raises
-    :class:`BadWeights`.
+    Distinct input i stands for ``multiplicity[i]`` of the k inputs, so q_i
+    is multiplicity_i times the probability of each of its copies:
+    ``multiplicity * s / (multiplicity * s).sum()`` for sensitivity scores s
+    and ``multiplicity / k`` for uniform sampling.  Each draw landing on i
+    carries weight multiplicity_i / (size * k * q_i), so the weighted
+    objective matches the full average objective in expectation.  The
+    coreset keeps the distinct inputs drawn and their summed weights
+    lam_i = count_i * multiplicity_i / (size * k * q_i).  With all-ones
+    multiplicities, the default, the inputs are the plain list of k.  A q
+    that is empty, not one-dimensional, negative, NaN or does not sum to 1
+    raises :class:`BadWeights`, as does a multiplicity that is not one
+    positive count per input.
     """
     if size < 1:
         raise BadSize("coreset size must be >= 1")
     shape = np.shape(probabilities)
     if len(shape) != 1 or not shape[0]:  # numpy's own messages name its arguments a and p
         raise BadWeights(f"sampling probabilities: q has shape {shape}, not (k,) with k >= 1")
-    k = len(probabilities)
+    m = _multiplicity(multiplicity, shape[0])
     try:
-        draws = np.random.default_rng(seed).choice(k, size=size, p=probabilities)
+        draws = np.random.default_rng(seed).choice(shape[0], size=size, p=probabilities)
     except ValueError as exc:
         raise BadWeights(f"sampling probabilities: {exc}") from None
     inputs, counts = np.unique(draws, return_counts=True)
-    return WeightedCoreset(inputs, counts / (size * k * probabilities[inputs]))
+    return WeightedCoreset(inputs, counts * m[inputs]
+                           / (size * m.sum() * probabilities[inputs]))
 
 
 def coreset_size_bound(n: int, d: int, p: float, eps: float, delta: float,
@@ -119,16 +145,20 @@ def practical_size_bound(scores: np.ndarray, pseudo_dim: int,
     return raw, max(1, math.ceil(raw))
 
 
-def evaluate_coreset(coreset: WeightedCoreset, costs: np.ndarray):
+def evaluate_coreset(coreset: WeightedCoreset, costs: np.ndarray,
+                     multiplicity: np.ndarray | None = None):
     """Relative error of the coreset estimate of the average objective.
 
-    ``costs`` holds W_p(mu_i, nu)**p of every input against one query ``nu``
-    (see :func:`transport_costs`).  Returns a dict with the full objective,
-    the coreset estimate ``lam @ costs[inputs]`` and the relative error
+    ``costs`` holds W_p(mu_i, nu)**p of every distinct input against one
+    query ``nu`` (see :func:`transport_costs`), each standing for
+    ``multiplicity`` of the k inputs (all ones by default).  Returns a dict
+    with the full objective ``(costs * multiplicity).sum() / k``, the
+    coreset estimate ``lam @ costs[inputs]`` and the relative error
     (absolute difference when the full objective is zero, flagged by
     ``zero_cost``).
     """
-    full = costs.mean()
+    m = _multiplicity(multiplicity, len(costs))
+    full = (costs * m).sum() / m.sum()
     est = coreset.lam @ costs[coreset.inputs]
     if full > 0:
         rel = abs(est - full) / full

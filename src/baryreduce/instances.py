@@ -194,7 +194,9 @@ def _csv_rows(path):
     """Keys and numeric block of a CSV file, parsed by one ``np.loadtxt`` call.
 
     The file's lines stream into ``np.loadtxt`` one at a time, each with its
-    key split off, so the text is never held whole.  A first line with a
+    key split off, so the text is never held whole.  The ``csv`` module
+    reads a line's key when every quote of the line sits in it, and splits
+    the whole line when a quote lies past the key.  A first line with a
     non-numeric field after its key is a header; blank lines are skipped.
     ``np.loadtxt`` pulls one line at a time, so the row it refuses is the
     last line handed to it, and only that line is read again to name the
@@ -207,12 +209,16 @@ def _csv_rows(path):
             if lineno == 1 and _non_numeric(_fields(path, 1, line)[1:]):
                 continue  # a header
             if '"' in line:
-                key, *values = _fields(path, lineno, line)
-                if not values and not key.strip():
-                    continue  # a blank line in quotes
-                rest = ",".join(values)
-                if rest.count(",") >= len(values):  # no value, or one holding a comma
-                    raise _row_error(path, lineno, line, None)
+                key, comma, rest = line.partition(",")
+                if '"' in rest:  # a quote past the key: split the whole line
+                    key, *values = _fields(path, lineno, line)
+                    rest = ",".join(values)
+                    if rest.count(",") >= len(values):  # no value, or one holding a comma
+                        raise _row_error(path, lineno, line, None)
+                else:  # quotes in the key alone: the rest goes on unsplit
+                    [key] = _fields(path, lineno, key)
+                    if not comma and not key.strip():
+                        continue  # a blank line in quotes
             elif line.isspace():
                 continue
             else:
@@ -250,7 +256,7 @@ def load_csv_distributions(path):
     exactly).  Groups come in the order their ids first appear.  A leading
     UTF-8 byte-order mark is dropped.  The file streams line by line into
     one numpy call, so a load holds about its numeric block, never the text;
-    a line holding a quote is split by the ``csv`` module, and a malformed
+    quoted fields are read by the ``csv`` module, and a malformed
     row is named by its line.  Coordinates and weights are checked for the
     whole block at once; the first group at fault, in order, raises what
     :func:`make_distribution` would.

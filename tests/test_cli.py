@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -163,6 +164,32 @@ class TestCoresetCmd:
 
     def test_negative_size(self, capsys):
         assert main(["coreset", "--k", "100", "--sizes", "-5"]) == 2
+
+    @pytest.mark.parametrize("k", ["100", str(10**15)])
+    def test_sizes_checked_before_the_inputs(self, k, capsys):
+        # a family of 10**15 inputs cannot be allocated; the bad size is named first
+        assert main(["coreset", "--k", k, "--sizes", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: need positive --sizes"]
+
+    def test_memory_bounded_by_distinct_inputs(self, capsys):
+        # the table is priced, scored and drawn on the family's two distinct
+        # inputs; only `slot`, one k-long index array, is ever allocated
+        k = 10**6
+        argv = ["coreset", "--k", str(k), "--sizes", "10", "1000",
+                "--queries", "0", "10", "100", "--no-timing"]
+        assert main(argv) == 0  # warm-up
+        warm = capsys.readouterr().out
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * k * np.dtype(np.float64).itemsize
+        assert capsys.readouterr().out == warm
 
     @pytest.mark.parametrize("source, p", [("k", 2.0), ("input", 2.0), ("input", 1.5)])
     def test_rows_match_per_query_pricing(self, source, p, small_inputs, capsys):

@@ -18,7 +18,7 @@ from baryreduce.coreset import (
     sensitivity_upper_bounds,
 )
 from baryreduce.transport import transport_costs, wasserstein_p
-from baryreduce.instances import gen_coreset_synthetic
+from baryreduce.instances import coreset_synthetic_family, gen_coreset_synthetic
 
 
 def delta(x):
@@ -220,3 +220,76 @@ class TestEvaluate:
         full = sum(wasserstein_p(m, nu, 2.0) ** 2 for m in mus) / 2
         out = evaluate_coreset(core, transport_costs(mus, nu, 2.0))
         assert out["full_cost"] == pytest.approx(full, rel=1e-12)
+
+
+class TestMultiplicity:
+    """Distinct inputs with multiplicities against the k-long list they stand for."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("k", [2, 10, 2000])
+    def test_weighted_family_matches_expanded_list(self, k, p):
+        distinct, slot = coreset_synthetic_family(k)
+        m = np.bincount(slot)
+        n = len(distinct)
+        costs = {x: transport_costs(distinct, delta([x]), p) for x in (0.0, 1.0, 10.0, k / 2)}
+        pilot = transport_costs(distinct, distinct[0], p)
+        s_m = scores_from_costs(pilot, p, multiplicity=m)
+        s_k = scores_from_costs(pilot[slot], p)
+        np.testing.assert_allclose(s_k, s_m[slot], rtol=1e-12, atol=0)
+        weighted = {"uniform": m / k, "sensitivity": m * s_m / (m * s_m).sum()}
+        listed = {"uniform": np.full(k, 1 / k), "sensitivity": s_k / s_k.sum()}
+        for seed in range(50):
+            for size in (3, 40):
+                for method in ("uniform", "sensitivity"):
+                    core_m = build_coreset(weighted[method], size, seed, multiplicity=m)
+                    core_k = build_coreset(listed[method], size, seed)
+                    # per-object draw counts, read back from each draw's weight
+                    q_m = weighted[method][core_m.inputs] / m[core_m.inputs]
+                    counts_m = np.zeros(n)
+                    counts_m[core_m.inputs] = core_m.lam * size * k * q_m
+                    counts_k = np.bincount(slot[core_k.inputs], minlength=n, weights=(
+                        core_k.lam * size * k * listed[method][core_k.inputs]))
+                    np.testing.assert_allclose(counts_m, np.rint(counts_m), rtol=1e-12)
+                    np.testing.assert_array_equal(np.rint(counts_m), np.rint(counts_k))
+                    for c in costs.values():
+                        ev_m = evaluate_coreset(core_m, c, m)
+                        ev_k = evaluate_coreset(core_k, c[slot])
+                        assert ev_m["zero_cost"] == ev_k["zero_cost"]
+                        tol = dict(rel=1e-12, abs=1e-15 if ev_k["zero_cost"] else 0.0)
+                        assert ev_m["full_cost"] == pytest.approx(ev_k["full_cost"], **tol)
+                        assert ev_m["coreset_cost"] == pytest.approx(ev_k["coreset_cost"],
+                                                                     **tol)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_all_ones_is_the_plain_list_bit_for_bit(self, rng, p):
+        costs = rng.exponential(size=7) ** p
+        ones = np.ones(7, dtype=np.intp)
+        scores = scores_from_costs(costs, p)
+        assert scores.tobytes() == scores_from_costs(costs, p, multiplicity=ones).tobytes()
+        assert scores.tobytes() == (2.0 * 2.0 ** (p - 1) * costs / costs.mean()
+                                    + 3.0 * 4.0 ** (p - 1)).tobytes()
+        q = scores / scores.sum()
+        for seed in range(5):
+            core = build_coreset(q, 9, seed)
+            inputs, counts = np.unique(np.random.default_rng(seed).choice(7, 9, p=q),
+                                       return_counts=True)
+            np.testing.assert_array_equal(core.inputs, inputs)
+            assert core.lam.tobytes() == (counts / (9 * 7 * q[inputs])).tobytes()
+            weighted = build_coreset(q, 9, seed, multiplicity=ones)
+            np.testing.assert_array_equal(weighted.inputs, core.inputs)
+            assert weighted.lam.tobytes() == core.lam.tobytes()
+            ev = evaluate_coreset(core, costs)
+            assert ev == evaluate_coreset(core, costs, ones)
+            assert ev["full_cost"] == float(costs.mean())
+
+    @pytest.mark.parametrize("multiplicity", [[1, 1], [1, 1, 1, 1], [1, 0, 1], [1, -1, 1],
+                                              [1, np.nan, 1], [[1, 1, 1]]],
+                             ids=["short", "long", "zero", "negative", "nan", "two_dim"])
+    def test_bad_multiplicity_raises(self, multiplicity):
+        costs, q = np.array([0.0, 1.0, 2.0]), np.full(3, 1 / 3)
+        core = build_coreset(q, 4, seed=0)
+        for call in (lambda m: scores_from_costs(costs, multiplicity=m),
+                     lambda m: build_coreset(q, 4, seed=0, multiplicity=m),
+                     lambda m: evaluate_coreset(core, costs, m)):
+            with pytest.raises(BadWeights, match="^multiplicity must be 3 positive finite counts$"):
+                call(np.array(multiplicity, dtype=float))

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from baryreduce.core import (
@@ -384,6 +385,28 @@ class TestCsv:
         f.write_text(text)
         with pytest.raises(error, match=f"^{re.escape(f'{f}:{message}')}"):
             load_csv_distributions(f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(keys=st.lists(st.text(st.sampled_from('"a '), max_size=6), min_size=1, max_size=4))
+    def test_quoted_keys_read_as_the_whole_line_reads(self, tmp_path_factory, keys):
+        # only the key of each line holds quotes; the loader reads the key the
+        # csv module reads from the whole line, or names the first line whose
+        # quoted field stays open
+        lines = [f"{key},1.0,{i}\n" for i, key in enumerate(keys)]
+        f = tmp_path_factory.mktemp("keys") / "k.csv"
+        f.write_text("".join(lines))
+        expected = []
+        for lineno, line in enumerate(lines, start=1):
+            fields = next(csv.reader([line]))
+            if fields[-1].endswith("\n"):
+                with pytest.raises(ParseError, match=f"^{re.escape(str(f))}:{lineno}: "):
+                    instances._csv_rows(f)
+                return
+            assert fields[1:] == ["1.0", str(lineno - 1)]
+            expected.append(fields[0].strip())
+        read_keys, block = instances._csv_rows(f)
+        assert read_keys == expected
+        np.testing.assert_array_equal(block, [[1.0, i] for i in range(len(keys))])
 
 
 class TestLowRank:
