@@ -12,17 +12,19 @@ from baryreduce import (
     build_coreset,
     evaluate_coreset,
     make_distribution,
+    pool_batch,
     sensitivity_upper_bounds,
-    transport_costs,
 )
 from baryreduce.instances import gen_coreset_synthetic
+from baryreduce.transport import solve_pooled
 
 k = 50000
 mus = gen_coreset_synthetic(k)      # k-1 masses at 0, one lone mass at x=k
+batch = pool_batch(mus)             # every pricing below reads this one pool
 
 # importance scores against the pilot delta_0 (the crowd's barycenter);
 # build_coreset draws with the probabilities it is given
-scores = sensitivity_upper_bounds(mus, p=2.0, alpha=1.0, pilot=mus[0])
+scores = sensitivity_upper_bounds(batch, p=2.0, alpha=1.0, pilot=mus[0])
 importance = scores / scores.sum()
 print("sampling probability of the outlier:", round(importance[-1], 4))
 print("sampling probability of a crowd member:", importance[0])
@@ -31,7 +33,7 @@ uniform = np.full(k, 1 / k)
 
 # every input's transport cost to each query, computed once per query
 queries = [0.0, 10.0, 100.0]
-costs = {x: transport_costs(mus, make_distribution([[x]], [1.0]), 2.0)
+costs = {x: solve_pooled(batch, make_distribution([[x]], [1.0]), 2.0)[1]
          for x in queries}
 
 print("\nquery   uniform(1000 samples)   importance(10 samples)")

@@ -16,7 +16,6 @@ from .transport import (
     TransportPlan,
     cost_matrix,
     solve_ot,
-    transport_costs,
     wasserstein_p,
 )
 from .barycenter import (

@@ -3,8 +3,8 @@
 Alternates between (a) exact transport from every input distribution to the
 current support and (b) per-atom support updates: weighted mean for p=2,
 Weiszfeld's fixed point for p=1, and damped gradient descent with
-backtracking for other exponents.  The per-column update problems are
-convex, so each half-step can only decrease the objective.
+backtracking for other exponents.  The support moves to the fitted atoms
+only when they price below the objective, so the objective never rises.
 """
 
 from __future__ import annotations
@@ -150,40 +150,29 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float) -> np
     return y + radius * z
 
 
-def _support_step(points: np.ndarray, flow: np.ndarray, support: np.ndarray,
-                  p: float) -> bool:
-    """Re-fit each atom of ``support``, in place, on its column of ``flow``;
-    returns whether any atom moved.
-
-    The inner solve stops at a tolerance (Weiszfeld converges slowly to a
-    median at a data point) and rounds, so its fit can land above the atom;
-    the atom moves only when the fit lowers its column's cost.  A column
-    without mass keeps its atom."""
-    moved = False
+def _fit_columns(points, flow, support, p: float) -> np.ndarray:
+    """A copy of ``support`` with each atom re-fitted on its column of
+    ``flow``; a column without mass keeps its atom."""
+    fits = support.copy()
     for j in range(len(support)):
         rows = np.flatnonzero(flow[:, j])  # a basic plan leaves most rows without flow
         w = flow[rows, j]
         if w.sum() > 0:
-            column = points[rows]
-            y = update_support_atom(column, w, p)
-            new, old = w @ _distances(column, np.stack([y, support[j]]), p)
-            if not np.isfinite(new):
-                raise NumericalFailure("support costs are not finite")
-            if new < old:
-                support[j], moved = y, True
-    return moved
+            fits[j] = update_support_atom(points[rows], w, p)
+    return fits
 
 
 def reconstruct_barycenter(sol: Solution, batch: PooledBatch, p: float) -> DiscreteDistribution:
     """Rebuild the barycenter in the ambient space of ``batch`` from the flows:
-    one support step of the solver, from atoms at the origin.  A column
-    carrying no mass degenerates to a zero-weight atom at the origin."""
+    each atom fitted on its column's flow rows, as in the solver's support
+    step.  A column carrying no mass degenerates to a zero-weight atom at
+    the origin."""
     bad = solution_violations(sol, batch)
     if bad:
         raise InvalidSolution("; ".join(bad))
-    atoms = np.zeros((sol.n_atoms, batch.points.shape[1]))
-    _support_step(batch.points, sol.flow, atoms, p)
-    return DiscreteDistribution(atoms, sol.barycenter_weights)
+    origin = np.zeros((sol.n_atoms, batch.points.shape[1]))
+    return DiscreteDistribution(_fit_columns(batch.points, sol.flow, origin, p),
+                                sol.barycenter_weights)
 
 
 def solution_cost(sol: Solution, batch: PooledBatch, p: float) -> float:
@@ -194,9 +183,13 @@ def solution_cost(sol: Solution, batch: PooledBatch, p: float) -> float:
 def support_cost(sol: Solution, batch: PooledBatch, nu: DiscreteDistribution,
                  p: float) -> float:
     """Objective value of a solution's plans priced against the atoms of
-    ``nu``, by the rule that prices the solver's own plans."""
+    ``nu``, by the rule that prices the solver's own plans.  A price that
+    is not finite raises :class:`NumericalFailure`."""
     costs = pooled_costs(sol.flow, _distances(batch.points, nu.atoms, p), batch.starts)
-    return sum(costs.tolist()) / len(batch.starts)
+    cost = sum(costs.tolist()) / len(batch.starts)
+    if not np.isfinite(cost):
+        raise NumericalFailure("support costs are not finite")
+    return cost
 
 
 def _init_support(points, mass, n: int, rng) -> np.ndarray:
@@ -211,14 +204,18 @@ def _init_support(points, mass, n: int, rng) -> np.ndarray:
 
 def solve_barycenter(batch: PooledBatch, opts: SolverOptions):
     """Alternating minimization for the barycenter objective of the pooled
-    inputs of ``batch``; every outer iteration solves their rows.
+    inputs of ``batch``, with barycenter weights fixed at 1/n.
 
-    Returns ``(nu, solution, report)`` where ``report.trace`` holds the
-    objective after each transport step.  The barycenter weights are fixed
-    at 1/n, so the trace is non-increasing: an atom moves only when that
-    lowers its column's cost, and a rise beyond rounding (1e-9 relative)
-    raises :class:`NumericalFailure`.  It has converged once an outer
-    iteration gains at most ``_REL_TOL`` or a support step moves no atom.
+    Returns ``(nu, solution, report)``; ``report.trace`` holds the objective
+    after each transport step.  A support step fits every column's atom on
+    its flow rows, and the solver moves to the fitted support only when its
+    price on the current flows, by the rule of the trace and of
+    :func:`support_cost`, is below the objective; otherwise, or once an outer
+    iteration gains at most ``_REL_TOL``, it has converged.  A transport step
+    that prices above that candidate price keeps the previous flows and
+    their price if the excess is rounding (1e-9 relative) and raises
+    :class:`NumericalFailure` otherwise.  So the trace decreases strictly,
+    and ``report.total_cost``, its last entry, prices the solution on ``nu``.
     """
     k = len(batch.starts)
     n = opts.support_size
@@ -228,27 +225,30 @@ def solve_barycenter(batch: PooledBatch, opts: SolverOptions):
     b.setflags(write=False)  # shared by every support and the solution, uncopied
 
     model = TransportModel()  # successive iterations start from its last basis
-    best = None
     trace = []
-    prev_obj = np.inf
-    converged = False
+    prev_obj = price = np.inf  # price: of ``support`` on the last flows
     for _ in range(opts.max_outer_iters):
         nu = DiscreteDistribution(support, b)  # copies the support it is given
         stacked, costs = solve_pooled(batch, nu, opts.p, model)  # (sum T_i, n) flows
         obj = sum(costs.tolist()) / k  # as support_cost prices it
-        trace.append(obj)
-        if obj > prev_obj + 1e-9 * abs(prev_obj):
+        if obj <= price:
+            flow = stacked
+        elif obj <= price + 1e-9 * abs(price):  # rounding: keep the last flows
+            obj = price
+        else:
             raise NumericalFailure(
-                f"alternation objective increased at outer iteration {len(trace)}: "
-                f"{prev_obj!r} -> {obj!r}")
-        if best is None or obj < best[0]:
-            best = (obj, nu, stacked)
-        if (prev_obj - obj <= _REL_TOL * abs(obj)
-                or not _support_step(batch.points, stacked, support, opts.p)):
-            converged = True
+                f"alternation objective increased at outer iteration {len(trace) + 1}: "
+                f"{price!r} -> {obj!r}")
+        trace.append(obj)
+        converged = prev_obj - obj <= _REL_TOL * abs(obj)
+        if not converged:
+            fits = _fit_columns(batch.points, flow, support, opts.p)
+            price = sum(pooled_costs(flow, _distances(batch.points, fits, opts.p),
+                                     batch.starts).tolist()) / k  # as support_cost prices it
+            converged = not price < obj  # the fitted support would not lower the objective
+        if converged:
             break
-        prev_obj = obj
+        support, prev_obj = fits, obj
 
-    obj, nu, flow = best
     flow.setflags(write=False)  # the solution takes it uncopied
     return nu, Solution(flow, b), CostReport(float(obj), len(trace), converged, trace)

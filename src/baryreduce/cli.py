@@ -31,8 +31,7 @@ from .barycenter import SolverOptions, solve_barycenter
 from .coreset import (
     build_coreset,
     evaluate_coreset,
-    pilot_barycenter,
-    scores_from_costs,
+    sensitivity_upper_bounds,
 )
 from .instances import (
     coreset_synthetic_family,
@@ -144,14 +143,10 @@ def cmd_coreset(args) -> int:
     k = int(multiplicity.sum())
     d = distinct[0].dim
     batch = pool_batch(distinct)  # every query and the pilot are priced on it
-
-    def costs_to(nu):
-        return solve_pooled(batch, nu, args.p)[1]
-
-    costs = [costs_to(make_distribution(np.full((1, d), float(x)), np.array([1.0])))
-             for x in args.queries]
-    pilot = distinct[0] if args.input is None else pilot_barycenter(batch, args.p)
-    scores = scores_from_costs(costs_to(pilot), p=args.p, multiplicity=multiplicity)
+    costs = [solve_pooled(batch, make_distribution(np.full((1, d), float(x)), np.array([1.0])),
+                          args.p)[1] for x in args.queries]
+    pilot = distinct[0] if args.input is None else None  # None: the pilot barycenter
+    scores = sensitivity_upper_bounds(batch, args.p, pilot=pilot, multiplicity=multiplicity)
     weighted = multiplicity * scores
     probabilities = {"uniform": multiplicity / k, "sensitivity": weighted / weighted.sum()}
     rows = []

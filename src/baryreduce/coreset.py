@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BadSize, BadWeights, DiscreteDistribution, NumericalFailure,
-                   PooledBatch, pool_batch)
+from .core import BadSize, BadWeights, DiscreteDistribution, NumericalFailure, PooledBatch
 from .barycenter import SolverOptions, solve_barycenter
 from .transport import solve_pooled
 
@@ -79,14 +78,15 @@ def scores_from_costs(costs: np.ndarray, p: float = 2.0, alpha: float = 2.0,
     return scores
 
 
-def sensitivity_upper_bounds(mus, p: float = 2.0, alpha: float = 2.0,
-                             pilot: DiscreteDistribution | None = None) -> np.ndarray:
-    """:func:`scores_from_costs` of every input's cost to ``pilot``, by
-    default :func:`pilot_barycenter` of the inputs, pooled once for both."""
-    batch = pool_batch(mus)
+def sensitivity_upper_bounds(batch: PooledBatch, p: float = 2.0, alpha: float = 2.0,
+                             pilot: DiscreteDistribution | None = None,
+                             multiplicity: np.ndarray | None = None) -> np.ndarray:
+    """:func:`scores_from_costs` of the cost of every input of ``batch`` to
+    ``pilot``, by default :func:`pilot_barycenter` of the batch; each input
+    stands for ``multiplicity`` of the k inputs (all ones by default)."""
     if pilot is None:
         pilot = pilot_barycenter(batch, p)
-    return scores_from_costs(solve_pooled(batch, pilot, p)[1], p, alpha)
+    return scores_from_costs(solve_pooled(batch, pilot, p)[1], p, alpha, multiplicity)
 
 
 def build_coreset(probabilities: np.ndarray, size: int, seed: int = 0,
@@ -150,7 +150,7 @@ def evaluate_coreset(coreset: WeightedCoreset, costs: np.ndarray,
     """Relative error of the coreset estimate of the average objective.
 
     ``costs`` holds W_p(mu_i, nu)**p of every distinct input against one
-    query ``nu`` (see :func:`transport_costs`), each standing for
+    query ``nu`` (``solve_pooled(batch, nu, p)[1]``), each standing for
     ``multiplicity`` of the k inputs (all ones by default).  Returns a dict
     with the full objective ``(costs * multiplicity).sum() / k``, the
     coreset estimate ``lam @ costs[inputs]`` and the relative error

@@ -299,23 +299,16 @@ def solve_ot(mu: DiscreteDistribution, nu: DiscreteDistribution, p: float) -> Tr
     return TransportPlan(flow, float(costs[0]))
 
 
-def transport_costs(mus, nu: DiscreteDistribution, p: float) -> np.ndarray:
-    """W_p(mu_i, nu)**p for every distribution in ``mus``, in list order,
-    from one :func:`solve_pooled` call.  An input that repeats is priced
-    again; a caller with repeats pools the distinct inputs and indexes the
-    costs itself."""
-    if not len(mus):
-        return np.empty(0)
-    return solve_pooled(pool_batch(mus), nu, p)[1]
-
-
 def wasserstein_p(mu: DiscreteDistribution, nu: DiscreteDistribution, p: float) -> float:
     """The p-Wasserstein distance (p-th root of the optimal flow cost)."""
     return solve_ot(mu, nu, p).cost ** (1.0 / p)
 
 
 def barycenter_objective(nu: DiscreteDistribution, mus, p: float, lambdas=None) -> float:
-    """The barycenter objective: weighted sum of W_p(mu_i, nu)**p."""
+    """The barycenter objective: weighted sum of W_p(mu_i, nu)**p, priced
+    from one :func:`solve_pooled` call on the pooled ``mus`` (none raise
+    :class:`EmptyInput`)."""
+    costs = solve_pooled(pool_batch(mus), nu, p)[1]
     k = len(mus)
     if lambdas is None:
         lam = np.full(k, 1.0 / k)
@@ -324,4 +317,4 @@ def barycenter_objective(nu: DiscreteDistribution, mus, p: float, lambdas=None) 
         # a NaN weight fails both comparisons
         if lam.shape != (k,) or not (lam >= 0).all() or not abs(lam.sum() - 1.0) <= 1e-9:
             raise BadLambdas("lambdas must be nonnegative and sum to 1")
-    return float(lam @ transport_costs(mus, nu, p))
+    return float(lam @ costs)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from baryreduce import barycenter
-from baryreduce.core import Solution, make_distribution
+from baryreduce.core import Solution, make_distribution, pool_batch
+from baryreduce.transport import solve_pooled
 
 
 @pytest.fixture
@@ -36,6 +37,12 @@ def weights_with_zeros(r, T):
     return w / w.sum()
 
 
+def input_costs(mus, nu, p):
+    """W_p(mu_i, nu)**p of every distribution in ``mus``, in list order,
+    from one :func:`solve_pooled` call on the pooled list."""
+    return solve_pooled(pool_batch(mus), nu, p)[1]
+
+
 def solution_of(plans, b):
     """The pooled :class:`Solution` of per-input ``plans``, stacked in order."""
     return Solution(np.concatenate(plans), b)
@@ -43,13 +50,14 @@ def solution_of(plans, b):
 
 @pytest.fixture
 def rising_transport_costs(monkeypatch):
-    """Make the barycenter solver's transport step report costs 1, 2, 3, ...
-    on successive outer iterations, keeping the real plans."""
+    """Make the barycenter solver's transport step report its true costs
+    times 1, 2, 3, ... on successive outer iterations, keeping the real
+    plans, so the objective rises even where the fitted support lowers it."""
     solve = barycenter.solve_pooled
     calls = count(1)
 
     def rising(batch, nu, p, model):
         flow, costs = solve(batch, nu, p, model)
-        return flow, np.full_like(costs, float(next(calls)))
+        return flow, costs * next(calls)
 
     monkeypatch.setattr(barycenter, "solve_pooled", rising)

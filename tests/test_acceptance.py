@@ -9,7 +9,7 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from baryreduce.core import make_distribution, pool_batch, solution_violations
-from baryreduce.transport import solve_ot, transport_costs
+from baryreduce.transport import solve_ot, solve_pooled
 from baryreduce.barycenter import (
     SolverOptions,
     solution_cost,
@@ -186,9 +186,10 @@ def test_07_projected_matching_cost_shrinks_with_dimension():
 def test_08_importance_sampling_error_table():
     k = 50000
     mus = gen_coreset_synthetic(k)
-    scores = sensitivity_upper_bounds(mus, p=2.0, alpha=1.0, pilot=mus[0])
+    batch = pool_batch(mus)
+    scores = sensitivity_upper_bounds(batch, p=2.0, alpha=1.0, pilot=mus[0])
     importance, uniform = scores / scores.sum(), np.full(k, 1 / k)
-    costs = {x: transport_costs(mus, make_distribution([[float(x)]], [1.0]), 2.0)
+    costs = {x: solve_pooled(batch, make_distribution([[float(x)]], [1.0]), 2.0)[1]
              for x in (0, 10, 100)}
     for x, c in costs.items():
         # closed form of the average objective: ((k-1)x^2 + (k-x)^2) / k
@@ -220,7 +221,7 @@ def test_08_importance_sampling_error_table():
 def test_09_sampling_estimate_is_unbiased():
     atoms = [0.0, 1.0, 2.0, 3.0, 10.0]
     mus = [make_distribution([[a]], [1.0]) for a in atoms]
-    scores = sensitivity_upper_bounds(mus, p=2.0, alpha=1.0)
+    scores = sensitivity_upper_bounds(pool_batch(mus), p=2.0, alpha=1.0)
     probabilities = scores / scores.sum()
     queries = [0.5, 4.0, 8.0]
     cost = np.array([[ (a - q) ** 2 for a in atoms] for q in queries])

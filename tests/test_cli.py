@@ -24,8 +24,7 @@ from baryreduce.coreset import (
 )
 from baryreduce.instances import gen_coreset_synthetic, load_csv_distributions
 from baryreduce.projection import jl_dimension
-from baryreduce.transport import transport_costs
-from conftest import weights_with_zeros
+from conftest import input_costs, weights_with_zeros
 
 try:
     from importlib import resources
@@ -205,9 +204,9 @@ class TestCoresetCmd:
                          "--no-timing"], capsys)
         assert code == 0
         d = mus[0].dim
-        costs = [transport_costs(mus, make_distribution(np.full((1, d), x), [1.0]), p)
+        costs = [input_costs(mus, make_distribution(np.full((1, d), x), [1.0]), p)
                  for x in queries]
-        scores = sensitivity_upper_bounds(mus, p, pilot=pilot)
+        scores = sensitivity_upper_bounds(pool_batch(mus), p, pilot=pilot)
         q = {"uniform": np.full(len(mus), 1 / len(mus)),
              "sensitivity": scores / scores.sum()}
         rows = []

@@ -17,8 +17,9 @@ from baryreduce.coreset import (
     scores_from_costs,
     sensitivity_upper_bounds,
 )
-from baryreduce.transport import transport_costs, wasserstein_p
+from baryreduce.transport import wasserstein_p
 from baryreduce.instances import coreset_synthetic_family, gen_coreset_synthetic
+from conftest import input_costs
 
 
 def delta(x):
@@ -28,14 +29,14 @@ def delta(x):
 class TestSensitivityScores:
     def test_degenerate_uniform(self):
         mu = delta([0.0])
-        scores = sensitivity_upper_bounds([mu] * 5, p=2.0, alpha=1.0, pilot=mu)
+        scores = sensitivity_upper_bounds(pool_batch([mu] * 5), p=2.0, alpha=1.0, pilot=mu)
         np.testing.assert_allclose(scores, 8.0)
         np.testing.assert_allclose(scores / scores.sum(), 0.2)
 
     def test_outlier_instance_closed_form(self):
         k = 1000
         mus = gen_coreset_synthetic(k)
-        scores = sensitivity_upper_bounds(mus, p=2.0, alpha=1.0, pilot=mus[0])
+        scores = sensitivity_upper_bounds(pool_batch(mus), p=2.0, alpha=1.0, pilot=mus[0])
         # avg W^2 = k^2/k = k; outlier score 2k+8, others 8
         assert scores[-1] == pytest.approx(2 * k + 8)
         assert scores[0] == pytest.approx(8.0)
@@ -44,13 +45,13 @@ class TestSensitivityScores:
 
     def test_p1_formula(self):
         mus = [delta([0.0]), delta([2.0])]
-        scores = sensitivity_upper_bounds(mus, p=1.0, alpha=1.0, pilot=delta([0.0]))
+        scores = sensitivity_upper_bounds(pool_batch(mus), p=1.0, alpha=1.0, pilot=delta([0.0]))
         # avg W = 1; scores = W/avg + 2
         np.testing.assert_allclose(scores, [2.0, 4.0])
 
     def test_probabilities_normalized(self, rng):
         mus = [delta([float(x)]) for x in rng.normal(size=6)]
-        scores = sensitivity_upper_bounds(mus, p=2.0)
+        scores = sensitivity_upper_bounds(pool_batch(mus), p=2.0)
         q = scores / scores.sum()
         assert q.sum() == pytest.approx(1.0, abs=1e-9)
         build_coreset(q, 5, seed=0)  # within rng.choice's normalisation tolerance
@@ -60,10 +61,11 @@ class TestSensitivityScores:
     def test_composition_of_pilot_and_costs(self, rng, p, alpha):
         mus = [make_distribution(rng.normal(size=(n, 2)), np.full(n, 1.0 / n))
                for n in rng.integers(1, 5, size=12)]
-        pilot = pilot_barycenter(pool_batch(mus), p)
-        expected = scores_from_costs(transport_costs(mus, pilot, p), p, alpha)
+        batch = pool_batch(mus)
+        pilot = pilot_barycenter(batch, p)
+        expected = scores_from_costs(input_costs(mus, pilot, p), p, alpha)
         for given in (pilot, None):  # None solves the same pilot
-            np.testing.assert_array_equal(sensitivity_upper_bounds(mus, p, alpha, given),
+            np.testing.assert_array_equal(sensitivity_upper_bounds(batch, p, alpha, given),
                                           expected)
 
     @pytest.mark.parametrize("costs", [[0.0, 0.0], [0.0, 1.0], [1e300, 1e300]])
@@ -86,7 +88,7 @@ class TestSensitivityScores:
     def test_dominates_true_sensitivity_on_grid(self):
         # brute-force sup over single-atom candidates on a fine grid
         mus = [delta([0.0]), delta([1.0]), delta([3.0])]
-        scores = sensitivity_upper_bounds(mus, p=2.0, alpha=1.0,
+        scores = sensitivity_upper_bounds(pool_batch(mus), p=2.0, alpha=1.0,
                                           pilot=delta([4.0 / 3.0]))
         grid = np.linspace(-2.0, 5.0, 1401)
         atoms = np.array([mu.atoms[0, 0] for mu in mus])
@@ -191,7 +193,7 @@ class TestEvaluate:
             core = build_coreset(q, 3, seed=seed)
             if core.inputs.tolist() == [0, 1, 2]:
                 break
-        out = evaluate_coreset(core, transport_costs(mus, delta([5.0]), 2.0))
+        out = evaluate_coreset(core, input_costs(mus, delta([5.0]), 2.0))
         assert out["rel_error"] == pytest.approx(0.0, abs=1e-12)
 
     def test_missed_outlier_is_total_error(self):
@@ -202,7 +204,7 @@ class TestEvaluate:
             core = build_coreset(q, 20, seed=seed)
             if k - 1 not in core.inputs:
                 break
-        out = evaluate_coreset(core, transport_costs(mus, delta([0.0]), 2.0))
+        out = evaluate_coreset(core, input_costs(mus, delta([0.0]), 2.0))
         assert out["full_cost"] == pytest.approx(k)
         assert out["coreset_cost"] == 0.0
         assert out["rel_error"] == pytest.approx(1.0)
@@ -210,7 +212,7 @@ class TestEvaluate:
     def test_zero_cost_flag(self):
         mus = [delta([0.0])] * 3
         core = build_coreset(np.full(3, 1 / 3), 2, seed=0)
-        out = evaluate_coreset(core, transport_costs(mus, delta([0.0]), 2.0))
+        out = evaluate_coreset(core, input_costs(mus, delta([0.0]), 2.0))
         assert out["zero_cost"] and out["rel_error"] == pytest.approx(0.0, abs=1e-12)
 
     def test_full_cost_parameter_consistent(self):
@@ -218,7 +220,7 @@ class TestEvaluate:
         core = build_coreset(np.full(2, 0.5), 4, seed=1)
         nu = delta([1.0])
         full = sum(wasserstein_p(m, nu, 2.0) ** 2 for m in mus) / 2
-        out = evaluate_coreset(core, transport_costs(mus, nu, 2.0))
+        out = evaluate_coreset(core, input_costs(mus, nu, 2.0))
         assert out["full_cost"] == pytest.approx(full, rel=1e-12)
 
 
@@ -231,9 +233,11 @@ class TestMultiplicity:
         distinct, slot = coreset_synthetic_family(k)
         m = np.bincount(slot)
         n = len(distinct)
-        costs = {x: transport_costs(distinct, delta([x]), p) for x in (0.0, 1.0, 10.0, k / 2)}
-        pilot = transport_costs(distinct, distinct[0], p)
+        costs = {x: input_costs(distinct, delta([x]), p) for x in (0.0, 1.0, 10.0, k / 2)}
+        pilot = input_costs(distinct, distinct[0], p)
         s_m = scores_from_costs(pilot, p, multiplicity=m)
+        np.testing.assert_array_equal(sensitivity_upper_bounds(
+            pool_batch(distinct), p, pilot=distinct[0], multiplicity=m), s_m)
         s_k = scores_from_costs(pilot[slot], p)
         np.testing.assert_allclose(s_k, s_m[slot], rtol=1e-12, atol=0)
         weighted = {"uniform": m / k, "sensitivity": m * s_m / (m * s_m).sum()}

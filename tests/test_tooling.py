@@ -3,7 +3,8 @@ from numpy, scipy and the standard library, every public name of the engine
 reached by the engine, the benchmark or a demo, the benchmark's span names
 still name public functions of the package, output is written by
 ``cli._emit`` alone, distances are computed by ``transport._distances``
-alone, the solver layer never re-pools its inputs, and the pytest
+alone and priced in the solver by ``pooled_costs`` alone, the solver
+layer never re-pools its inputs, and the pytest
 configuration reports a failing property test as a failure."""
 
 import ast
@@ -191,25 +192,56 @@ def test_output_is_written_by_cli_emit_alone():
     assert sites and set(sites) == {"cli._emit"}, sites
 
 
-def _calls_cdist(node) -> bool:
-    """``node`` calls ``cdist``, by name or as an attribute."""
-    return isinstance(node, ast.Call) and "cdist" in (
-        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+def _calls(name: str):
+    """A matcher for the calls of ``name``, by name or as an attribute."""
+    def matches(node):
+        return isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    return matches
 
 
 def test_cdist_calls_are_found():
     source = ("from scipy.spatial import distance\n"
               "def f(a):\n    return distance.cdist(a, a) ** 2\n"
               "cdist(1)\nf(cdist)\n")
-    assert sites_where(_calls_cdist, source, "m") == ["m.f", "m"]
+    assert sites_where(_calls("cdist"), source, "m") == ["m.f", "m"]
 
 
 def test_distances_are_computed_by_transport_distances_alone():
     """One pricing rule: in the package only ``transport._distances`` calls
-    ``cdist``, so the solver, its guards and every report price alike."""
+    ``cdist``, so the solver, its support step and every report price alike."""
     sites = [site for path in sorted(PACKAGE.glob("*.py"))
-             for site in sites_where(_calls_cdist, path.read_text(), path.stem)]
+             for site in sites_where(_calls("cdist"), path.read_text(), path.stem)]
     assert sites and set(sites) == {"transport._distances"}, sites
+
+
+def _unpriced(name: str):
+    """A matcher for the calls of ``name`` that are not an argument of a
+    ``pooled_costs`` call; ``sites_where`` visits a call before its arguments."""
+    is_call, is_pricing, priced = _calls(name), _calls("pooled_costs"), set()
+
+    def matches(node):
+        if is_pricing(node):
+            priced.update(map(id, node.args))
+        return is_call(node) and id(node) not in priced
+    return matches
+
+
+def test_unpriced_sites_are_found():
+    source = ("def f(x, y):\n    t.pooled_costs(flow, _distances(x, y, 1), s)\n"
+              "    return w @ _distances(x, y, 1)\n"
+              "pooled_costs(g(_distances(x, y, 2)))\nf(_distances)\n")
+    assert sites_where(_unpriced("_distances"), source, "m") == ["m.f", "m"]
+    assert sites_where(_calls("_distances"), source, "m") == ["m.f", "m.f", "m"]
+
+
+def test_barycenter_prices_distances_by_pooled_costs_alone():
+    """One pricing rule in the solver: each ``_distances`` call of
+    ``barycenter.py`` is an argument of ``pooled_costs``, so no support step
+    or report sums its costs in another order than the trace does."""
+    source = (PACKAGE / "barycenter.py").read_text()
+    assert sites_where(_calls("_distances"), source, "barycenter")
+    assert sites_where(_unpriced("_distances"), source, "barycenter") == []
 
 
 def _names(name: str):
@@ -231,7 +263,8 @@ def test_named_sites_are_found():
 
 
 @pytest.mark.parametrize("module, name", [
-    ("barycenter", "pool_batch"), ("projection", "make_distribution"), ("projection", "np.split"),
+    ("barycenter", "pool_batch"), ("coreset", "pool_batch"),
+    ("projection", "make_distribution"), ("projection", "np.split"),
 ])
 def test_the_solver_layer_never_re_pools(module, name):
     """The functions that solve take the batch their caller pooled, and a

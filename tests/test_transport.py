@@ -11,6 +11,7 @@ from baryreduce.core import (
     BadExponent,
     BadLambdas,
     DimensionMismatch,
+    EmptyInput,
     NumericalFailure,
     make_distribution,
     pool_batch,
@@ -24,11 +25,10 @@ from baryreduce.transport import (
     cost_matrix,
     solve_ot,
     solve_pooled,
-    transport_costs,
     wasserstein_p,
 )
 from baryreduce.instances import gen_coreset_synthetic
-from conftest import random_distribution, weights_with_zeros
+from conftest import input_costs, random_distribution, weights_with_zeros
 from oracle import TooLarge, solve_ot_oracle
 
 
@@ -45,8 +45,9 @@ def pooled_plans(mus, nu, p):
             for part, cost in zip(np.split(flow, batch.starts[1:]), costs.tolist())]
 
 
-def pooled_costs(mus, nu, p):
-    return solve_pooled(pool_batch(mus), nu, p)[1]
+def objective(mus, nu, p):
+    """:func:`barycenter_objective` with the arguments of :func:`input_costs`."""
+    return barycenter_objective(nu, mus, p)
 
 
 def recording(monkeypatch):
@@ -444,7 +445,7 @@ class TestTransportCosts:
         many = random_distribution(rng, 5, 2)
         mus = [many, random_distribution(rng, 3, 2), delta([1.0, 2.0]), many,
                delta([-0.5, 0.0]), many]
-        costs = transport_costs(mus, nu, 2.0)
+        costs = input_costs(mus, nu, 2.0)
         assert costs.shape == (len(mus),)
         for mu, cost in zip(mus, costs):
             assert cost == pytest.approx(solve_ot(mu, nu, 2.0).cost, rel=1e-12, abs=0.0)
@@ -454,14 +455,15 @@ class TestTransportCosts:
 class TestBatchContract:
     def test_empty_batch(self):
         nu = delta([0.0, 1.0])
-        costs = transport_costs([], nu, 2.0)
-        assert costs.shape == (0,) and costs.dtype == np.float64
+        for price in (input_costs, objective):
+            with pytest.raises(EmptyInput):
+                price([], nu, 2.0)
 
     def test_wrong_dimension_in_batch(self, rng):
         nu = random_distribution(rng, 3, 2)
         mus = [random_distribution(rng, 2, 2), random_distribution(rng, 2, 3),
                random_distribution(rng, 4, 2)]
-        for price in (pooled_costs, transport_costs):
+        for price in (input_costs, objective):
             with pytest.raises(DimensionMismatch):
                 price(mus, nu, 2.0)
             with pytest.raises(DimensionMismatch):  # every input against nu
@@ -470,7 +472,7 @@ class TestBatchContract:
     def test_exponent_below_one_rejected(self, rng):
         mus = [random_distribution(rng, 2, 2), delta([0.0, 1.0])]
         nu = random_distribution(rng, 3, 2)
-        for price in (pooled_costs, transport_costs):
+        for price in (input_costs, objective):
             with pytest.raises(BadExponent):
                 price(mus, nu, 0.5)
 
@@ -478,7 +480,7 @@ class TestBatchContract:
         seen = recording(monkeypatch)
         nu = random_distribution(rng, 3, 2)
         m1, m2, m3 = (random_distribution(rng, T, 2) for T in (2, 3, 4))
-        costs = transport_costs([m2, m1, m2, delta([0.0, 0.0]), m3, m1], nu, 2.0)
+        costs = input_costs([m2, m1, m2, delta([0.0, 0.0]), m3, m1], nu, 2.0)
         assert len(seen) == 5  # a repeat is priced again; the one-atom input skips the LP
         for (a, b, C), mu in zip(seen, (m2, m1, m2, m3, m1)):
             np.testing.assert_array_equal(a, mu.weights)
@@ -494,7 +496,7 @@ class TestBatchContract:
             return cdist(*args, **kwargs)
 
         monkeypatch.setattr(transport, "cdist", counting)
-        transport_costs(gen_coreset_synthetic(50_000), delta([10.0]), 2.0)
+        input_costs(gen_coreset_synthetic(50_000), delta([10.0]), 2.0)
         assert len(calls) == 1
         calls.clear()
         mus = [random_distribution(rng, 2 + i % 4, 3) for i in range(10)]
@@ -526,7 +528,7 @@ def test_bulk_pricing_matches_pair_solves(seed, k, nu_kind, p):
         else:
             T = int(r.integers(1, 5))
             mus.append(make_distribution(r.normal(size=(T, 2)), weights_with_zeros(r, T)))
-    costs = transport_costs(mus, nu, p)
+    costs = input_costs(mus, nu, p)
     plans = pooled_plans(mus, nu, p)
     assert costs.shape == (k,) and len(plans) == k
     for mu, cost, plan in zip(mus, costs, plans):
