@@ -50,7 +50,7 @@ for maker, name in ((make_gaussian_map, "gaussian"), (make_srht_map, "srht")):
           f"(ratio {res.cost_high / full.total_cost:.3f})")
 
 # a sweep over target dimensions shows the ratio melting toward 1
-sweep = cost_ratio_sweep(mus, [4, 8, 16, 32], opts, trials=3, master_seed=1)
+sweep = cost_ratio_sweep(batch, [4, 8, 16, 32], opts, trials=3, master_seed=1)
 print("\n  m   mean ratio   max ratio   mean seconds")
 for row in sweep["rows"]:
     print(f"{row['m']:>3}   {row['mean_ratio']:.4f}      "

@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     BadExponent,
+    BadParams,
     CostReport,
     DiscreteDistribution,
     EmptyInput,
@@ -25,7 +26,7 @@ from .core import (
     ZeroWeight,
     solution_violations,
 )
-from .transport import TransportModel, _distances, pooled_costs, solve_pooled
+from .transport import TransportModel, _distances, pooled_costs
 
 #: the alternation stops once an outer iteration gains at most this fraction
 _REL_TOL = 1e-7
@@ -46,6 +47,8 @@ class SolverOptions:
             raise EmptyInput("support_size must be >= 1")
         if not 1.0 <= self.p < np.inf:
             raise BadExponent(f"exponent p must be finite and >= 1, got {self.p}")
+        if self.max_outer_iters < 1:
+            raise BadParams("max_outer_iters must be >= 1")
 
 
 def _weiszfeld_step(points, weights, y):
@@ -216,20 +219,23 @@ def solve_barycenter(batch: PooledBatch, opts: SolverOptions):
     their price if the excess is rounding (1e-9 relative) and raises
     :class:`NumericalFailure` otherwise.  So the trace decreases strictly,
     and ``report.total_cost``, its last entry, prices the solution on ``nu``.
+    One :class:`TransportModel` solves every transport step, each from the
+    last basis, and each support's distances are computed once: they price
+    it as the candidate and feed the transport step that moves to it.
     """
     k = len(batch.starts)
     n = opts.support_size
     rng = np.random.default_rng(opts.seed)
     support = _init_support(batch.points, batch.mass, n, rng)
     b = np.full(n, 1.0 / n)
-    b.setflags(write=False)  # shared by every support and the solution, uncopied
+    b.setflags(write=False)  # shared by the barycenter and the solution, uncopied
 
-    model = TransportModel()  # successive iterations start from its last basis
+    model = TransportModel(batch, b)  # successive iterations start from its last basis
+    C = _distances(batch.points, support, opts.p)  # of ``support``
     trace = []
     prev_obj = price = np.inf  # price: of ``support`` on the last flows
-    for _ in range(opts.max_outer_iters):
-        nu = DiscreteDistribution(support, b)  # copies the support it is given
-        stacked, costs = solve_pooled(batch, nu, opts.p, model)  # (sum T_i, n) flows
+    while True:
+        stacked, costs = model.solve(C)  # (sum T_i, n) flows
         obj = sum(costs.tolist()) / k  # as support_cost prices it
         if obj <= price:
             flow = stacked
@@ -243,12 +249,13 @@ def solve_barycenter(batch: PooledBatch, opts: SolverOptions):
         converged = prev_obj - obj <= _REL_TOL * abs(obj)
         if not converged:
             fits = _fit_columns(batch.points, flow, support, opts.p)
-            price = sum(pooled_costs(flow, _distances(batch.points, fits, opts.p),
-                                     batch.starts).tolist()) / k  # as support_cost prices it
+            C_fit = _distances(batch.points, fits, opts.p)
+            price = sum(pooled_costs(flow, C_fit, batch.starts).tolist()) / k  # priced as obj
             converged = not price < obj  # the fitted support would not lower the objective
-        if converged:
+        if converged or len(trace) == opts.max_outer_iters:
             break
-        support, prev_obj = fits, obj
+        support, C, prev_obj = fits, C_fit, obj
 
     flow.setflags(write=False)  # the solution takes it uncopied
-    return nu, Solution(flow, b), CostReport(float(obj), len(trace), converged, trace)
+    return (DiscreteDistribution(support, b), Solution(flow, b),
+            CostReport(float(obj), len(trace), converged, trace))

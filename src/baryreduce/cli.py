@@ -189,11 +189,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.trials < 1:
-        raise BaryError("need --trials >= 1")
-    mus = _load(args.input)
-    opts = _solver_options(args)
-    result = cost_ratio_sweep(mus, args.m_values, opts, map_kind=args.map,
+    result = cost_ratio_sweep(pool_batch(_load(args.input)), args.m_values,
+                              _solver_options(args), map_kind=args.map,
                               trials=args.trials, master_seed=args.seed)
     rows = [{
         "m": row["m"],

@@ -22,7 +22,6 @@ from .core import (
     DimensionMismatch,
     DiscreteDistribution,
     PooledBatch,
-    pool_batch,
 )
 from .barycenter import (
     SolverOptions,
@@ -185,11 +184,12 @@ def reduce_solve_reconstruct(batch: PooledBatch, pmap: ProjectionMap,
 MAP_MAKERS = {"gaussian": make_gaussian_map, "srht": make_srht_map}
 
 
-def cost_ratio_sweep(mus, m_values, opts: SolverOptions, map_kind: str = "gaussian",
-                     trials: int = 5, master_seed: int = 0):
-    """Quality/runtime profile of the reduction over target dimensions.
+def cost_ratio_sweep(batch: PooledBatch, m_values, opts: SolverOptions,
+                     map_kind: str = "gaussian", trials: int = 5, master_seed: int = 0):
+    """Quality/runtime profile of the reduction of the pooled inputs of
+    ``batch`` over target dimensions; the reference and every cell solve its rows.
 
-    For each ``m`` runs ``trials`` independent maps (seeds mixed from the
+    For each ``m`` runs ``trials`` (at least 1) independent maps (seeds mixed from the
     master seed so cells are reproducible in isolation) and records the
     ratio of the lifted cost to the full-dimensional one, which must not be
     0.  A row with m >= d runs on the identity (see :func:`reduction_map`)
@@ -199,7 +199,8 @@ def cost_ratio_sweep(mus, m_values, opts: SolverOptions, map_kind: str = "gaussi
         raise BadParams(f"unknown map kind {map_kind!r}")
     if any(m < 1 for m in m_values):  # before m seeds a map
         raise BadParams("dimensions must be positive")
-    batch = pool_batch(mus)  # the reference and every cell solve these rows
+    if trials < 1:
+        raise BadParams("trials must be >= 1")
     d = batch.points.shape[1]
     t0 = time.perf_counter()
     _, _, rep = solve_barycenter(batch, opts)

@@ -25,9 +25,10 @@ c - y[row] - y[col]; every cell not yet held that prices below
 basis.  The rounds end when no cell is added.  The final basis is then
 optimal for the held cells and no other cell has a negative reduced cost
 beyond ``_PRICE_TOL``, which is the optimality certificate HiGHS applies to
-a full LP, with a tighter tolerance.  A :class:`TransportModel` keeps its
-LP between calls, so a batch whose costs alone change starts from the last
-optimal basis.
+a full LP, with a tighter tolerance.  A :class:`TransportModel` is built
+for one batch and one set of target masses and keeps its LP between solves,
+so each new cost matrix, such as one per support of the barycenter solver,
+starts from the last optimal basis.
 """
 
 from __future__ import annotations
@@ -36,13 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.optimize._highspy._core import (
-    HighsModelStatus,
-    HighsStatus,
-    MatrixFormat,
-    ObjSense,
-    _Highs,
-)
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 from scipy.spatial.distance import cdist
 
 from .core import (
@@ -125,52 +120,78 @@ def _shortlist(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 class TransportModel:
-    """One HiGHS model for a pooled batch of transportation problems, kept between solves.
+    """The exact transport of one pooled batch to the target masses ``b``.
 
-    Block i is the next ``sizes[i]`` rows of one (R, n) cost array.  The LP
-    rows are each block's row sums, then its n column sums; the LP columns
-    are cells in pooled row-major order.  :meth:`solve` builds the model
-    when the block sizes or marginals differ from the ones it holds.
-    Otherwise it replaces only the held cells' costs, and HiGHS starts from
-    the previous optimal basis, which is still primal-feasible; cells added
-    by pricing stay held.  ``pivots`` sums the simplex iterations of every
-    HiGHS run.  The HiGHS object is created on the first solve.
+    Everything that depends on the masses alone is decided at construction:
+    ``b`` with atoms lighter than ``ZERO_MASS`` zeroed and renormalized, the
+    inputs with the product plan (one mass-carrying atom on either side), the
+    assignments (as many mass-carrying atoms as ``b``, with equal masses on
+    each side) and the other inputs' LP blocks.  Block i is the next run of
+    one input's mass-carrying rows; the LP rows, passed to HiGHS with their
+    right-hand sides at construction, are each block's row sums, then its
+    column sums on the columns with mass; the LP columns are cells in pooled
+    row-major order.  The first :meth:`solve` adds the shortlisted cells; a
+    later one replaces only the held cells' costs, and HiGHS starts from the
+    previous optimal basis, which is still primal-feasible; cells added by
+    pricing stay held.  ``pivots`` sums the simplex iterations of every
+    HiGHS run.  A batch without LP blocks makes no HiGHS object.
     """
 
-    def __init__(self):
-        self._highs = None
-        self._sizes = None
-        self._rhs = None
-        self._row = self._col = None  # the two LP rows of every cell
-        self._held = None  # the cells that are LP columns, in column order
-        self.pivots = 0
+    def __init__(self, batch: PooledBatch, b: np.ndarray):
+        a, massive = batch.mass, batch.massive
+        b = np.where(b > ZERO_MASS, b, 0.0)
+        b /= b.sum()
+        self._starts, self._cols, self._b = batch.starts, np.flatnonzero(b), b[b > 0]
+        lp = (massive > 1) & (self._cols.size > 1)
+        on_lp = lp[batch.origins]
+        self._product, self._product_flow = ~on_lp, a[~on_lp, None] * b
+        self._assignments, self._highs, self.pivots = [], None, 0
+        if not lp.any():
+            return
+        rows = np.flatnonzero(on_lp & (a > 0))
+        sizes = massive[lp]
+        starts, a_rows = np.cumsum(sizes) - sizes, a[rows]
+        # equal counts of equal masses on each side: a permutation is optimal
+        square = ((sizes == self._cols.size) & (self._b.min() == self._b.max())
+                  & (np.minimum.reduceat(a_rows, starts) == np.maximum.reduceat(a_rows, starts)))
+        for i in np.flatnonzero(square).tolist():
+            block = rows[starts[i]:starts[i] + sizes[i]]
+            self._assignments.append((block, a[block]))
+        if square.all():
+            return
+        self._rows = rows[np.repeat(~square, sizes)]
+        self._a, sizes = a[self._rows], sizes[~square]
+        R, n = self._rows.size, self._cols.size
+        ends = np.cumsum(sizes)
+        self._firsts, self._block = ends - sizes, np.repeat(np.arange(sizes.size), sizes)
+        # the rows of the blocks of more than _HELD rows and columns
+        self._shortlisted = [slice(ends[i] - sizes[i], ends[i])
+                             for i in np.flatnonzero((sizes > _HELD) & (n > _HELD)).tolist()]
+        # block i's LP rows: row sum r at r + i n, column sum j at ends[i] + i n + j
+        row = np.arange(R) + n * self._block
+        col = (ends + n * np.arange(sizes.size))[:, None] + np.arange(n)
+        self._row = np.repeat(row, n).astype(np.int32)  # the two LP rows of every cell
+        self._col = col[self._block].ravel().astype(np.int32)
+        self._highs = _Highs()
+        for name, value in _HIGHS_OPTIONS:
+            self._highs.setOptionValue(name, value)
+        rhs = np.empty(R + col.size)
+        rhs[row], rhs[col] = self._a, self._b
+        if self._highs.addRows(rhs.size, rhs, rhs, 0, np.zeros(rhs.size, dtype=np.int32),
+                               np.zeros(0, dtype=np.int32), np.zeros(0)) == HighsStatus.kError:
+            raise NumericalFailure("transport LP rejected by HiGHS")
+        self._held = np.zeros(0, dtype=np.intp)  # the cells that are LP columns, in order
 
-    def _columns(self, cells):
-        """``start, index, value`` of the LP columns of ``cells``: each cell
-        is in its row's sum and its column's sum, so holds exactly two ones."""
+    def _add(self, cells, costs) -> None:
+        """Hold ``cells`` as LP columns: each is in its row's sum and its
+        column's sum, so holds exactly two ones."""
         start = np.arange(0, 2 * cells.size + 1, 2, dtype=np.int32)
         index = np.stack([self._row[cells], self._col[cells]], axis=1).ravel()
-        return start, index, np.ones(2 * cells.size)
-
-    def _build(self, a, b, C, sizes, rhs) -> None:
-        """Pass HiGHS the block-diagonal LP on the shortlisted cells of ``C``."""
-        if self._highs is None:
-            self._highs = _Highs()
-            for name, value in _HIGHS_OPTIONS:
-                self._highs.setOptionValue(name, value)
-        held = np.ones(C.shape, dtype=bool)
-        starts = np.cumsum(sizes) - sizes
-        for i in np.flatnonzero((sizes > _HELD) & (C.shape[1] > _HELD)).tolist():
-            rows = slice(starts[i], starts[i] + sizes[i])
-            held[rows] = _shortlist(a[rows], b, C[rows])
-        self._held = np.flatnonzero(held)
-        size = self._held.size
-        if self._highs.passModel(
-                size, rhs.size, 2 * size, int(MatrixFormat.kColwise),
-                int(ObjSense.kMinimize), 0.0, C.ravel()[self._held], np.zeros(size),
-                np.full(size, np.inf), rhs, rhs, *self._columns(self._held),
-                np.zeros(size, dtype=np.int32)) == HighsStatus.kError:
-            raise NumericalFailure("transport LP rejected by HiGHS")
+        if self._highs.addCols(cells.size, costs[cells], np.zeros(cells.size),
+                               np.full(cells.size, np.inf), 2 * cells.size, start, index,
+                               np.ones(2 * cells.size)) == HighsStatus.kError:
+            raise NumericalFailure("transport cells rejected by HiGHS")
+        self._held = np.concatenate([self._held, cells])
 
     def _run(self):
         """Run HiGHS on the held cells; the solution, once optimal."""
@@ -183,36 +204,24 @@ class TransportModel:
         self.pivots += self._highs.getInfo().simplex_iteration_count
         return self._highs.getSolution()
 
-    def solve(self, a, b, C, sizes) -> np.ndarray:
-        """The (R, n) optimal flows of the blocks of ``sizes`` rows of the
-        finite costs ``C``, row masses ``a`` and target masses ``b``.
+    def _solve_lp(self, C) -> np.ndarray:
+        """The optimal flows of the LP blocks on their (R, n) costs ``C``.
 
-        The optimum is a vertex of the block-diagonal LP, so every block is
-        a basic plan.  Any HiGHS error or a model status other than optimal
-        raises :class:`NumericalFailure`.
+        Each block's costs are scaled to a maximum of 1.  The optimum is a
+        vertex of the block-diagonal LP, so every block is a basic plan.
         """
-        R, n = C.shape
-        ends = np.cumsum(sizes)
-        block = np.repeat(np.arange(sizes.size), sizes)
-        # block i's LP rows: row sum r at r + i n, column sum j at ends[i] + i n + j
-        row = np.arange(R) + n * block
-        col = (ends + n * np.arange(sizes.size))[:, None] + np.arange(n)
-        rhs = np.empty(R + col.size)
-        rhs[row], rhs[col] = a, b
-        top = np.maximum.reduceat(C.max(axis=1), ends - sizes)
-        C = C / np.repeat(np.where(top > 0, top, 1.0), sizes)[:, None]
+        top = np.maximum.reduceat(C.max(axis=1), self._firsts)
+        C = C / np.where(top > 0, top, 1.0)[self._block][:, None]
         costs = C.ravel()
-        if np.array_equal(sizes, self._sizes) and np.array_equal(rhs, self._rhs):
-            if self._highs.changeColsCost(
-                    self._held.size, np.arange(self._held.size, dtype=np.int32),
-                    costs[self._held]) == HighsStatus.kError:
-                raise NumericalFailure("transport costs rejected by HiGHS")
-        else:
-            self._sizes = self._rhs = None  # until the new model is in
-            self._row = np.repeat(row, n).astype(np.int32)
-            self._col = col[block].ravel().astype(np.int32)
-            self._build(a, b, C, sizes, rhs)
-            self._sizes, self._rhs = sizes.copy(), rhs
+        if not self._held.size:  # the first solve
+            held = np.ones(C.shape, dtype=bool)
+            for rows in self._shortlisted:
+                held[rows] = _shortlist(self._a[rows], self._b, C[rows])
+            self._add(np.flatnonzero(held), costs)
+        elif self._highs.changeColsCost(
+                self._held.size, np.arange(self._held.size, dtype=np.int32),
+                costs[self._held]) == HighsStatus.kError:
+            raise NumericalFailure("transport costs rejected by HiGHS")
         solution = self._run()
         while self._held.size < costs.size:
             y = np.array(solution.row_dual)
@@ -221,69 +230,41 @@ class TransportModel:
             new = np.flatnonzero(priced < -_PRICE_TOL)
             if not new.size:
                 break
-            if self._highs.addCols(new.size, costs[new], np.zeros(new.size),
-                                   np.full(new.size, np.inf), 2 * new.size,
-                                   *self._columns(new)) == HighsStatus.kError:
-                raise NumericalFailure("transport cells rejected by HiGHS")
-            self._held = np.concatenate([self._held, new])
+            self._add(new, costs)
             solution = self._run()
         x = np.zeros(costs.size)
         x[self._held] = np.maximum(np.array(solution.col_value), 0.0)
-        return x.reshape(R, n)
+        return x.reshape(C.shape)
+
+    def solve(self, C: np.ndarray):
+        """``(flow, costs)`` of every input on the (N, n) cost matrix ``C``
+        of the batch's rows against the target's atoms: rows
+        ``batch.starts[i]`` up to ``batch.starts[i + 1]`` of ``flow`` are
+        input i's plan and ``costs[i]`` its price on ``C`` by
+        :func:`pooled_costs`.  A non-finite entry of ``C``, any HiGHS error or
+        a model status other than optimal raises :class:`NumericalFailure`."""
+        if not np.isfinite(C).all():
+            raise NumericalFailure("transport costs are not finite")
+        flow = np.zeros_like(C)
+        flow[self._product] = self._product_flow
+        for rows, a in self._assignments:
+            r, c = linear_sum_assignment(C[np.ix_(rows, self._cols)])
+            flow[rows[r], self._cols[c]] = a[r]
+        if self._highs is not None:
+            block = np.ix_(self._rows, self._cols)
+            flow[block] = self._solve_lp(C[block])
+        return flow, pooled_costs(flow, C, self._starts)
 
 
-def solve_pooled(batch: PooledBatch, nu: DiscreteDistribution, p: float,
-                 model: TransportModel | None = None):
-    """Optimal flows and costs of every pooled input against ``nu``.
-
-    Returns ``(flow, costs)``: rows ``batch.starts[i]`` up to
-    ``batch.starts[i + 1]`` of the pooled (N, n) ``flow`` are input i's
-    plan, and ``costs[i]`` is its price under one cost matrix of all pooled
-    atoms; a non-finite entry of that matrix raises :class:`NumericalFailure`.
-    An input with one mass-carrying atom, or a ``nu`` with one, has the
-    product of its marginals as its plan.  An input whose mass-carrying atoms
-    match ``nu``'s in number, with all masses equal on each side, is an
-    assignment, solved by ``linear_sum_assignment`` on its slice of the
-    pooled rows.  The pooled rows of every other input go to one
-    :meth:`TransportModel.solve` call on ``model`` (a fresh one when none is
-    given); a caller that solves the same inputs against successive supports
-    passes one model to every call so that each solve starts from the
-    previous basis.  Which inputs reach the LP depends on the masses only, so
-    the LP keeps its structure across calls that change only ``nu``'s atoms.
-    """
+def solve_pooled(batch: PooledBatch, nu: DiscreteDistribution, p: float):
+    """Optimal flows and costs of every pooled input against ``nu``: the
+    one-shot form of :class:`TransportModel`, built for ``batch`` and
+    ``nu``'s weights and solved once on the cost matrix of all pooled atoms
+    against ``nu``'s, after the exponent and the dimensions are checked."""
     _check_exponent(p)
     if batch.points.shape[1] != nu.dim:
         raise DimensionMismatch(f"dimensions differ: {batch.points.shape[1]} vs {nu.dim}")
-    C = _distances(batch.points, nu.atoms, p)
-    if not np.isfinite(C).all():
-        raise NumericalFailure("transport costs are not finite")
-    a, origins, massive = batch.mass, batch.origins, batch.massive
-    b = np.where(nu.weights > ZERO_MASS, nu.weights, 0.0)
-    b /= b.sum()
-    cols = np.flatnonzero(b)
-    lp = (massive > 1) & (len(cols) > 1)
-    on_lp = lp[origins]
-    flow = np.zeros_like(C)
-    flow[~on_lp] = a[~on_lp, None] * b
-    if lp.any():
-        rows = np.flatnonzero(on_lp & (a > 0))
-        sizes = massive[lp]
-        starts = np.cumsum(sizes) - sizes
-        a_rows, b_cols, C_lp = a[rows], b[cols], C[np.ix_(rows, cols)]
-        # equal counts of equal masses on each side: a permutation is optimal
-        square = ((sizes == len(cols)) & (b_cols.min() == b_cols.max())
-                  & (np.minimum.reduceat(a_rows, starts) == np.maximum.reduceat(a_rows, starts)))
-        for i in np.flatnonzero(square).tolist():
-            block = slice(starts[i], starts[i] + sizes[i])
-            r, c = linear_sum_assignment(C_lp[block])
-            flow[rows[block][r], cols[c]] = a_rows[block][r]
-        if not square.all():
-            if model is None:
-                model = TransportModel()
-            to_lp = np.repeat(~square, sizes)
-            flow[np.ix_(rows[to_lp], cols)] = model.solve(
-                a_rows[to_lp], b_cols, C_lp[to_lp], sizes[~square])
-    return flow, pooled_costs(flow, C, batch.starts)
+    return TransportModel(batch, nu.weights).solve(_distances(batch.points, nu.atoms, p))
 
 
 def pooled_costs(flow: np.ndarray, C: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -3,9 +3,9 @@ from itertools import count
 import numpy as np
 import pytest
 
-from baryreduce import barycenter
+from baryreduce import barycenter, transport
 from baryreduce.core import Solution, make_distribution, pool_batch
-from baryreduce.transport import solve_pooled
+from baryreduce.transport import TransportModel, solve_pooled
 
 
 @pytest.fixture
@@ -48,16 +48,23 @@ def solution_of(plans, b):
     return Solution(np.concatenate(plans), b)
 
 
+def use_model(monkeypatch, model_class):
+    """Make the barycenter solver and ``solve_pooled`` build ``model_class``,
+    a :class:`TransportModel` subclass, for their transport steps."""
+    monkeypatch.setattr(barycenter, "TransportModel", model_class)
+    monkeypatch.setattr(transport, "TransportModel", model_class)
+
+
 @pytest.fixture
 def rising_transport_costs(monkeypatch):
     """Make the barycenter solver's transport step report its true costs
     times 1, 2, 3, ... on successive outer iterations, keeping the real
     plans, so the objective rises even where the fitted support lowers it."""
-    solve = barycenter.solve_pooled
     calls = count(1)
 
-    def rising(batch, nu, p, model):
-        flow, costs = solve(batch, nu, p, model)
-        return flow, costs * next(calls)
+    class Rising(TransportModel):
+        def solve(self, C):
+            flow, costs = super().solve(C)
+            return flow, costs * next(calls)
 
-    monkeypatch.setattr(barycenter, "solve_pooled", rising)
+    use_model(monkeypatch, Rising)

@@ -142,7 +142,7 @@ def test_05_cost_ratio_curve_on_classed_dataset():
     pts, labels = gen_blob_classes(10, 40, 64, seed=7)
     mus = group_by_label(pts, labels)
     opts = SolverOptions(support_size=8, p=2.0, seed=3)
-    sweep = cost_ratio_sweep(mus, [5, 10, 20, 30], opts, trials=5,
+    sweep = cost_ratio_sweep(pool_batch(mus), [5, 10, 20, 30], opts, trials=5,
                              master_seed=11)
     means = [row["mean_ratio"] for row in sweep["rows"]]
     assert means[-1] <= 1.10, f"ratio at m=30 is {means[-1]}"

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
+from scipy.spatial.distance import cdist
 
-from baryreduce import barycenter
+from baryreduce import barycenter, transport
 from baryreduce.core import (
     WEIGHT_TOL,
+    BadParams,
     EmptyInput,
     InvalidSolution,
     NumericalFailure,
@@ -24,8 +26,9 @@ from baryreduce.barycenter import (
     support_cost,
     update_support_atom,
 )
-from baryreduce.transport import TransportModel, solve_pooled
-from conftest import random_distribution, solution_of, weights_with_zeros
+from baryreduce.instances import gen_blob_classes, group_by_label
+from baryreduce.transport import TransportModel
+from conftest import random_distribution, solution_of, use_model, weights_with_zeros
 from paper_checks import pairwise_cost_p2
 
 
@@ -304,14 +307,46 @@ class TestSolveBarycenter:
     def test_stops_when_no_atom_moves(self, monkeypatch):
         # the mean of the two deltas is the atom's second place and its last:
         # a third transport step would price the same support again
-        solve, calls = barycenter.solve_pooled, []
-        monkeypatch.setattr(barycenter, "solve_pooled",
-                            lambda *args: calls.append(1) or solve(*args))
+        calls = []
+
+        class Counting(TransportModel):
+            def solve(self, C):
+                calls.append(1)
+                return super().solve(C)
+
+        use_model(monkeypatch, Counting)
         mus = [delta([0.0]), delta([2.0])]
         nu, _, rep = solve_barycenter(pool_batch(mus), SolverOptions(support_size=1, p=2.0))
         assert rep.converged and rep.iterations == len(calls) == 2
         assert rep.trace == [2.0, 1.0]
         assert nu.atoms.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("family, max_outer_iters", [("deltas", 200), ("blobs", 2)])
+    def test_one_distance_matrix_per_support(self, family, max_outer_iters, monkeypatch):
+        # each fitted support's distances price it and feed the next transport
+        # step; the solver stops on the price rule or at the iteration cap
+        distances, calls = transport._distances, []
+
+        def counting(*args):
+            calls.append(1)
+            return distances(*args)
+
+        monkeypatch.setattr(barycenter, "_distances", counting)
+        monkeypatch.setattr(transport, "_distances", counting)
+        if family == "deltas":
+            mus = [delta([0.0]), delta([2.0])]
+        else:
+            points, labels = gen_blob_classes(4, 10, 16, seed=7)
+            mus = group_by_label(points, labels)
+        opts = SolverOptions(support_size=3, p=2.0, max_outer_iters=max_outer_iters)
+        _, _, rep = solve_barycenter(pool_batch(mus), opts)
+        assert rep.iterations == 2
+        assert len(calls) == rep.iterations + 1
+
+    @pytest.mark.parametrize("max_outer_iters", [0, -1])
+    def test_no_outer_iteration_is_rejected(self, max_outer_iters):
+        with pytest.raises(BadParams, match="max_outer_iters"):
+            SolverOptions(max_outer_iters=max_outer_iters)
 
     def test_monotone_trace(self, rng):
         mus = random_family(rng, k=4, T=5, d=3)
@@ -328,14 +363,15 @@ class TestSolveBarycenter:
     def test_rounding_rise_keeps_the_last_flows(self, monkeypatch):
         # the second transport step prices its plans a rounding above the
         # moved support's price on the first plans: that price is kept
-        solve, calls = barycenter.solve_pooled, []
+        calls = []
 
-        def nudged(*args):
-            flow, costs = solve(*args)
-            calls.append(1)
-            return flow, (costs * (1.0 + 1e-12) if len(calls) == 2 else costs)
+        class Nudged(TransportModel):
+            def solve(self, C):
+                flow, costs = super().solve(C)
+                calls.append(1)
+                return flow, (costs * (1.0 + 1e-12) if len(calls) == 2 else costs)
 
-        monkeypatch.setattr(barycenter, "solve_pooled", nudged)
+        use_model(monkeypatch, Nudged)
         batch = pool_batch([delta([0.0]), delta([2.0])])
         nu, sol, rep = solve_barycenter(batch, SolverOptions(support_size=1, p=2.0))
         assert rep.converged and rep.trace == [2.0, 1.0]
@@ -437,19 +473,23 @@ class TestWarmStart:
                 for c in centers for _ in range(2)]
 
     def test_warm_solves_match_cold_in_fewer_pivots(self, blobs, monkeypatch):
-        solve = barycenter.solve_pooled
         warm_models, cold_models = [], []
 
-        def warm_and_cold(batch, nu, p, model):
-            warm_models.append(model)
-            flow, costs = solve(batch, nu, p, model)
-            cold_models.append(TransportModel())
-            _, cold = solve(batch, nu, p, cold_models[-1])
-            for cost, cold_cost in zip(costs, cold):
-                assert cost == pytest.approx(cold_cost, rel=1e-12, abs=0.0)
-            return flow, costs
+        class WarmAndCold(TransportModel):
+            def __init__(self, batch, b):
+                super().__init__(batch, b)
+                self.masses = batch, b
 
-        monkeypatch.setattr(barycenter, "solve_pooled", warm_and_cold)
+            def solve(self, C):
+                warm_models.append(self)
+                flow, costs = super().solve(C)
+                cold_models.append(TransportModel(*self.masses))
+                _, cold = cold_models[-1].solve(C)
+                for cost, cold_cost in zip(costs, cold):
+                    assert cost == pytest.approx(cold_cost, rel=1e-12, abs=0.0)
+                return flow, costs
+
+        use_model(monkeypatch, WarmAndCold)
         _, _, rep = solve_barycenter(pool_batch(blobs),
                                      SolverOptions(support_size=5, p=2.0, seed=1))
         assert rep.iterations >= 3
@@ -460,18 +500,22 @@ class TestWarmStart:
     def test_warm_solves_that_add_cells_match_cold(self, blobs, monkeypatch):
         # 15 x 12 blocks: the LP holds part of each block and warm solves
         # price the rest, adding the cells that the new costs make cheap
-        solve = barycenter.solve_pooled
         held = []
 
-        def warm_and_cold(batch, nu, p, model):
-            flow, costs = solve(batch, nu, p, model)
-            held.append(model._highs.getNumCol())
-            _, cold = solve(batch, nu, p, TransportModel())
-            for cost, cold_cost in zip(costs, cold):
-                assert cost == pytest.approx(cold_cost, rel=1e-12, abs=0.0)
-            return flow, costs
+        class WarmAndCold(TransportModel):
+            def __init__(self, batch, b):
+                super().__init__(batch, b)
+                self.masses = batch, b
 
-        monkeypatch.setattr(barycenter, "solve_pooled", warm_and_cold)
+            def solve(self, C):
+                flow, costs = super().solve(C)
+                held.append(self._highs.getNumCol())
+                _, cold = TransportModel(*self.masses).solve(C)
+                for cost, cold_cost in zip(costs, cold):
+                    assert cost == pytest.approx(cold_cost, rel=1e-12, abs=0.0)
+                return flow, costs
+
+        use_model(monkeypatch, WarmAndCold)
         _, _, rep = solve_barycenter(pool_batch(blobs),
                                      SolverOptions(support_size=12, p=2.0, seed=1))
         assert rep.iterations >= 3
@@ -479,11 +523,12 @@ class TestWarmStart:
 
     def test_warm_plans_are_basic(self, blobs):
         rng = np.random.default_rng(4)
-        model = TransportModel()
+        b = np.array([0.3, 0.1, 0.2, 0.25, 0.15])
         batch = pool_batch(blobs)
+        model = TransportModel(batch, b)
         for _ in range(4):
-            nu = make_distribution(rng.normal(size=(5, 4)), [0.3, 0.1, 0.2, 0.25, 0.15])
-            flow, _ = solve_pooled(batch, nu, 2.0, model)
+            nu = make_distribution(rng.normal(size=(5, 4)), b)
+            flow, _ = model.solve(cdist(batch.points, nu.atoms, "sqeuclidean"))
             for mu, plan in zip(blobs, np.split(flow, batch.starts[1:])):
                 assert (plan > 0).sum() <= mu.size + nu.size - 1
                 np.testing.assert_allclose(plan.sum(axis=1), mu.weights,

@@ -239,7 +239,7 @@ def test_each_command_pools_its_inputs_once(argv, pooled, small_inputs, monkeypa
 
     modules = [m for name, m in sys.modules.items()
                if name.partition(".")[0] == "baryreduce" and hasattr(m, "pool_batch")]
-    assert {m.__name__ for m in modules} >= {"baryreduce.cli", "baryreduce.projection"}
+    assert "baryreduce.cli" in {m.__name__ for m in modules}
     for module in modules:
         monkeypatch.setattr(module, "pool_batch", counted)
     if "--k" not in argv:

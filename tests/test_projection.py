@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
+from baryreduce import projection
 from baryreduce.core import BadParams, DimensionMismatch, make_distribution, pool_batch
 from baryreduce.barycenter import (
     SolverOptions,
@@ -222,14 +223,25 @@ class TestPipeline:
     def test_sweep_identity_dimension(self, rng):
         mus = self._family(rng)
         opts = SolverOptions(support_size=2, p=2.0, seed=4)
-        out = cost_ratio_sweep(mus, [12], opts, trials=3, master_seed=1)
+        out = cost_ratio_sweep(pool_batch(mus), [12], opts, trials=3, master_seed=1)
         assert out["rows"][0]["mean_ratio"] >= 0.95
         assert sorted(out["rows"][0]) == ["m", "max_ratio", "mean_ratio", "mean_time", "ratios"]
 
     def test_sweep_deterministic(self, rng):
         mus = self._family(rng)
         opts = SolverOptions(support_size=2, p=2.0, seed=4)
-        a = cost_ratio_sweep(mus, [4, 8], opts, trials=2, master_seed=5)
-        b = cost_ratio_sweep(mus, [4, 8], opts, trials=2, master_seed=5)
+        a = cost_ratio_sweep(pool_batch(mus), [4, 8], opts, trials=2, master_seed=5)
+        b = cost_ratio_sweep(pool_batch(mus), [4, 8], opts, trials=2, master_seed=5)
         for ra, rb in zip(a["rows"], b["rows"]):
             assert ra["ratios"] == rb["ratios"]
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_sweep_needs_a_trial(self, rng, trials, monkeypatch):
+        # refused before the reference solve, which would run for nothing
+        def no_solve(*args):
+            raise AssertionError("reference solved before the trials were checked")
+
+        monkeypatch.setattr(projection, "solve_barycenter", no_solve)
+        opts = SolverOptions(support_size=2, p=2.0, seed=4)
+        with pytest.raises(BadParams, match="trials"):
+            cost_ratio_sweep(pool_batch(self._family(rng)), [4], opts, trials=trials)

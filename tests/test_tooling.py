@@ -3,8 +3,8 @@ from numpy, scipy and the standard library, every public name of the engine
 reached by the engine, the benchmark or a demo, the benchmark's span names
 still name public functions of the package, output is written by
 ``cli._emit`` alone, distances are computed by ``transport._distances``
-alone and priced in the solver by ``pooled_costs`` alone, the solver
-layer never re-pools its inputs, and the pytest
+alone and read in the solver by ``pooled_costs`` or the transport model
+alone, the solver layer never re-pools its inputs, and the pytest
 configuration reports a failing property test as a failure."""
 
 import ast
@@ -215,33 +215,68 @@ def test_distances_are_computed_by_transport_distances_alone():
     assert sites and set(sites) == {"transport._distances"}, sites
 
 
-def _unpriced(name: str):
-    """A matcher for the calls of ``name`` that are not an argument of a
-    ``pooled_costs`` call; ``sites_where`` visits a call before its arguments."""
-    is_call, is_pricing, priced = _calls(name), _calls("pooled_costs"), set()
+def _unpriced_distances(source: str):
+    """A matcher for the reads of an array that ``_distances`` returns in
+    ``source`` other than as an argument of a ``pooled_costs`` or a ``solve``
+    call: the ``_distances`` call itself, or a name bound to its array
+    directly or by a plain move to another name.  ``sites_where`` visits an
+    assignment or a call before its parts."""
+    is_distances, is_reader = _calls("_distances"), _calls("pooled_costs")
+    is_solve = _calls("solve")
+
+    def moves(node):
+        """The (target, value) pairs of an assignment, element by element."""
+        for target in getattr(node, "targets", []) if isinstance(node, ast.Assign) else []:
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                yield from zip(target.elts, node.value.elts)
+            else:
+                yield target, node.value
+
+    held = set()  # the names bound to such an array
+
+    def is_array(node):
+        return is_distances(node) or (isinstance(node, ast.Name) and node.id in held
+                                      and isinstance(node.ctx, ast.Load))
+
+    tree, size = ast.parse(source), -1
+    while size < len(held):  # a name may be moved to before it is bound
+        size = len(held)
+        held.update(target.id for node in ast.walk(tree) for target, value in moves(node)
+                    if isinstance(target, ast.Name) and is_array(value))
+    allowed = set()
 
     def matches(node):
-        if is_pricing(node):
-            priced.update(map(id, node.args))
-        return is_call(node) and id(node) not in priced
+        if is_reader(node) or is_solve(node):
+            allowed.update(map(id, node.args))
+        allowed.update(id(value) for target, value in moves(node)
+                       if isinstance(target, ast.Name))
+        return is_array(node) and id(node) not in allowed
     return matches
 
 
 def test_unpriced_sites_are_found():
-    source = ("def f(x, y):\n    t.pooled_costs(flow, _distances(x, y, 1), s)\n"
-              "    return w @ _distances(x, y, 1)\n"
+    source = ("def f(x, y, m):\n"
+              "    C = _distances(x, y, 1)\n"
+              "    m.solve(C)\n"
+              "    t.pooled_costs(flow, _distances(x, y, 1), s)\n"
+              "    return w @ C[:, j]\n"
+              "def g(x, y, m):\n"
+              "    D, E = fit, _distances(x, y, 1)\n"
+              "    C = E\n"
+              "    return pooled_costs(flow, C, s), m.solve(E), C.sum()\n"
               "pooled_costs(g(_distances(x, y, 2)))\nf(_distances)\n")
-    assert sites_where(_unpriced("_distances"), source, "m") == ["m.f", "m"]
-    assert sites_where(_calls("_distances"), source, "m") == ["m.f", "m.f", "m"]
+    assert sites_where(_unpriced_distances(source), source, "m") == ["m.f", "m.g", "m"]
+    assert sites_where(_calls("_distances"), source, "m") == ["m.f", "m.f", "m.g", "m"]
 
 
 def test_barycenter_prices_distances_by_pooled_costs_alone():
-    """One pricing rule in the solver: each ``_distances`` call of
-    ``barycenter.py`` is an argument of ``pooled_costs``, so no support step
-    or report sums its costs in another order than the trace does."""
+    """One pricing rule in the solver: each array that ``_distances``
+    returns in ``barycenter.py`` is read by ``pooled_costs`` or by the
+    transport model's ``solve``, which prices by it, alone; so no support
+    step or report sums its costs in another order than the trace does."""
     source = (PACKAGE / "barycenter.py").read_text()
     assert sites_where(_calls("_distances"), source, "barycenter")
-    assert sites_where(_unpriced("_distances"), source, "barycenter") == []
+    assert sites_where(_unpriced_distances(source), source, "barycenter") == []
 
 
 def _names(name: str):
@@ -263,7 +298,7 @@ def test_named_sites_are_found():
 
 
 @pytest.mark.parametrize("module, name", [
-    ("barycenter", "pool_batch"), ("coreset", "pool_batch"),
+    ("barycenter", "pool_batch"), ("coreset", "pool_batch"), ("projection", "pool_batch"),
     ("projection", "make_distribution"), ("projection", "np.split"),
 ])
 def test_the_solver_layer_never_re_pools(module, name):

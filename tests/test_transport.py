@@ -17,7 +17,7 @@ from baryreduce.core import (
     pool_batch,
     solution_violations,
 )
-from baryreduce import barycenter, transport
+from baryreduce import transport
 from baryreduce.transport import (
     TransportModel,
     TransportPlan,
@@ -28,7 +28,7 @@ from baryreduce.transport import (
     wasserstein_p,
 )
 from baryreduce.instances import gen_coreset_synthetic
-from conftest import input_costs, random_distribution, weights_with_zeros
+from conftest import input_costs, random_distribution, use_model, weights_with_zeros
 from oracle import TooLarge, solve_ot_oracle
 
 
@@ -55,13 +55,13 @@ def recording(monkeypatch):
     seen = []
 
     class Recording(TransportModel):
-        def solve(self, a, b, C, sizes):
-            ends = np.cumsum(sizes)[:-1]
-            seen.extend((m, b, c) for m, c in zip(np.split(a, ends), np.split(C, ends)))
-            return super().solve(a, b, C, sizes)
+        def _solve_lp(self, C):
+            ends = self._firsts[1:]
+            seen.extend((a, self._b, c)
+                        for a, c in zip(np.split(self._a, ends), np.split(C, ends)))
+            return super()._solve_lp(C)
 
-    monkeypatch.setattr(transport, "TransportModel", Recording)
-    monkeypatch.setattr(barycenter, "TransportModel", Recording)
+    use_model(monkeypatch, Recording)
     return seen
 
 
@@ -156,7 +156,7 @@ class TestSolveOt:
         def no_lp():
             raise AssertionError("forced plan sent to the LP")
 
-        monkeypatch.setattr(transport, "TransportModel", no_lp)
+        monkeypatch.setattr(transport, "_Highs", no_lp)
         mu = make_distribution(rng.normal(size=(3, 2)), [0.25, 0.5, 0.25])
         pairs = [(mu, make_distribution(rng.normal(size=(2, 2)), [1.0, 0.0])),
                  (delta([0.5, -1.0]), mu)]
@@ -176,12 +176,12 @@ class TestSolveOt:
                 D[1, 0] = bad
                 return D
 
-            model = TransportModel()
-            transport.solve_pooled(batch, nu, 2.0, model)
+            model = TransportModel(batch, nu.weights)
+            model.solve(cost_matrix(mu, nu, 2.0))
+            with pytest.raises(NumericalFailure, match="not finite"):  # warm: new costs only
+                model.solve(spoiled(mu.atoms, nu.atoms, "sqeuclidean"))
             with monkeypatch.context() as patch:
                 patch.setattr(transport, "cdist", spoiled)
-                with pytest.raises(NumericalFailure, match="not finite"):
-                    transport.solve_pooled(batch, nu, 2.0, model)  # warm: only the costs change
                 with pytest.raises(NumericalFailure, match="not finite"):
                     transport.solve_pooled(batch, nu, 2.0)
         # ||x - y||**2 overflows to inf at coordinates near 1e200, on an
@@ -255,8 +255,7 @@ class TestHeldCells:
         a[0] = 0.5
         b = np.full(n, 1.0 / n)
         assert not transport._shortlist(a, b, C / C.max())[0, 16:22].any()
-        model = TransportModel()
-        flow = model.solve(a, b, C, np.array([n]))
+        flow, _ = TransportModel(pool_batch([make_distribution(np.zeros((n, 1)), a)]), b).solve(C)
         assert np.all(flow[0, 15:] > 0)
         assert (flow * C).sum() == pytest.approx(full_lp_optimum(a, b, C), rel=1e-9, abs=0.0)
         np.testing.assert_allclose(flow.sum(axis=1), a, rtol=0, atol=WEIGHT_TOL)
@@ -287,26 +286,26 @@ class TestHeldCells:
         inputs.insert(2, (far, weights))
         mus = [make_distribution(scale * X, a / a.sum()) for X, a in inputs]
         batch = pool_batch(mus)
-        model = TransportModel()
-        builds = []
-        build = model._build
-        model._build = lambda *args: builds.append(build(*args))
+        model = TransportModel(batch, b)
+        held = []
         for atoms in (Y, Y + 0.05 * r.normal(size=Y.shape)):  # cold, then warm
             nu = make_distribution(scale * atoms, b)
             C = cdist(far, atoms, "sqeuclidean")
             assert not transport._shortlist(weights, b, C / C.max())[0, 3]
-            flow, costs = solve_pooled(batch, nu, 2.0, model)
+            flow, costs = model.solve(cdist(batch.points, nu.atoms, "sqeuclidean"))
+            held.append(model._held.copy())
             plans = np.split(flow, batch.starts[1:])
             assert plans[2][0, 3] > 0
             for (X, _), mu, plan, cost in zip(inputs, mus, plans, costs.tolist()):
                 optimum = full_lp_optimum(mu.weights, b, cdist(X, atoms, "sqeuclidean"))
                 check_optimal_plan(mu, nu, TransportPlan(plan, cost), optimum * scale**2)
-        assert len(builds) == 1  # the warm solve kept the model
+        # the warm solve kept the model: the cold solve's cells lead its columns
+        np.testing.assert_array_equal(held[1][:held[0].size], held[0])
 
     def test_cold_solve_holds_a_subset_of_the_cells(self, rng):
         mu, nu = random_distribution(rng, 128, 8), random_distribution(rng, 128, 8)
-        model = TransportModel()
-        model.solve(mu.weights, nu.weights, cost_matrix(mu, nu, 2.0), np.array([128]))
+        model = TransportModel(pool_batch([mu]), nu.weights)
+        model.solve(cost_matrix(mu, nu, 2.0))
         assert model._highs.getNumCol() < 128 * 128
 
 
@@ -321,7 +320,7 @@ class TestAssignment:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("T", [2, 8, 64, 128])
     def test_uniform_pairs_match_the_full_lp(self, T, p, monkeypatch):
-        monkeypatch.setattr(transport, "TransportModel", self.no_lp)
+        monkeypatch.setattr(transport, "_Highs", self.no_lp)
         r = np.random.default_rng(10 * T + int(2 * p))
         X, Y = r.normal(size=(T, 8)), r.normal(size=(T, 8))
         u = np.full(T, 1.0 / T)
@@ -331,7 +330,7 @@ class TestAssignment:
             check_optimal_plan(mu, nu, solve_ot(mu, nu, p), optimum * scale**p)
 
     def test_zero_mass_atoms_leave_an_assignment(self, rng, monkeypatch):
-        monkeypatch.setattr(transport, "TransportModel", self.no_lp)
+        monkeypatch.setattr(transport, "_Highs", self.no_lp)
         X, Y = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
         cases = [([0.25, 0.0, 0.25, 0.25, 0.25], [0.25, 0.25, 0.25, 0.0, 0.25]),
                  ([0.2] * 5, [0.2] * 5),
@@ -401,15 +400,13 @@ class TestHighsBinding:
         from scipy.optimize._highspy import _core
 
         wanted = {
-            "_Highs": ["setOptionValue", "getOptionValue", "passModel", "addCols",
+            "_Highs": ["setOptionValue", "getOptionValue", "addRows", "addCols",
                        "changeColsCost", "run", "getModelStatus", "getNumCol",
                        "modelStatusToString", "getInfo", "getSolution"],
             "HighsInfo": ["simplex_iteration_count"],
             "HighsSolution": ["col_value", "row_dual"],
             "HighsModelStatus": ["kOptimal"],
             "HighsStatus": ["kOk", "kError"],
-            "MatrixFormat": ["kColwise"],
-            "ObjSense": ["kMinimize"],
         }
         missing = [f"{owner}.{name}" for owner, names in wanted.items()
                    for name in names
@@ -420,18 +417,19 @@ class TestHighsBinding:
                    if highs.getOptionValue(name)[0] != _core.HighsStatus.kOk]
         assert not unknown, f"HiGHS does not know the options {unknown}"
 
-    def test_array_pass_model_on_one_cell(self):
-        # hasattr cannot see overloads: pass min x s.t. x = 1 (two rows), x >= 0
+    def test_rows_then_one_cell(self):
+        # as the model passes an LP: min 2 x s.t. x = 1 (two rows), x >= 0,
+        # rows first, then the cell
         from scipy.optimize._highspy import _core
 
         highs = _core._Highs()
         highs.setOptionValue("output_flag", False)
-        one = np.ones(1)
-        status = highs.passModel(
-            1, 2, 2, int(_core.MatrixFormat.kColwise), int(_core.ObjSense.kMinimize),
-            0.0, 2.0 * one, np.zeros(1), np.full(1, np.inf), np.ones(2), np.ones(2),
-            np.array([0, 2], dtype=np.int32), np.array([0, 1], dtype=np.int32),
-            np.ones(2), np.zeros(1, dtype=np.int32))
+        status = highs.addRows(2, np.ones(2), np.ones(2), 0, np.zeros(2, dtype=np.int32),
+                               np.zeros(0, dtype=np.int32), np.zeros(0))
+        assert status == _core.HighsStatus.kOk
+        status = highs.addCols(1, np.full(1, 2.0), np.zeros(1), np.full(1, np.inf), 2,
+                               np.array([0, 2], dtype=np.int32),
+                               np.array([0, 1], dtype=np.int32), np.ones(2))
         assert status == _core.HighsStatus.kOk
         assert highs.run() == _core.HighsStatus.kOk
         assert highs.getModelStatus() == _core.HighsModelStatus.kOptimal
