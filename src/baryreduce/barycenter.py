@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BadExponent,
     BadParams,
     CostReport,
     DiscreteDistribution,
@@ -24,6 +23,7 @@ from .core import (
     PooledBatch,
     Solution,
     ZeroWeight,
+    check_exponent,
     solution_violations,
 )
 from .transport import TransportModel, _distances, pooled_costs
@@ -45,8 +45,7 @@ class SolverOptions:
     def __post_init__(self):
         if self.support_size < 1:
             raise EmptyInput("support_size must be >= 1")
-        if not 1.0 <= self.p < np.inf:
-            raise BadExponent(f"exponent p must be finite and >= 1, got {self.p}")
+        check_exponent(self.p)
         if self.max_outer_iters < 1:
             raise BadParams("max_outer_iters must be >= 1")
 
@@ -90,6 +89,7 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float) -> np
     dropped first, so they affect neither the result nor the stop rules;
     callers pass a column's flow rows only.
     """
+    check_exponent(p)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64).ravel()
     total = weights.sum()
@@ -188,6 +188,7 @@ def support_cost(sol: Solution, batch: PooledBatch, nu: DiscreteDistribution,
     """Objective value of a solution's plans priced against the atoms of
     ``nu``, by the rule that prices the solver's own plans.  A price that
     is not finite raises :class:`NumericalFailure`."""
+    check_exponent(p)
     costs = pooled_costs(sol.flow, _distances(batch.points, nu.atoms, p), batch.starts)
     cost = sum(costs.tolist()) / len(batch.starts)
     if not np.isfinite(cost):

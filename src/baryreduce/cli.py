@@ -43,6 +43,7 @@ from .instances import (
 )
 from .projection import (
     MAP_MAKERS,
+    POLICIES,
     cost_ratio_sweep,
     jl_dimension,
     reduce_solve_reconstruct,
@@ -230,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--delta", type=float, default=0.1)
     group = r.add_mutually_exclusive_group()
     group.add_argument("--dim", type=int, default=None)
-    group.add_argument("--policy", choices=("p2", "kirszbraun", "optimal"),
-                       default="optimal")
+    group.add_argument("--policy", choices=POLICIES, default="optimal")
     r.add_argument("--map", choices=tuple(MAP_MAKERS), default="gaussian")
     common(r)
 

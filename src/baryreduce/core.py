@@ -42,15 +42,15 @@ class EmptyInput(BaryError):
     pass
 
 
-class BadExponent(BaryError):
+class BadParams(BaryError):
+    pass
+
+
+class BadExponent(BadParams):
     pass
 
 
 class BadLambdas(BaryError):
-    pass
-
-
-class BadParams(BaryError):
     pass
 
 
@@ -80,6 +80,12 @@ class ParseError(BaryError):
 
 class RaggedRows(BaryError):
     pass
+
+
+def check_exponent(p: float) -> None:
+    """The one rule for an exponent p: finite and >= 1, else (NaN too) :class:`BadExponent`."""
+    if not 1.0 <= p < np.inf:
+        raise BadExponent(f"exponent p must be finite and >= 1, got {p}")
 
 
 def _frozen(a) -> np.ndarray:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BadSize, BadWeights, DiscreteDistribution, NumericalFailure, PooledBatch
+from .core import (BadSize, BadWeights, DiscreteDistribution, NumericalFailure, PooledBatch,
+                   check_exponent)
 from .barycenter import SolverOptions, solve_barycenter
 from .transport import solve_pooled
 
@@ -63,6 +64,7 @@ def scores_from_costs(costs: np.ndarray, p: float = 2.0, alpha: float = 2.0,
     A mean cost or a sum of scores that is not finite (a score overflows at
     a large ``p``) raises :class:`NumericalFailure`.
     """
+    check_exponent(p)
     m = _multiplicity(multiplicity, len(costs))
     with np.errstate(over="ignore", invalid="ignore"):
         avg = (costs * m).sum() / m.sum()
@@ -129,6 +131,7 @@ def coreset_size_bound(n: int, d: int, p: float, eps: float, delta: float,
     / eps^2`` and its ceiling, so callers can inspect exact parameter
     scaling before rounding.
     """
+    check_exponent(p)
     if eps <= 0 or not (0 < delta < 1):
         raise BadSize("need eps > 0 and delta in (0, 1)")
     raw = alpha * 4.0 ** (p - 1) * n**8 * d**4 * math.log(1.0 / delta) / eps**2

@@ -22,6 +22,7 @@ from .core import (
     NORMALIZATION_TOL,
     ParseError,
     RaggedRows,
+    check_exponent,
     make_distribution,
 )
 
@@ -46,8 +47,7 @@ def gen_lb_barycenter(t: int, N: float, C: float, eps: float, p: float = 2.0):
         raise BadParams("need N >= 2 so pairs are far from the origin")
     if not (0 < C * eps < 1):
         raise BadParams("need 0 < C*eps < 1")
-    if not p >= 1:
-        raise BadParams(f"need p >= 1, got {p}")
+    check_exponent(p)
     S = np.zeros((2 * t, t))
     for i in range(t):
         S[2 * i, i] = N

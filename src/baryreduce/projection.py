@@ -22,6 +22,7 @@ from .core import (
     DimensionMismatch,
     DiscreteDistribution,
     PooledBatch,
+    check_exponent,
 )
 from .barycenter import (
     SolverOptions,
@@ -30,7 +31,7 @@ from .barycenter import (
     support_cost,
 )
 
-_POLICIES = ("p2", "kirszbraun", "optimal")
+POLICIES = ("p2", "kirszbraun", "optimal")
 
 
 def jl_dimension(n: int, eps: float, delta: float, p: float,
@@ -45,14 +46,13 @@ def jl_dimension(n: int, eps: float, delta: float, p: float,
     Returns ``ceil(f)``, at least 1; an ``f`` that is not finite raises
     :class:`BadParams`.
     """
-    if policy not in _POLICIES:
-        raise BadParams(f"unknown policy {policy!r}; expected one of {_POLICIES}")
+    if policy not in POLICIES:
+        raise BadParams(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if not (0 < eps < 1) or not (0 < delta < 1):
         raise BadParams("eps and delta must lie in (0, 1)")
     if n < 2:
         raise BadParams("n must be at least 2")
-    if not 1 <= p < math.inf:
-        raise BadParams(f"exponent must be finite and >= 1, got {p}")
+    check_exponent(p)
     if policy == "p2" and p != 2:
         raise BadParams("policy 'p2' only applies to exponent 2")
     if policy != "optimal" and k is None:

@@ -41,13 +41,13 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 from scipy.spatial.distance import cdist
 
 from .core import (
-    BadExponent,
     BadLambdas,
     DimensionMismatch,
     DiscreteDistribution,
     NumericalFailure,
     PooledBatch,
     ZERO_MASS,
+    check_exponent,
     pool_batch,
 )
 
@@ -80,11 +80,6 @@ class TransportPlan:
     cost: float
 
 
-def _check_exponent(p: float):
-    if not p >= 1.0:
-        raise BadExponent(f"exponent p must be >= 1, got {p}")
-
-
 def _distances(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
     """D[s, t] = ||X_s - Y_t||_2 ** p, from one ``cdist`` call."""
     if p == 2.0:
@@ -98,7 +93,7 @@ def cost_matrix(mu: DiscreteDistribution, nu: DiscreteDistribution, p: float) ->
     """C[s, t] = ||x_s - y_t||_2 ** p."""
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
-    _check_exponent(p)
+    check_exponent(p)
     return _distances(mu.atoms, nu.atoms, p)
 
 
@@ -261,7 +256,7 @@ def solve_pooled(batch: PooledBatch, nu: DiscreteDistribution, p: float):
     one-shot form of :class:`TransportModel`, built for ``batch`` and
     ``nu``'s weights and solved once on the cost matrix of all pooled atoms
     against ``nu``'s, after the exponent and the dimensions are checked."""
-    _check_exponent(p)
+    check_exponent(p)
     if batch.points.shape[1] != nu.dim:
         raise DimensionMismatch(f"dimensions differ: {batch.points.shape[1]} vs {nu.dim}")
     return TransportModel(batch, nu.weights).solve(_distances(batch.points, nu.atoms, p))

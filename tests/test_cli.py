@@ -515,8 +515,8 @@ def test_negative_seed_is_a_usage_error(two_deltas, capsys, command):
     assert_one_error_line(code, capsys)
 
 
-# Every column distance of these atoms is at most 1, so at p = inf the costs
-# stay finite and the support update is the first to see the exponent.
+# Every column distance of these atoms is at most 1, so at p = inf no cost
+# overflows and only the exponent rule can refuse the run.
 NEAR = "0,0.5,0.0\n0,0.5,0.2\n1,0.5,0.1\n1,0.5,0.3\n"
 
 
@@ -525,15 +525,17 @@ NEAR = "0,0.5,0.0\n0,0.5,0.2\n1,0.5,0.1\n1,0.5,0.3\n"
     ["gen", "lb_barycenter", "--p", "nan"], ["gen", "lb_barycenter", "--p", "0.5"],
     ["barycenter", "--p", "inf"], ["barycenter", "--support-size", "1", "--p", "inf", NEAR],
     ["reduce", "--dim", "1", "--p", "inf"], ["reduce", "--dim", "1", "--p", "inf", NEAR],
+    ["coreset", "--p", "inf"], ["gen", "lb_barycenter", "--p", "inf"],
 ], ids=["reduce-nan", "reduce-inf", "gen-nan", "gen-half",
-        "barycenter-inf", "barycenter-inf-near", "reduce-dim-inf", "reduce-dim-inf-near"])
+        "barycenter-inf", "barycenter-inf-near", "reduce-dim-inf", "reduce-dim-inf-near",
+        "coreset-inf", "gen-inf"])
 def test_bad_exponent_is_a_usage_error(two_deltas, tmp_path, capsys, argv):
     if argv[-1] == NEAR:
         f = tmp_path / "near.csv"
         f.write_text(NEAR)
         argv = [*argv[:-1], "--input", str(f)]
-    elif argv[0] != "gen":  # the dimension policy of reduce sees --p first
-        argv = [*argv, "--input", two_deltas]
+    elif argv[0] not in ("gen", "coreset"):  # coreset runs on its synthetic family
+        argv = [*argv, "--input", two_deltas]  # reduce's dimension policy sees --p first
     assert_one_error_line(main(argv), capsys)
 
 
@@ -614,7 +616,7 @@ def run_module(*argvs):
                           capture_output=True, text=True, timeout=120)
 
 
-@pytest.mark.parametrize("p", ["200", "400", "inf", "1e6"])
+@pytest.mark.parametrize("p", ["200", "400", "1e6"])
 def test_non_finite_coreset_costs_exit_1(p):
     # |x - 100|**p overflows; scores, sampling and the JSON must not see it
     done = run_module(["coreset", "--k", "10", "--sizes", "5", "--p", p,

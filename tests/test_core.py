@@ -1,15 +1,47 @@
+import importlib
+import inspect
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from baryreduce.barycenter import (
+    SolverOptions,
+    reconstruct_barycenter,
+    solution_cost,
+    support_cost,
+    update_support_atom,
+)
 from baryreduce.core import (
+    BadParams,
     BadPoints,
     BadWeights,
     DiscreteDistribution,
     EmptyInput,
     Solution,
+    check_exponent,
     make_distribution,
     pool_batch,
     solution_violations,
+)
+from baryreduce.coreset import (
+    coreset_size_bound,
+    pilot_barycenter,
+    scores_from_costs,
+    sensitivity_upper_bounds,
+)
+from baryreduce.instances import gen_lb_barycenter
+from baryreduce.projection import jl_dimension
+from baryreduce.transport import (
+    barycenter_objective,
+    cost_matrix,
+    solve_ot,
+    solve_pooled,
+    wasserstein_p,
 )
 from conftest import solution_of
 
@@ -251,3 +283,103 @@ class TestPooledValidation:
         _, batch = self._case()
         bad = solution_violations(Solution(np.zeros(shape), self.B), batch)
         assert bad == [f"flow has shape {shape}, expected (6, 2)"]
+
+
+# Every atom lies within unit distance of every other, so at p = inf no
+# cost overflows and only the exponent rule can refuse the call.
+MUS = [make_distribution([[0.0, 0.0], [0.3, 0.1]], [0.5, 0.5]),
+       make_distribution([[0.1, 0.2]], [1.0])]
+NU = make_distribution([[0.1, 0.0], [0.2, 0.2]], [0.5, 0.5])
+BATCH = pool_batch(MUS)
+SOLUTION = Solution(np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.5]]), NU.weights)
+
+#: every public function of the package that takes an exponent p, called
+#: on small valid inputs at that p
+EXPONENT_CALLS = {
+    "check_exponent": check_exponent,
+    "cost_matrix": lambda p: cost_matrix(MUS[0], NU, p),
+    "solve_ot": lambda p: solve_ot(MUS[0], NU, p),
+    "wasserstein_p": lambda p: wasserstein_p(MUS[0], NU, p),
+    "barycenter_objective": lambda p: barycenter_objective(NU, MUS, p),
+    "solve_pooled": lambda p: solve_pooled(BATCH, NU, p),
+    "SolverOptions": lambda p: SolverOptions(p=p),
+    "update_support_atom": lambda p: update_support_atom(BATCH.points, BATCH.mass, p),
+    "reconstruct_barycenter": lambda p: reconstruct_barycenter(SOLUTION, BATCH, p),
+    "solution_cost": lambda p: solution_cost(SOLUTION, BATCH, p),
+    "support_cost": lambda p: support_cost(SOLUTION, BATCH, NU, p),
+    "pilot_barycenter": lambda p: pilot_barycenter(BATCH, p),
+    "scores_from_costs": lambda p: scores_from_costs(np.array([0.5, 1.0]), p),
+    "sensitivity_upper_bounds": lambda p: sensitivity_upper_bounds(BATCH, p, pilot=NU),
+    "coreset_size_bound": lambda p: coreset_size_bound(4, 2, p, 0.5, 0.1),
+    "jl_dimension": lambda p: jl_dimension(16, 0.5, 0.1, p),
+    "gen_lb_barycenter": lambda p: gen_lb_barycenter(2, 10, 1, 0.1, p),
+}
+#: the calls that fit a support atom, whose iterations an invalid p may never stop
+FITS = ("update_support_atom", "reconstruct_barycenter", "solution_cost")
+BAD_EXPONENTS = [0.5, 0.0, -1.0, math.inf, math.nan]
+GOOD_EXPONENTS = [1.0, 1.5, 2.0]
+
+
+def refusal(name: str, p: float):
+    """The class name of the :class:`BadParams` that ``EXPONENT_CALLS[name](p)``
+    raises, or None when it returns."""
+    try:
+        EXPONENT_CALLS[name](p)
+    except BadParams as exc:
+        return type(exc).__name__
+    return None
+
+
+@pytest.fixture(scope="module")
+def fits_refused() -> dict:
+    """``{(name, repr(p)): refusal}`` of every call in ``FITS`` at every
+    exponent, from one fresh interpreter under a 60-second timeout, so a
+    fit that never stops fails its tests instead of hanging the suite.  The
+    call the interpreter stopped at reads ``"timed out"`` or the last line
+    of its error, and the calls after it are missing."""
+    tests = Path(__file__).resolve().parent
+    path = [str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    cases = [(name, repr(p)) for name in FITS for p in BAD_EXPONENTS + GOOD_EXPONENTS]
+    script = ("from test_core import refusal\n"
+              f"for name, p in {cases!r}:\n"
+              "    print(name, p, refusal(name, float(p)), flush=True)\n")
+    try:
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        out, stopped = done.stdout, (done.stderr.splitlines() or ["no output"])[-1]
+    except subprocess.TimeoutExpired as exc:  # its output is bytes here
+        out, stopped = (exc.stdout or b"").decode(), "timed out"
+    lines = out.splitlines()
+    found = {(name, p): None if got == "None" else got
+             for name, p, got in map(str.split, lines)}
+    if len(lines) < len(cases):
+        found[cases[len(lines)]] = stopped
+    return found
+
+
+def test_the_exponent_calls_are_every_public_entry_that_takes_p():
+    taking_p = set()
+    for module in ("core", "transport", "barycenter", "projection", "coreset", "instances",
+                   "cli"):
+        module = importlib.import_module(f"baryreduce.{module}")
+        for name, obj in vars(module).items():
+            if (callable(obj) and not name.startswith("_")
+                    and getattr(obj, "__module__", None) == module.__name__):
+                try:
+                    params = inspect.signature(obj).parameters
+                except ValueError:  # the exception classes have no signature
+                    continue
+                if "p" in params:
+                    taking_p.add(name)
+    assert taking_p == set(EXPONENT_CALLS)
+
+
+@pytest.mark.parametrize("p, refused", [*((p, "BadExponent") for p in BAD_EXPONENTS),
+                                         *((p, None) for p in GOOD_EXPONENTS)])
+@pytest.mark.parametrize("name", list(EXPONENT_CALLS))
+def test_every_entry_that_takes_p_refuses_the_same_exponents(fits_refused, name, p, refused):
+    """One rule: p finite and >= 1.  Any other p raises :class:`BadExponent`,
+    caught as the :class:`BadParams` it is."""
+    got = fits_refused.get((name, repr(p)), "not run") if name in FITS else refusal(name, p)
+    assert got == refused

@@ -69,7 +69,7 @@ class TestSensitivityScores:
                                           expected)
 
     @pytest.mark.parametrize("costs", [[0.0, 0.0], [0.0, 1.0], [1e300, 1e300]])
-    @pytest.mark.parametrize("p", [1e6, 600.0, np.inf])
+    @pytest.mark.parametrize("p", [1e6, 600.0])
     def test_non_finite_scores_raise(self, costs, p):
         # 4**(p-1) overflows a float here; no OverflowError, no NaN weights
         with pytest.raises(NumericalFailure, match="not finite"):

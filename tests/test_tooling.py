@@ -2,10 +2,11 @@
 from numpy, scipy and the standard library, every public name of the engine
 reached by the engine, the benchmark or a demo, the benchmark's span names
 still name public functions of the package, output is written by
-``cli._emit`` alone, distances are computed by ``transport._distances``
-alone and read in the solver by ``pooled_costs`` or the transport model
-alone, the solver layer never re-pools its inputs, and the pytest
-configuration reports a failing property test as a failure."""
+``cli._emit`` alone, the exponent p is ordered against a bound by
+``core.check_exponent`` alone, distances are computed by
+``transport._distances`` alone and read in the solver by ``pooled_costs``
+or the transport model alone, the solver layer never re-pools its inputs,
+and the pytest configuration reports a failing property test as a failure."""
 
 import ast
 import importlib
@@ -213,6 +214,35 @@ def test_distances_are_computed_by_transport_distances_alone():
     sites = [site for path in sorted(PACKAGE.glob("*.py"))
              for site in sites_where(_calls("cdist"), path.read_text(), path.stem)]
     assert sites and set(sites) == {"transport._distances"}, sites
+
+
+def _orders_exponent(node) -> bool:
+    """``node`` is an ordering comparison (``<``, ``<=``, ``>``, ``>=``) with
+    a bare ``p`` or an attribute ``*.p`` as an operand."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) and any(
+        getattr(x, "id", None) == "p" or getattr(x, "attr", None) == "p" for x in pair)
+        for op, pair in zip(node.ops, zip(operands, operands[1:])))
+
+
+def test_exponent_orderings_are_found():
+    source = ("def f(p, x, step):\n"
+              "    if p < 1:\n        pass\n"
+              "    return x.p >= 2, p == 2.0, p != 2, step * p < 1e-18, x.q < 1\n"
+              "def check_exponent(p):\n    return 1.0 <= p < inf\n"
+              "y = (0 < 1 < p)\n")
+    assert sites_where(_orders_exponent, source, "m") == [
+        "m.f", "m.f", "m.check_exponent", "m"]
+
+
+def test_the_exponent_rule_is_core_check_exponent_alone():
+    """One exponent rule: in the package only ``core.check_exponent`` orders
+    p against a bound, so every entry that takes p refuses the same values."""
+    sites = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in sites_where(_orders_exponent, path.read_text(), path.stem)]
+    assert sites and set(sites) == {"core.check_exponent"}, sites
 
 
 def _unpriced_distances(source: str):
