@@ -55,6 +55,15 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
+#: the model options of each ``gen`` kind, as (flag, type, default)
+GEN_OPTIONS = {
+    "ot_pair": [("--d", int, 4)],
+    "pullback": [("--d", int, 4), ("--C", int, 2)],
+    "lb_barycenter": [("--t", int, 2), ("--N", float, 10.0), ("--C", int, 2),
+                      ("--eps", float, 0.1), ("--p", float, 2.0)],
+    "coreset_synthetic": [("--k", int, 10)],
+}
+
 
 def _emit(payload: dict, args) -> None:
     """Render ``payload`` once (CSV rows or JSON) and write it once, to
@@ -105,11 +114,14 @@ def cmd_barycenter(args) -> int:
 
 def _resolve_map(args, batch):
     n_pooled, d = batch.points.shape
+    if args.dim is not None and (args.eps, args.delta) != (None, None):
+        raise BadParams("--eps and --delta choose m by the policy; give them or --dim, not both")
     if args.dim is None and n_pooled < 2:  # jl_dimension's own message names its n
         raise BadParams(f"the input has {n_pooled} pooled atom, too few to choose the "
                         "target dimension m; set m with --dim")
     m = args.dim if args.dim is not None else jl_dimension(
-        n_pooled, args.eps, args.delta, args.p, policy=args.policy, k=len(batch.starts))
+        n_pooled, 0.25 if args.eps is None else args.eps,
+        0.1 if args.delta is None else args.delta, args.p, policy=args.policy, k=len(batch.starts))
     return reduction_map(args.map, d, m, args.seed)
 
 
@@ -212,9 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="baryreduce")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--p", type=float, default=2.0)
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, model=(("--p", float, 2.0), ("--seed", int, 0))):
+        """The model options that the handler reads, then the output options."""
+        for flag, model_type, default in model:
+            p.add_argument(flag, type=model_type, default=default)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None)
         p.add_argument("--no-timing", action="store_true", dest="no_timing")
@@ -227,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("reduce", help="project, solve low-dim, lift back")
     r.add_argument("--input", required=True)
     r.add_argument("--support-size", type=int, default=4)
-    r.add_argument("--eps", type=float, default=0.25)
-    r.add_argument("--delta", type=float, default=0.1)
+    r.add_argument("--eps", type=float, default=None)  # unset: _resolve_map's default
+    r.add_argument("--delta", type=float, default=None)  # unset: _resolve_map's default
     group = r.add_mutually_exclusive_group()
     group.add_argument("--dim", type=int, default=None)
     group.add_argument("--policy", choices=POLICIES, default="optimal")
@@ -236,22 +249,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(r)
 
     c = sub.add_parser("coreset", help="importance-sampling error table")
-    c.add_argument("--input", default=None)
-    c.add_argument("--k", type=int, default=1000)
+    source = c.add_mutually_exclusive_group()
+    source.add_argument("--input", default=None)
+    source.add_argument("--k", type=int, default=1000)
     c.add_argument("--sizes", type=int, nargs="+", default=[10, 100])
     c.add_argument("--queries", type=float, nargs="+", default=[0.0, 10.0])
     common(c)
 
-    g = sub.add_parser("gen", help="write a synthetic instance")
-    g.add_argument("kind", choices=("ot_pair", "pullback", "lb_barycenter",
-                                    "coreset_synthetic"))
-    g.add_argument("--d", type=int, default=4)
-    g.add_argument("--C", type=int, default=2)
-    g.add_argument("--t", type=int, default=2)
-    g.add_argument("--N", type=float, default=10.0)
-    g.add_argument("--eps", type=float, default=0.1)
-    g.add_argument("--k", type=int, default=10)
-    common(g)
+    kinds = sub.add_parser("gen", help="write a synthetic instance").add_subparsers(
+        dest="kind", required=True)
+    for kind, model in GEN_OPTIONS.items():
+        common(kinds.add_parser(kind), model)
 
     s = sub.add_parser("sweep", help="cost-ratio curve over target dimensions")
     s.add_argument("--input", required=True)
@@ -270,7 +278,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if args.seed < 0:  # numpy's generators take non-negative seeds only
+        if getattr(args, "seed", 0) < 0:  # numpy's generators take non-negative seeds
             raise BadParams(f"--seed must be >= 0, got {args.seed}")
         return globals()[f"cmd_{args.command}"](args)
     except NumericalFailure as exc:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -152,6 +153,12 @@ class TestReduceCmd:
         assert main(["reduce", "--input", two_deltas,
                      "--policy", "bogus"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--eps", "--delta"])
+    def test_policy_options_are_refused_with_dim(self, two_deltas, capsys, flag):
+        # --eps and --delta only choose m, which --dim sets itself
+        code = main(["reduce", "--input", two_deltas, "--dim", "5", flag, "0.1"])
+        assert_one_error_line(code, capsys)
+
 
 class TestCoresetCmd:
     def test_synthetic_runs(self, capsys):
@@ -160,6 +167,11 @@ class TestCoresetCmd:
         assert code == 0
         assert len(out["rows"]) == 4  # 2 methods x 1 size x 2 queries
         check_schema(out)
+
+    def test_input_and_k_are_exclusive(self, two_deltas, capsys):
+        # the table runs on the CSV's inputs or on the synthetic family of k
+        assert main(["coreset", "--input", two_deltas, "--k", "5"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_negative_size(self, capsys):
         assert main(["coreset", "--k", "100", "--sizes", "-5"]) == 2
@@ -291,7 +303,53 @@ def test_large_exponent_support_is_scale_free(tmp_path, capsys, command):
     np.testing.assert_allclose(supports[1], supports[0], rtol=1e-12, atol=0.0)
 
 
+#: the model options each gen kind reads, each at a value other than its default
+GEN_READS = {
+    "ot_pair": [("--d", "6")],
+    "pullback": [("--d", "6"), ("--C", "4")],
+    "lb_barycenter": [("--t", "3"), ("--N", "20"), ("--C", "3"), ("--eps", "0.2"),
+                      ("--p", "1.5")],
+    "coreset_synthetic": [("--k", "25")],
+}
+#: the gen options of any kind, and --seed, which no kind reads
+GEN_VALUES = {flag: value for reads in GEN_READS.values() for flag, value in reads}
+GEN_VALUES["--seed"] = "1"
+#: the first 16 hex digits of the sha256 of each gen run's stdout under
+#: --no-timing, as printed when one parser gave every kind every option
+GEN_DIGESTS = {
+    ("ot_pair",): "6d5f2d48824603e7",
+    ("ot_pair", "--d", "6"): "d93ad7bb2fbc2306",
+    ("pullback",): "932e89d4a763bf1a",
+    ("pullback", "--d", "6"): "17d2826fe49056fe",
+    ("pullback", "--C", "4"): "37fef63694dd66ed",
+    ("lb_barycenter",): "89a9e31e2b688e33",
+    ("lb_barycenter", "--t", "3"): "d41216360e571666",
+    ("lb_barycenter", "--N", "20"): "b1fd8cf05f02cc75",
+    ("lb_barycenter", "--C", "3"): "fd80675654507eb8",
+    ("lb_barycenter", "--eps", "0.2"): "354c7e4835e8ec26",
+    ("lb_barycenter", "--p", "1.5"): "6adcabd863c22677",
+    ("coreset_synthetic",): "0a03b4eff015fac1",
+    ("coreset_synthetic", "--k", "25"): "3e1768c7099f96ce",
+}
+
+
 class TestGenCmd:
+    @pytest.mark.parametrize("kind, flag", [
+        (kind, flag) for kind, reads in GEN_READS.items()
+        for flag in sorted(GEN_VALUES.keys() - dict(reads).keys())])
+    def test_refuses_the_options_its_kind_does_not_read(self, kind, flag, capsys):
+        value = "nan" if flag == "--p" else GEN_VALUES[flag]  # a p that every reader refuses
+        code = main(["gen", kind, flag, value, "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(f"unrecognized arguments: {flag} {value}")
+
+    @pytest.mark.parametrize("argv", list(GEN_DIGESTS), ids=" ".join)
+    def test_prints_the_pinned_bytes(self, argv, capsys):
+        assert main(["gen", *argv, "--no-timing"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == GEN_DIGESTS[argv]
+
     def test_ot_pair_rows(self, capsys):
         code, out = run(["gen", "ot_pair", "--d", "4", "--no-timing"], capsys)
         assert code == 0

@@ -6,10 +6,14 @@ still name public functions of the package, output is written by
 ``core.check_exponent`` alone, distances are computed by
 ``transport._distances`` alone and read in the solver by ``pooled_costs``
 or the transport model alone, the solver layer never re-pools its inputs,
-and the pytest configuration reports a failing property test as a failure."""
+every model option of the CLI is read by its command's handler, and the
+pytest configuration reports a failing property test as a failure."""
 
+import argparse
 import ast
+import contextlib
 import importlib
+import io
 import inspect
 import re
 import subprocess
@@ -17,6 +21,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from baryreduce import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "baryreduce"
@@ -336,6 +342,86 @@ def test_the_solver_layer_never_re_pools(module, name):
     projection maps a batch to a batch: neither splits it or pools again."""
     source = (PACKAGE / f"{module}.py").read_text()
     assert sites_where(_names(name), source, module) == []
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return super().__getattribute__(name)
+
+
+#: the output options, which every command takes and ``cli._emit`` reads
+OUTPUT_OPTIONS = {"--format", "--output", "--no-timing"}
+
+
+def leaf_parsers(parser, prefix=()):
+    """(argv prefix, parser) of every command and ``gen`` kind of ``parser``."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield list(prefix), parser
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, (*prefix, name))
+
+
+def unread_options(parser, values) -> list:
+    """``command flag`` of each model option that the command's handler does
+    not read.  Each option is given alone, as ``values[flag]`` (checked to
+    differ from its default), next to the required options; a required
+    option is checked on that minimal argv itself."""
+    unread = []
+    for prefix, leaf in leaf_parsers(parser):
+        options = [a for a in leaf._actions
+                   if a.option_strings and a.dest != "help"
+                   and not OUTPUT_OPTIONS & set(a.option_strings)]
+        base = [word for a in options if a.required
+                for word in (a.option_strings[0], *values[a.option_strings[0]])]
+        for action in options:
+            flag = action.option_strings[0]
+            argv = [*prefix, *base, *([] if action.required else [flag, *values[flag]])]
+            args = parser.parse_args(argv, namespace=ReadRecorder())
+            assert action.required or getattr(args, action.dest) != action.default, argv
+            args._reads.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert getattr(cli, f"cmd_{args.command}")(args) == cli.EXIT_OK, argv
+            if action.dest not in args._reads:
+                unread.append(f"{' '.join(prefix)} {flag}")
+    return unread
+
+
+@pytest.fixture
+def option_values(tmp_path):
+    """A value other than the default for every model option of the CLI."""
+    f = tmp_path / "in.csv"
+    f.write_text("0,0.5,0.0,0.0\n0,0.5,1.0,0.0\n1,0.5,0.0,1.0\n1,0.5,1.0,1.0\n")
+    return {"--input": [str(f)], "--support-size": ["2"], "--eps": ["0.2"],
+            "--delta": ["0.2"], "--dim": ["1"], "--policy": ["p2"], "--map": ["srht"],
+            "--k": ["20"], "--sizes": ["5"], "--queries": ["1"], "--m-values": ["1"],
+            "--trials": ["2"], "--p": ["1.5"], "--seed": ["1"], "--d": ["6"],
+            "--C": ["4"], "--t": ["3"], "--N": ["20"]}
+
+
+def test_unread_options_are_found(option_values):
+    parser = cli.build_parser.__wrapped__()  # a parser of its own, not the cached one
+    commands = {" ".join(prefix): leaf for prefix, leaf in leaf_parsers(parser)}
+    commands["barycenter"].add_argument("--planted", type=int, default=0)
+    commands["gen lb_barycenter"].add_argument("--seed", type=int, default=0)
+    assert unread_options(parser, {**option_values, "--planted": ["1"]}) == [
+        "barycenter --planted", "gen lb_barycenter --seed"]
+
+
+def test_every_model_option_is_read_by_its_handler(option_values):
+    """One option rule: each command and ``gen`` kind takes only the model
+    options its handler reads, so no option is accepted and ignored."""
+    assert len(list(leaf_parsers(cli.build_parser()))) == 8
+    assert unread_options(cli.build_parser(), option_values) == []
 
 
 def test_failing_property_test_is_reported(tmp_path):
