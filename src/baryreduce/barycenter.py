@@ -15,14 +15,13 @@ import numpy as np
 
 from .core import (
     BadParams,
+    BadWeights,
     CostReport,
     DiscreteDistribution,
-    EmptyInput,
     InvalidSolution,
     NumericalFailure,
     PooledBatch,
     Solution,
-    ZeroWeight,
     check_exponent,
     solution_violations,
 )
@@ -44,7 +43,7 @@ class SolverOptions:
 
     def __post_init__(self):
         if self.support_size < 1:
-            raise EmptyInput("support_size must be >= 1")
+            raise BadParams("support_size must be >= 1")
         check_exponent(self.p)
         if self.max_outer_iters < 1:
             raise BadParams("max_outer_iters must be >= 1")
@@ -94,7 +93,7 @@ def update_support_atom(points: np.ndarray, weights: np.ndarray, p: float) -> np
     weights = np.asarray(weights, dtype=np.float64).ravel()
     total = weights.sum()
     if total <= 0:
-        raise ZeroWeight("support update needs positive total weight")
+        raise BadWeights("support update needs positive total weight")
     if not weights.all():
         rows = np.flatnonzero(weights)
         points, weights = points[rows], weights[rows]

@@ -59,7 +59,7 @@ EXIT_USAGE = 2
 GEN_OPTIONS = {
     "ot_pair": [("--d", int, 4)],
     "pullback": [("--d", int, 4), ("--C", int, 2)],
-    "lb_barycenter": [("--t", int, 2), ("--N", float, 10.0), ("--C", int, 2),
+    "lb_barycenter": [("--t", int, 2), ("--N", float, 10.0), ("--C", float, 2.0),
                       ("--eps", float, 0.1), ("--p", float, 2.0)],
     "coreset_synthetic": [("--k", int, 10)],
 }
@@ -144,7 +144,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_coreset(args) -> int:
     if min(args.sizes) < 1:  # checked before a large --k builds its inputs
-        raise BaryError("need positive --sizes")
+        raise BadParams("need positive --sizes")
     # the distinct inputs, each standing for `multiplicity` of the k inputs;
     # everything below is priced, scored and drawn per distinct input
     if args.input is not None:

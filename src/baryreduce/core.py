@@ -23,7 +23,7 @@ ZERO_MASS = 1e-15
 
 
 class BaryError(ValueError):
-    """Base class for all errors raised by this package."""
+    """Base class of the errors raised on bad input, one subclass per kind of fault."""
 
 
 class DimensionMismatch(BaryError):
@@ -46,31 +46,7 @@ class BadParams(BaryError):
     pass
 
 
-class BadExponent(BadParams):
-    pass
-
-
-class BadLambdas(BaryError):
-    pass
-
-
-class NumericalFailure(RuntimeError):
-    """Iteration guard tripped; indicates a solver bug, not bad input."""
-
-
-class ZeroWeight(BaryError):
-    pass
-
-
 class InvalidSolution(BaryError):
-    pass
-
-
-class BadSize(BaryError):
-    pass
-
-
-class CountMismatch(BaryError):
     pass
 
 
@@ -78,14 +54,14 @@ class ParseError(BaryError):
     pass
 
 
-class RaggedRows(BaryError):
-    pass
+class NumericalFailure(RuntimeError):
+    """Iteration guard tripped; indicates a solver bug, not bad input."""
 
 
 def check_exponent(p: float) -> None:
-    """The one rule for an exponent p: finite and >= 1, else (NaN too) :class:`BadExponent`."""
+    """The one rule for an exponent p: finite and >= 1, else (NaN too) :class:`BadParams`."""
     if not 1.0 <= p < np.inf:
-        raise BadExponent(f"exponent p must be finite and >= 1, got {p}")
+        raise BadParams(f"exponent p must be finite and >= 1, got {p}")
 
 
 def _frozen(a) -> np.ndarray:

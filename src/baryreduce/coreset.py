@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BadSize, BadWeights, DiscreteDistribution, NumericalFailure, PooledBatch,
+from .core import (BadParams, BadWeights, DiscreteDistribution, NumericalFailure, PooledBatch,
                    check_exponent)
 from .barycenter import SolverOptions, solve_barycenter
 from .transport import solve_pooled
@@ -109,7 +109,7 @@ def build_coreset(probabilities: np.ndarray, size: int, seed: int = 0,
     positive count per input.
     """
     if size < 1:
-        raise BadSize("coreset size must be >= 1")
+        raise BadParams("coreset size must be >= 1")
     shape = np.shape(probabilities)
     if len(shape) != 1 or not shape[0]:  # numpy's own messages name its arguments a and p
         raise BadWeights(f"sampling probabilities: q has shape {shape}, not (k,) with k >= 1")
@@ -133,7 +133,7 @@ def coreset_size_bound(n: int, d: int, p: float, eps: float, delta: float,
     """
     check_exponent(p)
     if eps <= 0 or not (0 < delta < 1):
-        raise BadSize("need eps > 0 and delta in (0, 1)")
+        raise BadParams("need eps > 0 and delta in (0, 1)")
     raw = alpha * 4.0 ** (p - 1) * n**8 * d**4 * math.log(1.0 / delta) / eps**2
     return raw, math.ceil(raw)
 
@@ -142,7 +142,7 @@ def practical_size_bound(scores: np.ndarray, pseudo_dim: int,
                          eps: float, delta: float) -> tuple[float, int]:
     """Data-dependent variant driven by the realized total sensitivity."""
     if eps <= 0 or not (0 < delta < 1):
-        raise BadSize("need eps > 0 and delta in (0, 1)")
+        raise BadParams("need eps > 0 and delta in (0, 1)")
     S = scores.sum()
     raw = (S / eps**2) * (pseudo_dim * math.log(S) + math.log(1.0 / delta))
     return raw, max(1, math.ceil(raw))

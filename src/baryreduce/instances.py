@@ -17,11 +17,10 @@ from .core import (
     BadParams,
     BadWeights,
     BaryError,
-    CountMismatch,
+    DimensionMismatch,
     DiscreteDistribution,
     NORMALIZATION_TOL,
     ParseError,
-    RaggedRows,
     check_exponent,
     make_distribution,
 )
@@ -144,7 +143,7 @@ def group_by_label(points, labels):
     points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
     if len(points) != len(labels):
-        raise CountMismatch(f"{len(points)} points vs {len(labels)} labels")
+        raise DimensionMismatch(f"{len(points)} points vs {len(labels)} labels")
     out = []
     for lab in np.unique(labels):
         cls = points[labels == lab]
@@ -180,14 +179,13 @@ def _row_error(path, lineno, line, width):
     refused or would skip: a non-numeric field, no coordinates, or a field
     count unlike the first row's ``width`` (fields after the key)."""
     values = _fields(path, lineno, line)[1:]
+    fault = "non-numeric field"  # loadtxt refuses some fields float() takes, such as 1_000
     if not _non_numeric(values):
         if len(values) < 2:
-            return ParseError(f"{path}:{lineno}: need dist_id, w, coords")
-        if len(values) != width:
-            return RaggedRows(
-                f"{path}:{lineno}: {len(values) - 1} coords, expected {width - 1}")
-    # loadtxt refuses some fields float() takes, such as 1_000
-    return ParseError(f"{path}:{lineno}: non-numeric field")
+            fault = "need dist_id, w, coords"
+        elif len(values) != width:
+            fault = f"{len(values) - 1} coords, expected {width - 1}"
+    return ParseError(f"{path}:{lineno}: {fault}")
 
 
 def _csv_rows(path):

@@ -41,7 +41,7 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 from scipy.spatial.distance import cdist
 
 from .core import (
-    BadLambdas,
+    BadWeights,
     DimensionMismatch,
     DiscreteDistribution,
     NumericalFailure,
@@ -292,5 +292,5 @@ def barycenter_objective(nu: DiscreteDistribution, mus, p: float, lambdas=None) 
         lam = np.asarray(lambdas, dtype=np.float64)
         # a NaN weight fails both comparisons
         if lam.shape != (k,) or not (lam >= 0).all() or not abs(lam.sum() - 1.0) <= 1e-9:
-            raise BadLambdas("lambdas must be nonnegative and sum to 1")
+            raise BadWeights("lambdas must be nonnegative and sum to 1")
     return float(lam @ costs)

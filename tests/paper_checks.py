@@ -17,12 +17,12 @@ from scipy.spatial.distance import cdist
 from baryreduce.barycenter import solution_cost
 from baryreduce.core import (
     BadParams,
+    BadWeights,
     BaryError,
-    CountMismatch,
+    DimensionMismatch,
     InvalidSolution,
     PooledBatch,
     Solution,
-    ZeroWeight,
     solution_violations,
 )
 
@@ -138,7 +138,7 @@ def empirical_matching_distortion(A, B, pmap=None, p: float = 1.0,
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     if len(A) != len(B):
-        raise CountMismatch(f"|A|={len(A)} vs |B|={len(B)}")
+        raise DimensionMismatch(f"|A|={len(A)} vs |B|={len(B)}")
     Ap, Bp = (A, B) if pmap is None else (pmap(A), pmap(B))
     low, col = _matching_cost(Ap, Bp, p)
     pullback = float(np.sum(np.linalg.norm(A - B[col], axis=1) ** p))
@@ -163,7 +163,7 @@ def pairwise_cost_p2(sol: Solution, batch: PooledBatch) -> float:
         raise InvalidSolution("; ".join(bad))
     b = sol.barycenter_weights
     if np.any(b <= 0):
-        raise ZeroWeight("pairwise form requires every barycenter weight > 0")
+        raise BadWeights("pairwise form requires every barycenter weight > 0")
     k = len(batch.starts)
     total = 0.0
     for j in range(sol.n_atoms):

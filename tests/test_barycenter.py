@@ -10,10 +10,10 @@ from baryreduce import barycenter, transport
 from baryreduce.core import (
     WEIGHT_TOL,
     BadParams,
+    BadWeights,
     EmptyInput,
     InvalidSolution,
     NumericalFailure,
-    ZeroWeight,
     make_distribution,
     pool_batch,
     solution_violations,
@@ -113,7 +113,7 @@ class TestUpdateSupportAtom:
         assert np.isfinite(y).all() and 0.0 <= y[0] <= 2.0
 
     def test_zero_weight_rejected(self):
-        with pytest.raises(ZeroWeight):
+        with pytest.raises(BadWeights, match="^support update needs positive total weight$"):
             update_support_atom([[0.0]], [0.0], 2.0)
 
     def test_mean_first_order_optimality(self, rng):

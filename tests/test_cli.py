@@ -17,13 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from baryreduce import cli
 from baryreduce.cli import main
-from baryreduce.core import BaryError, ParseError, RaggedRows, make_distribution, pool_batch
+from baryreduce.core import BaryError, ParseError, make_distribution, pool_batch
 from baryreduce.coreset import (
     build_coreset,
     evaluate_coreset,
     sensitivity_upper_bounds,
 )
-from baryreduce.instances import gen_coreset_synthetic, load_csv_distributions
+from baryreduce.instances import gen_coreset_synthetic, gen_lb_barycenter, load_csv_distributions
 from baryreduce.projection import jl_dimension
 from conftest import input_costs, weights_with_zeros
 
@@ -350,6 +350,20 @@ class TestGenCmd:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == GEN_DIGESTS[argv]
 
+    def test_lb_barycenter_takes_a_real_C(self, capsys):
+        # C only scales the close pair's gap C*eps; pullback's C must be an even integer
+        code, out = run(["gen", "lb_barycenter", "--C", "2.5", "--no-timing"], capsys)
+        assert code == 0
+        assert out["expected_opt_cost"] == pytest.approx(0.5625) and out["n"] == 3
+        mus, opt, n = gen_lb_barycenter(2, 10.0, 2.5, 0.1)
+        assert (out["expected_opt_cost"], out["n"]) == (opt, n)
+        assert [row["coords"] for row in out["rows"]] == [
+            atom.tolist() for mu in mus for atom in mu.atoms]
+        code = main(["gen", "pullback", "--C", "2.5", "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1].endswith("invalid int value: '2.5'")
+
     def test_ot_pair_rows(self, capsys):
         code, out = run(["gen", "ot_pair", "--d", "4", "--no-timing"], capsys)
         assert code == 0
@@ -468,7 +482,7 @@ def test_arbitrary_csv_text_loads_or_names_its_line(tmp_path_factory, text):
     f.write_bytes(text.encode())
     try:
         load_csv_distributions(f)
-    except (ParseError, RaggedRows) as exc:
+    except ParseError as exc:
         where = re.match(f"{re.escape(str(f))}:([0-9]+): ", str(exc))
         assert where and 1 <= int(where[1]) <= len(text.splitlines()), str(exc)
     except BaryError:

@@ -16,12 +16,15 @@ from baryreduce.barycenter import (
     support_cost,
     update_support_atom,
 )
+from baryreduce import cli
 from baryreduce.core import (
     BadParams,
     BadPoints,
     BadWeights,
+    DimensionMismatch,
     DiscreteDistribution,
     EmptyInput,
+    ParseError,
     Solution,
     check_exponent,
     make_distribution,
@@ -29,12 +32,14 @@ from baryreduce.core import (
     solution_violations,
 )
 from baryreduce.coreset import (
+    build_coreset,
     coreset_size_bound,
     pilot_barycenter,
+    practical_size_bound,
     scores_from_costs,
     sensitivity_upper_bounds,
 )
-from baryreduce.instances import gen_lb_barycenter
+from baryreduce.instances import gen_lb_barycenter, group_by_label, load_csv_distributions
 from baryreduce.projection import jl_dimension
 from baryreduce.transport import (
     barycenter_objective,
@@ -321,12 +326,12 @@ GOOD_EXPONENTS = [1.0, 1.5, 2.0]
 
 
 def refusal(name: str, p: float):
-    """The class name of the :class:`BadParams` that ``EXPONENT_CALLS[name](p)``
-    raises, or None when it returns."""
+    """``"<class name>: <message>"`` of the :class:`BadParams` that
+    ``EXPONENT_CALLS[name](p)`` raises, or None when it returns."""
     try:
         EXPONENT_CALLS[name](p)
     except BadParams as exc:
-        return type(exc).__name__
+        return f"{type(exc).__name__}: {exc}"
     return None
 
 
@@ -352,7 +357,7 @@ def fits_refused() -> dict:
         out, stopped = (exc.stdout or b"").decode(), "timed out"
     lines = out.splitlines()
     found = {(name, p): None if got == "None" else got
-             for name, p, got in map(str.split, lines)}
+             for name, p, got in (line.split(maxsplit=2) for line in lines)}
     if len(lines) < len(cases):
         found[cases[len(lines)]] = stopped
     return found
@@ -375,11 +380,64 @@ def test_the_exponent_calls_are_every_public_entry_that_takes_p():
     assert taking_p == set(EXPONENT_CALLS)
 
 
-@pytest.mark.parametrize("p, refused", [*((p, "BadExponent") for p in BAD_EXPONENTS),
-                                         *((p, None) for p in GOOD_EXPONENTS)])
+# the ids name the exponent refusal by its former class, BadExponent, so
+# that they stay stable
+@pytest.mark.parametrize("p, refused", [
+    *(pytest.param(p, f"BadParams: exponent p must be finite and >= 1, got {p}",
+                   id=f"{p}-BadExponent") for p in BAD_EXPONENTS),
+    *((p, None) for p in GOOD_EXPONENTS)])
 @pytest.mark.parametrize("name", list(EXPONENT_CALLS))
 def test_every_entry_that_takes_p_refuses_the_same_exponents(fits_refused, name, p, refused):
-    """One rule: p finite and >= 1.  Any other p raises :class:`BadExponent`,
-    caught as the :class:`BadParams` it is."""
+    """One rule: p finite and >= 1.  Any other p raises :class:`BadParams`
+    with the exponent rule's own message."""
     got = fits_refused.get((name, repr(p)), "not run") if name in FITS else refusal(name, p)
     assert got == refused
+
+
+def _loaded(tmp_path, text):
+    (tmp_path / "in.csv").write_text(text)
+    return load_csv_distributions(tmp_path / "in.csv")
+
+
+JL_RANGE = r"^eps and delta must lie in \(0, 1\)$"
+EPS_DELTA = r"^need eps > 0 and delta in \(0, 1\)$"
+#: one call per fault, with the class every call at that fault raises and
+#: its message; each call takes a scratch directory
+SAME_FAULT = {
+    "jl_eps": (lambda tmp: jl_dimension(16, 1.5, 0.1, 2.0), BadParams, JL_RANGE),
+    "jl_delta": (lambda tmp: jl_dimension(16, 0.5, 0.0, 2.0), BadParams, JL_RANGE),
+    "bound_eps": (lambda tmp: coreset_size_bound(4, 2, 2.0, 0.0, 0.1), BadParams, EPS_DELTA),
+    "bound_delta": (lambda tmp: coreset_size_bound(4, 2, 2.0, 0.5, 1.0), BadParams, EPS_DELTA),
+    "practical_eps": (lambda tmp: practical_size_bound(np.full(4, 2.0), 3, 0.0, 0.1),
+                      BadParams, EPS_DELTA),
+    "practical_delta": (lambda tmp: practical_size_bound(np.full(4, 2.0), 3, 0.5, 1.5),
+                        BadParams, EPS_DELTA),
+    "coreset_size": (lambda tmp: build_coreset(np.full(2, 0.5), 0, seed=0), BadParams,
+                     "^coreset size must be >= 1$"),
+    "support_size": (lambda tmp: SolverOptions(support_size=0), BadParams,
+                     "^support_size must be >= 1$"),
+    "cli_sizes": (lambda tmp: cli.cmd_coreset(cli.build_parser().parse_args(
+        ["coreset", "--k", "10", "--sizes", "0"])), BadParams, "^need positive --sizes$"),
+    "support_weight": (lambda tmp: update_support_atom([[0.0]], [0.0], 2.0), BadWeights,
+                       "^support update needs positive total weight$"),
+    "lambdas": (lambda tmp: barycenter_objective(NU, MUS, 2.0, lambdas=[0.5, 0.6]),
+                BadWeights, "^lambdas must be nonnegative and sum to 1$"),
+    "ragged_row": (lambda tmp: _loaded(tmp, "0,0.5,1\n0,0.5,2,3\n"), ParseError,
+                   "in.csv:2: 2 coords, expected 1$"),
+    "non_numeric_row": (lambda tmp: _loaded(tmp, "0,0.5,1\n0,0.5,x\n"), ParseError,
+                        "in.csv:2: non-numeric field$"),
+    "label_count": (lambda tmp: group_by_label(np.zeros((3, 4)), [1, 2]), DimensionMismatch,
+                    "^3 points vs 2 labels$"),
+}
+
+
+@pytest.mark.parametrize("fault", list(SAME_FAULT))
+def test_same_fault_same_class(tmp_path, fault):
+    """One class per kind of fault: a parameter out of range is a
+    :class:`BadParams` wherever it is checked, a weight fault a
+    :class:`BadWeights`, a malformed CSV row a :class:`ParseError` naming its
+    line and a count that disagrees with another a :class:`DimensionMismatch`."""
+    call, error, message = SAME_FAULT[fault]
+    with pytest.raises(error, match=message) as caught:
+        call(tmp_path)
+    assert type(caught.value) is error

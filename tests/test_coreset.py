@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from baryreduce.core import (BadSize, BadWeights, NumericalFailure, make_distribution,
+from baryreduce.core import (BadParams, BadWeights, NumericalFailure, make_distribution,
                              pool_batch)
 from baryreduce.coreset import (
     WeightedCoreset,
@@ -111,7 +111,7 @@ class TestBuildCoreset:
         np.testing.assert_allclose(core.lam, [1.0 / 3.0])
 
     def test_bad_size(self):
-        with pytest.raises(BadSize):
+        with pytest.raises(BadParams, match="^coreset size must be >= 1$"):
             build_coreset(np.full(2, 0.5), 0, seed=0)
 
     @pytest.mark.parametrize("q, message", [
@@ -179,7 +179,7 @@ class TestSizeBounds:
         assert size >= 1 and raw > 0
 
     def test_bad_ranges(self):
-        with pytest.raises(BadSize):
+        with pytest.raises(BadParams, match=r"^need eps > 0 and delta in \(0, 1\)$"):
             coreset_size_bound(2, 2, 2.0, 0.0, 0.1)
 
 

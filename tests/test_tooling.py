@@ -6,8 +6,9 @@ still name public functions of the package, output is written by
 ``core.check_exponent`` alone, distances are computed by
 ``transport._distances`` alone and read in the solver by ``pooled_costs``
 or the transport model alone, the solver layer never re-pools its inputs,
-every model option of the CLI is read by its command's handler, and the
-pytest configuration reports a failing property test as a failure."""
+every error class of ``core`` is raised by the package, every model option
+of the CLI is read by its command's handler, and the pytest configuration
+reports a failing property test as a failure."""
 
 import argparse
 import ast
@@ -313,6 +314,50 @@ def test_barycenter_prices_distances_by_pooled_costs_alone():
     source = (PACKAGE / "barycenter.py").read_text()
     assert sites_where(_calls("_distances"), source, "barycenter")
     assert sites_where(_unpriced_distances(source), source, "barycenter") == []
+
+
+def error_classes(source: str) -> list:
+    """The classes of ``source`` derived, within it, from ``BaryError``."""
+    errors = ["BaryError"]
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", None) in errors for base in node.bases):
+            errors.append(node.name)
+    return errors[1:]
+
+
+def unraised_errors(core_source: str, sources) -> list:
+    """The error classes of ``core_source`` that no source raises, by
+    ``raise X(...)`` or by ``return X(...)`` for a caller to raise."""
+    made = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            error = node.exc if isinstance(node, ast.Raise) else (
+                node.value if isinstance(node, ast.Return) else None)
+            if isinstance(error, ast.Call) and isinstance(error.func, ast.Name):
+                made.add(error.func.id)
+    return [name for name in error_classes(core_source) if name not in made]
+
+
+def test_unraised_errors_are_found():
+    core = ("class BaryError(ValueError):\n    pass\nclass A(BaryError):\n    pass\n"
+            "class B(A):\n    pass\nclass C(BaryError):\n    pass\n"
+            "class Other(Exception):\n    pass\n")
+    sources = ["def f():\n    raise A('x')\n", "def g():\n    return B('y')\n",
+               "def h():\n    raise Other('z')\n    C\n"]
+    assert unraised_errors(core, sources) == ["C"]
+    planted = (PACKAGE / "core.py").read_text() + "\n\nclass Planted(BaryError):\n    pass\n"
+    sources = [path.read_text() for path in PACKAGE.glob("*.py")]
+    assert unraised_errors(planted, sources) == ["Planted"]
+
+
+def test_every_error_class_is_raised():
+    """One class per kind of fault: ``core`` defines the seven kinds a
+    caller catches, and the package raises each of them."""
+    core = (PACKAGE / "core.py").read_text()
+    assert error_classes(core) == ["DimensionMismatch", "BadWeights", "BadPoints", "EmptyInput",
+                                   "BadParams", "InvalidSolution", "ParseError"]
+    assert unraised_errors(core, [path.read_text() for path in PACKAGE.glob("*.py")]) == []
 
 
 def _names(name: str):

@@ -8,8 +8,8 @@ from scipy.spatial.distance import cdist
 from baryreduce.barycenter import SolverOptions, solve_barycenter
 from baryreduce.core import (
     WEIGHT_TOL,
-    BadExponent,
-    BadLambdas,
+    BadParams,
+    BadWeights,
     DimensionMismatch,
     EmptyInput,
     NumericalFailure,
@@ -84,7 +84,7 @@ class TestCostMatrix:
             cost_matrix(delta([0.0]), delta([0.0, 0.0]), 2.0)
 
     def test_exponent_below_one_rejected(self):
-        with pytest.raises(BadExponent):
+        with pytest.raises(BadParams, match=r"^exponent p must be finite and >= 1, got 0\.5$"):
             cost_matrix(delta([0.0]), delta([1.0]), 0.5)
 
 
@@ -471,7 +471,7 @@ class TestBatchContract:
         mus = [random_distribution(rng, 2, 2), delta([0.0, 1.0])]
         nu = random_distribution(rng, 3, 2)
         for price in (input_costs, objective):
-            with pytest.raises(BadExponent):
+            with pytest.raises(BadParams, match=r"^exponent p must be finite and >= 1, got 0\.5$"):
                 price(mus, nu, 0.5)
 
     def test_lp_inputs_in_list_order(self, rng, monkeypatch):
@@ -611,6 +611,6 @@ class TestObjective:
                              ids=["nan", "all_nan", "inf", "negative", "sum", "shape"])
     def test_bad_lambdas(self, lambdas):
         mus = [delta([0.0]), delta([2.0])]
-        with pytest.raises(BadLambdas):
+        with pytest.raises(BadWeights, match="^lambdas must be nonnegative and sum to 1$"):
             barycenter_objective(delta([1.0]), mus, 2.0, lambdas)
 
